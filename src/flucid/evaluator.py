@@ -1322,7 +1322,7 @@ def _event_literals(body: N.Node, event_param: str) -> List[str]:
         if isinstance(node, N.Node):
             for value in vars(node).values():
                 walk(value)
-        elif isinstance(node, tuple):
+        elif type(node) is tuple:     # not a Span, which has no children
             for item in node:
                 walk(item)
 
@@ -1339,7 +1339,7 @@ def _string_literals(body: N.Node) -> List[str]:
         if isinstance(node, N.Node):
             for value in vars(node).values():
                 walk(value)
-        elif isinstance(node, tuple):
+        elif type(node) is tuple:     # not a Span, which has no children
             for item in node:
                 walk(item)
 

@@ -532,7 +532,7 @@ def _collect_names(node, used) -> None:
     if isinstance(node, N.Node):
         for value in vars(node).values():
             _collect_names(value, used)
-    elif isinstance(node, tuple):
+    elif type(node) is tuple:     # not a Span, which has no children
         for item in node:
             _collect_names(item, used)
 

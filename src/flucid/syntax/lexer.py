@@ -7,16 +7,28 @@ of the offending text.  Notable lexemes:
     only directly between identifier characters when a letter or
     underscore follows, so spaced subtraction is unaffected;
   - INF+/INF- and the +INF/-INF spellings collapse to one sentinel each;
+    a bare INF, at the end of input too, is an identifier;
   - \\0 (and the typeset variant \\O before a parenthesis) starts a
     zero-observation; other backslash words are context operators;
+  - #JAVA, #CPP and the other hybrid-language segment markers are
+    rejected rather than read as # applied to a name;
+  - numbers are ASCII digits only; any other digit character is an
+    error, as is an integer literal too long to convert;
   - two-word keywords (observation sequence, evidential statement) come
     out as two keyword tokens and are joined by the parser.
+
+One compiled pattern, tried at each position, finds the next lexeme
+together with the whitespace and comments before it; line and column
+come from the offsets of the newlines passed over.  Words that are not
+pure ASCII, and characters the pattern does not match, take a short
+character-level path (_odd_lexeme), since Python's \\w has no
+"letter" class to tell an identifier start from a digit such as "²".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional
+import re
+from typing import Any, List, NamedTuple, Tuple
 
 from ..values import FlucidError
 
@@ -27,8 +39,7 @@ class LexicalError(FlucidError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
     offset: int
@@ -40,8 +51,7 @@ class Span:
         return Span(self.line, self.col, self.offset, max(self.end, other.end))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str               # IDENT INT REAL STRING KW SYM EOF
     value: Any
     span: Span
@@ -70,194 +80,129 @@ CONTEXT_OPS = frozenset([
 # raised as unsupported, not silently mis-lexed as # applied to a name
 HYBRID_SEGMENTS = frozenset(["JAVA", "CPP", "FORTRAN", "PERL", "PHP", "PYTHON"])
 
-_SYMBOLS = [
-    "=>", "==", "!=", "<=", ">=", "&&", "||", "!!", "!&",
-    "@", "#", "$", "(", ")", "[", "]", "{", "}", "<", ">",
-    ",", ";", ":", ".", "=", "+", "-", "*", "/", "%", "^", "!", "&", "~",
-]
+# Group names are token kinds, or lower-case for the lexemes that
+# tokenize() and _odd_lexeme handle apart.  Order matters where two
+# alternatives share a first character.  [^\W\d] is a superset of the
+# identifier-start characters that is exact on ASCII.
+_LEXEME = re.compile(r"""[ \t\r\n]*(?:
+    (?P<comment> //[^\n]* | /\*[\s\S]*?\*/ )
+  | (?P<open_comment> /\* )
+  | (?P<STRING> "[^"\\\n]*(?:\\.[^"\\\n]*)*" )
+  | (?P<REAL> [0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+) )
+  | (?P<INT> [0-9]+ )
+  | (?P<signed_inf> [+-]INF(?!\w) )
+  | (?P<hybrid> \#(?:%s)(?!\w) )
+  | (?P<SYM> INF(?:\+|-(?![^\W\d]))
+      | \\(?:0|(?:%s)(?!\w)|(?![^\W\d]))
+      | => | == | != | <= | >= | && | \|\| | !! | !&
+      | [-@\#$()\[\]{}<>,;:.=+*/%%^!&~] )
+  | (?P<IDENT> [^\W\d]\w*(?:-[^\W\d]\w*)* )
+  | (?P<typeset_zero> \\O(?=\() )
+  | (?P<EOF> \Z )
+  | (?P<odd> [\s\S] )
+)""" % ("|".join(sorted(HYBRID_SEGMENTS)), "|".join(sorted(CONTEXT_OPS))),
+    re.VERBOSE)
+_WORD_CHARS = re.compile(r"\w*")
+_STRING_HEAD = re.compile(r'"(?:[^"\\\n]|\\[^\n]?)*')
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def span_from(self, line: int, col: int, start: int) -> Span:
-        return Span(line, col, start, self.pos)
-
-    def error(self, message: str, start: Optional[int] = None) -> LexicalError:
-        at = self.pos if start is None else start
-        return LexicalError(message, Span(self.line, self.col, at, at + 1))
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-
 def tokenize(text: str) -> List[Token]:
     """Scan text into a token list ending with an EOF token."""
-    s = _Scanner(text)
     out: List[Token] = []
-    while s.pos < len(s.text):
-        c = s.peek()
-        if c in " \t\r\n":
-            s.advance()
+    append = out.append
+    # builds the named tuples without their constructors' Python frames:
+    # making Token and Span objects is most of the time per token
+    new = tuple.__new__
+    match = _LEXEME.match
+    line, line_start = 1, 0
+    next_nl = text.find("\n")
+    if next_nl < 0:
+        next_nl = len(text)
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if start > next_nl:
+            line += text.count("\n", next_nl, start)
+            line_start = text.rindex("\n", next_nl, start) + 1
+            next_nl = text.find("\n", start)
+            if next_nl < 0:
+                next_nl = len(text)
+        if kind == "SYM":
+            value: Any = text[start:pos]
+        elif kind == "IDENT":
+            value = text[start:pos]
+            if value in KEYWORDS:
+                kind = "KW"
+            elif not value.isascii():
+                kind, value, pos = _odd_lexeme(text, start, line, line_start)
+        elif kind == "INT":
+            try:
+                value = int(text[start:pos])
+            except ValueError:
+                raise LexicalError("integer literal too long",
+                                   Span(line, start - line_start + 1, start, pos))
+        elif kind == "STRING":
+            value = text[start + 1:pos - 1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "REAL":
+            value = float(text[start:pos])
+        elif kind == "comment":
             continue
-        if c == "/" and s.peek(1) == "/":
-            while s.pos < len(s.text) and s.peek() != "\n":
-                s.advance()
-            continue
-        if c == "/" and s.peek(1) == "*":
-            line, col, start = s.line, s.col, s.pos
-            s.advance(2)
-            while s.pos < len(s.text) and not (s.peek() == "*" and s.peek(1) == "/"):
-                s.advance()
-            if s.pos >= len(s.text):
-                raise LexicalError("unterminated block comment",
-                                   Span(line, col, start, s.pos))
-            s.advance(2)
-            continue
-        line, col, start = s.line, s.col, s.pos
-        if c == "\x00" or (not c.isprintable() and c not in " \t\r\n"):
-            raise s.error("illegal character %r" % c)
-        if c == '"':
-            out.append(_scan_string(s, line, col, start))
-            continue
-        if c.isdigit():
-            out.append(_scan_number(s, line, col, start))
-            continue
-        if _is_ident_start(c):
-            out.append(_scan_word(s, line, col, start))
-            continue
-        if c == "\\":
-            out.append(_scan_backslash(s, line, col, start))
-            continue
-        if c in "+-" and s.text.startswith("INF", s.pos + 1) \
-                and not _is_ident_char(s.peek(4)):
-            s.advance(4)
-            out.append(Token("SYM", "INF" + c, s.span_from(line, col, start)))
-            continue
-        if c == "#" and _is_ident_start(s.peek(1)):
-            # reject hybrid-language segment markers up front
-            j = s.pos + 1
-            while j < len(s.text) and _is_ident_char(s.text[j]):
-                j += 1
-            word = s.text[s.pos + 1:j]
-            if word in HYBRID_SEGMENTS:
-                raise LexicalError("hybrid segments unsupported",
-                                   Span(line, col, start, j))
-        for sym in _SYMBOLS:
-            if s.text.startswith(sym, s.pos):
-                s.advance(len(sym))
-                out.append(Token("SYM", sym, s.span_from(line, col, start)))
-                break
+        elif kind == "EOF":
+            col = start - line_start + 1
+            append(Token("EOF", "", Span(line, col, start, start)))
+            return out
+        elif kind == "signed_inf":
+            kind, value = "SYM", "INF" + text[start]
+        elif kind == "typeset_zero":
+            kind, value = "SYM", "\\0"
         else:
-            raise s.error("illegal character %r" % c)
-    out.append(Token("EOF", "", Span(s.line, s.col, s.pos, s.pos)))
-    return out
+            kind, value, pos = _odd_lexeme(text, start, line, line_start)
+        append(new(Token, (kind, value,
+                           new(Span, (line, start - line_start + 1, start, pos)))))
 
 
-def _scan_string(s: _Scanner, line: int, col: int, start: int) -> Token:
-    s.advance()
-    parts: List[str] = []
-    while True:
-        if s.pos >= len(s.text):
-            raise LexicalError("unterminated string", Span(line, col, start, s.pos))
-        c = s.peek()
-        if c == "\n":
-            raise LexicalError("newline inside string", Span(line, col, start, s.pos))
-        if c == '"':
-            s.advance()
-            return Token("STRING", "".join(parts), s.span_from(line, col, start))
-        if c == "\\" and s.peek(1) in ('"', "\\"):
-            parts.append(s.peek(1))
-            s.advance(2)
-            continue
-        parts.append(c)
-        s.advance()
+def _odd_lexeme(text: str, start: int, line: int,
+                line_start: int) -> Tuple[str, Any, int]:
+    """(kind, value, end) of the lexeme at start, for the cases the
+    pattern leaves to code; raises LexicalError for the errors."""
+    col = start - line_start + 1
 
+    def error(message: str, end: int) -> LexicalError:
+        return LexicalError(message, Span(line, col, start, end))
 
-def _scan_number(s: _Scanner, line: int, col: int, start: int) -> Token:
-    while s.peek().isdigit():
-        s.advance()
-    is_real = False
-    if s.peek() == "." and s.peek(1).isdigit():
-        is_real = True
-        s.advance()
-        while s.peek().isdigit():
-            s.advance()
-    if s.peek() in "eE" and (s.peek(1).isdigit()
-                             or (s.peek(1) in "+-" and s.peek(2).isdigit())):
-        is_real = True
-        s.advance()
-        if s.peek() in "+-":
-            s.advance()
-        while s.peek().isdigit():
-            s.advance()
-    raw = s.text[start:s.pos]
-    span = s.span_from(line, col, start)
-    if is_real:
-        return Token("REAL", float(raw), span)
-    return Token("INT", int(raw), span)
-
-
-def _scan_word(s: _Scanner, line: int, col: int, start: int) -> Token:
-    while True:
-        while _is_ident_char(s.peek()):
-            s.advance()
-        # hyphenated identifier continuation (flow-start, port-state)
-        if s.peek() == "-" and s.pos > start and _is_ident_start(s.peek(1)):
-            s.advance()
-            continue
-        break
-    word = s.text[start:s.pos]
-    span = s.span_from(line, col, start)
-    if word == "INF" and s.peek() in "+-":
-        sign = s.peek()
-        s.advance()
-        return Token("SYM", "INF" + sign, s.span_from(line, col, start))
-    if word in KEYWORDS and "-" not in word:
-        return Token("KW", word, span)
-    return Token("IDENT", word, span)
-
-
-def _scan_backslash(s: _Scanner, line: int, col: int, start: int) -> Token:
-    s.advance()
-    if s.peek() == "0":
-        s.advance()
-        return Token("SYM", "\\0", s.span_from(line, col, start))
-    if _is_ident_start(s.peek()):
-        j = s.pos
-        while j < len(s.text) and _is_ident_char(s.text[j]):
-            j += 1
-        word = s.text[s.pos:j]
-        if word == "O" and s.text[j:j + 1] == "(":
-            s.advance()
-            return Token("SYM", "\\0", s.span_from(line, col, start))
-        if word in CONTEXT_OPS:
-            s.advance(len(word))
-            return Token("SYM", "\\" + word, s.span_from(line, col, start))
-        raise LexicalError("unknown context operator \\%s" % word,
-                           Span(line, col, start, j))
-    # bare separator inside Box [dims \ predicate]
-    return Token("SYM", "\\", s.span_from(line, col, start))
+    c = text[start]
+    if text.startswith("/*", start):
+        raise error("unterminated block comment", len(text))
+    if text.startswith("#", start):
+        end = _WORD_CHARS.match(text, start + 1).end()
+        raise error("hybrid segments unsupported", end)
+    if c == '"':
+        end = _STRING_HEAD.match(text, start).end()
+        if end == len(text):
+            raise error("unterminated string", end)
+        raise error("newline inside string", end)
+    if c == "\\":
+        if not _is_ident_start(text[start + 1:start + 2]):
+            return "SYM", "\\", start + 1
+        end = _WORD_CHARS.match(text, start + 1).end()
+        raise error("unknown context operator %s" % text[start:end], end)
+    if _is_ident_start(c):
+        end = _WORD_CHARS.match(text, start).end()
+        while text.startswith("-", end) and _is_ident_start(text[end + 1:end + 2]):
+            end = _WORD_CHARS.match(text, end + 1).end()
+        word = text[start:end]
+        if word == "INF" and text[end:end + 1] in ("+", "-"):
+            return "SYM", "INF" + text[end], end + 1
+        return ("KW" if word in KEYWORDS else "IDENT"), word, end
+    if c.isdigit():
+        raise error("illegal digit %r" % c, start + 1)
+    raise error("illegal character %r" % c, start + 1)

@@ -11,35 +11,22 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from . import nodes as N
+from .parser import (ADD, AT, ATOM, BINDING_POWER, CTX, POSTFIX, STREAM,
+                     UNARY, WHERE)
 
-_WHERE, _CTX, _STREAM, _AT, _LOGICAL, _REL, _ADD, _MUL, _UNARY, _POSTFIX, _ATOM = \
-    range(11)
-
-_BINOP_PREC = {
-    "&&": _LOGICAL, "||": _LOGICAL, "&": _LOGICAL, "!!": _LOGICAL, "!&": _LOGICAL,
-    "<": _REL, ">": _REL, "<=": _REL, ">=": _REL, "==": _REL, "!=": _REL,
-    "in": _REL,
-    "+": _ADD, "-": _ADD, "^": _ADD,
-    "*": _MUL, "/": _MUL, "%": _MUL,
+# tiers of the node kinds other than BinOp, whose tier its operator names
+_TIER = {
+    N.WhereExpr: WHERE, N.CtxBin: CTX, N.StreamBin: STREAM, N.AtExpr: AT,
+    N.UnaryOp: UNARY, N.StreamUnary: UNARY,
+    N.Call: POSTFIX, N.Subscript: POSTFIX, N.Dot: POSTFIX,
+    N.AngleTuple: POSTFIX, N.HashExpr: POSTFIX,
 }
 
 
 def _prec(node: N.Node) -> int:
-    if isinstance(node, N.WhereExpr):
-        return _WHERE
-    if isinstance(node, N.CtxBin):
-        return _CTX
-    if isinstance(node, N.StreamBin):
-        return _STREAM
-    if isinstance(node, N.AtExpr):
-        return _AT
     if isinstance(node, N.BinOp):
-        return _BINOP_PREC[node.op]
-    if isinstance(node, (N.UnaryOp, N.StreamUnary)):
-        return _UNARY
-    if isinstance(node, (N.Call, N.Subscript, N.Dot, N.AngleTuple, N.HashExpr)):
-        return _POSTFIX
-    return _ATOM
+        return BINDING_POWER[node.op]
+    return _TIER.get(type(node), ATOM)
 
 
 def _escape(text: str) -> str:
@@ -71,16 +58,16 @@ class _Printer:
             if decl.flags or decl.tags is not None:
                 parts = list(decl.flags)
                 if decl.tags is not None:
-                    parts.append(self.render(decl.tags, _ATOM, indent))
+                    parts.append(self.render(decl.tags, ATOM, indent))
                 return head + " : " + " ".join(parts) + ";"
             if decl.value is not None:
-                return head + " = " + self.render(decl.value, _WHERE, indent) + ";"
+                return head + " = " + self.render(decl.value, WHERE, indent) + ";"
             return head + ";"
         if isinstance(decl, N.ObsDecl):
             if decl.value is None:
                 return "observation %s;" % decl.name
             return "observation %s = %s;" % (
-                decl.name, self.render(decl.value, _WHERE, indent))
+                decl.name, self.render(decl.value, WHERE, indent))
         if isinstance(decl, N.OsDecl):
             return self._seq_decl("observation sequence", decl.flags,
                                   decl.name, decl.value, indent)
@@ -89,17 +76,17 @@ class _Printer:
                                   decl.name, decl.value, indent)
         if isinstance(decl, N.VarDecl):
             return "%s = %s;" % (decl.name,
-                                 self.render(decl.expr, _WHERE, indent))
+                                 self.render(decl.expr, WHERE, indent))
         if isinstance(decl, N.FuncDecl):
             head = decl.name
             if decl.dim_params:
                 head += "[%s]" % ", ".join(decl.dim_params)
             head += "(%s)" % ", ".join(decl.params)
-            return "%s = %s;" % (head, self.render(decl.body, _WHERE, indent))
+            return "%s = %s;" % (head, self.render(decl.body, WHERE, indent))
         if isinstance(decl, N.MemberAssign):
-            return "%s.%s = %s;" % (self.render(decl.base, _POSTFIX, indent),
+            return "%s.%s = %s;" % (self.render(decl.base, POSTFIX, indent),
                                     decl.member,
-                                    self.render(decl.expr, _WHERE, indent))
+                                    self.render(decl.expr, WHERE, indent))
         raise ValueError("not a declaration: %s" % type(decl).__name__)
 
     def _seq_decl(self, keyword, flags, name, value, indent) -> str:
@@ -109,7 +96,7 @@ class _Printer:
         head += " " + name
         if value is None:
             return head + ";"
-        return head + " = " + self.render(value, _WHERE, indent) + ";"
+        return head + " = " + self.render(value, WHERE, indent) + ";"
 
 
 def _r_ident(p, n, indent):
@@ -141,75 +128,75 @@ def _r_noobs(p, n, indent):
 
 
 def _r_zero(p, n, indent):
-    return "\\0(%s)" % p.render(n.prop, _WHERE, indent)
+    return "\\0(%s)" % p.render(n.prop, WHERE, indent)
 
 
 def _r_described(p, n, indent):
-    return '%s => "%s"' % (p.render(n.expr, _CTX, indent), _escape(n.text))
+    return '%s => "%s"' % (p.render(n.expr, CTX, indent), _escape(n.text))
 
 
 def _r_tuple(p, n, indent):
-    return "(%s)" % ", ".join(p.render(i, _WHERE, indent) for i in n.items)
+    return "(%s)" % ", ".join(p.render(i, WHERE, indent) for i in n.items)
 
 
 def _r_bracket(p, n, indent):
     parts = []
     for e in n.entries:
         if e.key is None:
-            parts.append(p.render(e.value, _WHERE, indent))
+            parts.append(p.render(e.value, WHERE, indent))
         else:
-            parts.append("%s:%s" % (p.render(e.key, _CTX, indent),
-                                    p.render(e.value, _CTX, indent)))
+            parts.append("%s:%s" % (p.render(e.key, CTX, indent),
+                                    p.render(e.value, CTX, indent)))
     return "[%s]" % ", ".join(parts)
 
 
 def _r_brace(p, n, indent):
-    return "{%s}" % ", ".join(p.render(i, _WHERE, indent) for i in n.items)
+    return "{%s}" % ", ".join(p.render(i, WHERE, indent) for i in n.items)
 
 
 def _r_range(p, n, indent):
-    text = "{%s to %s" % (p.render(n.lo, _CTX, indent),
-                          p.render(n.hi, _CTX, indent))
+    text = "{%s to %s" % (p.render(n.lo, CTX, indent),
+                          p.render(n.hi, CTX, indent))
     if n.step is not None:
-        text += " step " + p.render(n.step, _CTX, indent)
+        text += " step " + p.render(n.step, CTX, indent)
     return text + "}"
 
 
 def _r_angle(p, n, indent):
-    return "%s<%s>" % (p.render(n.dim, _POSTFIX, indent),
-                       ", ".join(p.render(i, _REL + 1, indent) for i in n.items))
+    return "%s<%s>" % (p.render(n.dim, POSTFIX, indent),
+                       ", ".join(p.render(i, ADD, indent) for i in n.items))
 
 
 def _r_if(p, n, indent):
     return "if %s then %s else %s fi" % (
-        p.render(n.cond, _CTX, indent),
-        p.render(n.then_branch, _CTX, indent),
-        p.render(n.else_branch, _CTX, indent))
+        p.render(n.cond, CTX, indent),
+        p.render(n.then_branch, CTX, indent),
+        p.render(n.else_branch, CTX, indent))
 
 
 def _r_hash(p, n, indent):
     if n.target is None:
         return "#"
-    return "#" + p.render(n.target, _POSTFIX, indent)
+    return "#" + p.render(n.target, POSTFIX, indent)
 
 
 def _r_at(p, n, indent):
     op = "@" if n.dim is None else "@.%s" % n.dim
-    return "%s %s %s" % (p.render(n.left, _AT, indent), op,
-                         p.render(n.right, _AT + 1, indent))
+    return "%s %s %s" % (p.render(n.left, AT, indent), op,
+                         p.render(n.right, AT + 1, indent))
 
 
 def _r_unary(p, n, indent):
-    return n.op + p.render(n.operand, _UNARY, indent)
+    return n.op + p.render(n.operand, UNARY, indent)
 
 
 def _r_stream_unary(p, n, indent):
     op = n.op if n.dim is None else "%s.%s" % (n.op, n.dim)
-    return "%s %s" % (op, p.render(n.operand, _UNARY, indent))
+    return "%s %s" % (op, p.render(n.operand, UNARY, indent))
 
 
 def _r_binop(p, n, indent):
-    prec = _BINOP_PREC[n.op]
+    prec = BINDING_POWER[n.op]
     return "%s %s %s" % (p.render(n.left, prec, indent), n.op,
                          p.render(n.right, prec + 1, indent))
 
@@ -217,51 +204,51 @@ def _r_binop(p, n, indent):
 def _r_stream_bin(p, n, indent):
     op = n.op if n.dim is None else "%s.%s" % (n.op, n.dim)
     if n.annotation is not None:
-        op += " " + p.render(n.annotation, _ATOM, indent)
-    return "%s %s %s" % (p.render(n.left, _STREAM + 1, indent), op,
-                         p.render(n.right, _STREAM, indent))
+        op += " " + p.render(n.annotation, ATOM, indent)
+    return "%s %s %s" % (p.render(n.left, STREAM + 1, indent), op,
+                         p.render(n.right, STREAM, indent))
 
 
 def _r_ctx_bin(p, n, indent):
-    return "%s \\%s %s" % (p.render(n.left, _CTX, indent), n.op,
-                           p.render(n.right, _CTX + 1, indent))
+    return "%s \\%s %s" % (p.render(n.left, CTX, indent), n.op,
+                           p.render(n.right, CTX + 1, indent))
 
 
 def _r_call(p, n, indent):
-    return "%s(%s)" % (p.render(n.func, _POSTFIX, indent),
-                       ", ".join(p.render(a, _WHERE, indent) for a in n.args))
+    return "%s(%s)" % (p.render(n.func, POSTFIX, indent),
+                       ", ".join(p.render(a, WHERE, indent) for a in n.args))
 
 
 def _r_subscript(p, n, indent):
-    return "%s[%s]" % (p.render(n.base, _POSTFIX, indent),
-                       ", ".join(p.render(i, _WHERE, indent) for i in n.indices))
+    return "%s[%s]" % (p.render(n.base, POSTFIX, indent),
+                       ", ".join(p.render(i, WHERE, indent) for i in n.indices))
 
 
 def _r_dot(p, n, indent):
     member = "#" if isinstance(n.member, N.HashExpr) else n.member.name
-    return "%s.%s" % (p.render(n.base, _POSTFIX, indent), member)
+    return "%s.%s" % (p.render(n.base, POSTFIX, indent), member)
 
 
 def _r_select(p, n, indent):
-    return "select(%s, %s)" % (p.render(n.index, _WHERE, indent),
-                               p.render(n.source, _WHERE, indent))
+    return "select(%s, %s)" % (p.render(n.index, WHERE, indent),
+                               p.render(n.source, WHERE, indent))
 
 
 def _r_box(p, n, indent):
     return "Box [%s \\ %s]" % (
-        ", ".join(p.render(d, _CTX, indent) for d in n.dims),
-        p.render(n.predicate, _CTX, indent))
+        ", ".join(p.render(d, CTX, indent) for d in n.dims),
+        p.render(n.predicate, CTX, indent))
 
 
 def _r_embed(p, n, indent):
-    return "embed(%s)" % ", ".join(p.render(a, _WHERE, indent) for a in n.args)
+    return "embed(%s)" % ", ".join(p.render(a, WHERE, indent) for a in n.args)
 
 
 def _r_where(p, n, indent):
     if not n.decls:
         raise ValueError("a where clause needs at least one declaration")
     inner = indent + "  "
-    lines = [p.render(n.body, _CTX, indent), indent + "where"]
+    lines = [p.render(n.body, CTX, indent), indent + "where"]
     for decl in n.decls:
         lines.append(inner + p.render_decl(decl, inner))
     lines.append(indent + "end")
@@ -284,4 +271,4 @@ _RENDERERS: Dict[type, Callable] = {
 
 def pretty_print(tree: N.Node) -> str:
     """Render a tree back to concrete syntax (ends with a newline)."""
-    return _Printer().render(tree, _WHERE, "") + "\n"
+    return _Printer().render(tree, WHERE, "") + "\n"

@@ -1,5 +1,7 @@
 """Lexer, parser, and pretty-printer behavior."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +42,7 @@ from flucid.syntax import (
     pretty_print,
     tokenize,
 )
+from flucid.values import FlucidError
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -90,6 +93,22 @@ def test_tokenize_infinity_spellings():
 
 def test_tokenize_inf_alone_is_identifier():
     assert kinds("INF ") == [("IDENT", "INF")]
+    assert kinds("x = INF") == [("IDENT", "x"), ("SYM", "="), ("IDENT", "INF")]
+
+
+@pytest.mark.parametrize("text, offset", [("²", 0), ("x = 1²;", 5), ("١", 0)])
+def test_tokenize_non_ascii_digit_is_lexical_error(text, offset):
+    # numbers are ASCII digits only; inside a word such digits are letters
+    with pytest.raises(LexicalError) as err:
+        tokenize(text)
+    assert err.value.span.offset == offset
+    assert kinds("x²") == [("IDENT", "x²")]
+
+
+def test_tokenize_overlong_integer_is_lexical_error():
+    with pytest.raises(LexicalError) as err:
+        tokenize("x = " + "9" * 5000)
+    assert err.value.span.offset == 4
 
 
 def test_tokenize_zero_observation_spellings():
@@ -325,6 +344,14 @@ def test_parse_trailing_semicolon_optional():
     assert parse("x;") == parse("x")
 
 
+def test_parse_token_list_without_eof():
+    assert parse(tokenize("x + 1")[:-1]) == parse("x + 1")
+    with pytest.raises(FlucidSyntaxError):
+        parse(tokenize("x +")[:-1])
+    with pytest.raises(FlucidSyntaxError):
+        parse([])
+
+
 def test_parse_junk_after_program():
     with pytest.raises(FlucidSyntaxError):
         parse("x y")
@@ -349,6 +376,29 @@ def test_parse_unary_minus_and_negation():
     assert parse("-x") == UnaryOp("-", Ident("x"))
     assert parse("neg x") == StreamUnary("neg", Ident("x"))
     assert parse("not Y") == StreamUnary("not", Ident("Y"))
+
+
+@pytest.mark.parametrize("opener, closer", [
+    ("(", ")"), ("[", "]"), ("f(", ")"), ("#(", ")"), ("x where y = ", "; end"),
+])
+def test_parse_nesting_budget(opener, closer):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)     # the interpreter's default
+    try:
+        assert parse(opener * 100 + "1" + closer * 100)
+        source = opener * 1000 + "1" + closer * 1000
+        with pytest.raises(FlucidSyntaxError) as err:
+            parse(source)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "nested" in str(err.value)
+    assert source.startswith(opener, err.value.span.offset)
+
+
+def test_parse_long_operator_chains_do_not_recurse():
+    assert parse(" fby ".join(["x"] * 5000)).op == "fby"
+    assert parse(" + ".join(["x"] * 5000)).op == "+"
+    assert isinstance(parse("-" * 5000 + "x"), UnaryOp)
 
 
 # --- pretty-print round trip -------------------------------------------------
@@ -453,3 +503,37 @@ def test_every_parse_error_span_inside_input():
             parse(source)
         span = err.value.span
         assert 0 <= span.offset <= len(source) + 1
+
+
+# random text over the language's alphabet: every failure is a
+# FlucidError, and positions agree with offsets
+
+_SOUP = st.lists(st.sampled_from([
+    "x", "flow-start", "INF", "INF+", "-INF", "\\O(", "\\0", "\\union",
+    "\\frob", "\\", "/*", "*/", "//", '"', '\\"', "0", "42", "1.5", "2e3",
+    "²", "١", "é", "\x00", "\x0b", "\t", "\r", "\n", " ", "#JAVA", "#",
+    "(", ")", "[", "]", "{", "}", "<", ">", ",", ";", ":", ".", "=", "=>",
+    "+", "-", "*", "/", "%", "^", "@", "$", "!", "&&", "||", "~",
+    "where", "end", "fby", "pby", "first", "if", "then", "else", "fi",
+    "observation", "dimension", "in", "to", "Box", "select", "bel",
+]), max_size=40).map("".join)
+
+
+def _assert_position(text, span):
+    line_start = text.rfind("\n", 0, span.offset) + 1
+    assert (span.line, span.col) == (text.count("\n", 0, span.offset) + 1,
+                                     span.offset - line_start + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOUP)
+def test_random_text_raises_only_flucid_errors(text):
+    try:
+        for tok in tokenize(text):
+            _assert_position(text, tok.span)
+    except LexicalError as err:
+        _assert_position(text, err.span)
+    try:
+        parse(text)
+    except FlucidError as err:
+        _assert_position(text, err.span)
