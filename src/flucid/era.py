@@ -13,7 +13,11 @@ Two reconstruction routes produce identical answers: exact set algebra
 over expanded fixed-length variants (small windows), and a layered
 product construction that tracks per-sequence match positions per state
 (large windows), from which a capped number of witness paths is read
-back.
+back.  The layered route builds its product automaton lazily: a step's
+letter is the tuple of step_ok truth values of every observation, and
+each (product position, letter) transition and acceptance test is
+computed once per check_claim call and then looked up.  A result says
+whether the cap truncated the read-back.
 """
 
 from __future__ import annotations
@@ -158,6 +162,7 @@ class ClaimResult:
     horizon_warning: bool
     horizon: int
     route: str
+    truncated: bool = False   # the layered read-back stopped at the cap
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +328,30 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     witness windows with consecutive identical steps collapsed (dwelling
     in a self-loop is presentation noise, not a separate explanation).
     route forces "exact" set algebra or the "layered" search; by default
-    small problems go exact and everything else layered.
+    small problems go exact and everything else layered.  horizon and
+    max_backtraces are non-negative integers; the layered search reads
+    back at most max_backtraces witness windows and sets truncated when
+    it stopped there with more possibly left.
     """
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
     all_triples = [_triples(fsm, os) for os in es.sequences]
     if horizon is None:
         horizon = default_horizon(fsm, es)
+    for name, limit in (("horizon", horizon), ("max_backtraces", max_backtraces)):
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+            raise ValidationError("%s must be a non-negative integer, not %r"
+                                  % (name, limit), name)
     has_unbounded = any(mx is PLUS_INF for tri in all_triples for _, _, mx in tri)
 
     if route is None:
         route = "exact" if horizon <= 8 and len(fsm.states) <= 64 else "layered"
+    truncated = False
     if route == "exact":
         consistent, msprs = _check_exact(fsm, es, all_triples, horizon)
     elif route == "layered":
-        consistent, msprs = _check_layered(fsm, all_triples, horizon,
-                                           max_backtraces)
+        consistent, msprs, truncated = _check_layered(
+            fsm, all_triples, horizon, max_backtraces)
     else:
         raise ValidationError("route must be exact or layered", "route")
 
@@ -359,6 +372,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
         horizon_warning=bool(has_unbounded and not consistent),
         horizon=horizon,
         route=route,
+        truncated=truncated,
     )
 
 
@@ -459,47 +473,30 @@ def _check_exact(fsm: StateMachine, es: EvidentialStatement,
 
 
 NfaPos = Tuple[int, int]               # (observation index, consumed steps)
+Letter = Tuple[Tuple[bool, ...], ...]  # per account, per observation: step_ok
 
 
-def _closure(positions: FrozenSet[NfaPos],
+def _closure(positions: Iterable[NfaPos],
              triples: Sequence[Tuple[Property, int, Any]]) -> FrozenSet[NfaPos]:
-    m = len(triples)
+    """Add the start of each observation that may follow an ended one."""
     work = set(positions)
-    changed = True
-    while changed:
-        changed = False
-        for j, k in list(work):
-            if j < m and k >= triples[j][1] and (j + 1, 0) not in work:
-                work.add((j + 1, 0))
-                changed = True
+    for j, (_, mn, _) in enumerate(triples):   # (j+1, 0) may end in turn
+        if any(i == j and k >= mn for i, k in work):
+            work.add((j + 1, 0))
     return frozenset(work)
 
 
-def _advance(positions: FrozenSet[NfaPos],
-             triples: Sequence[Tuple[Property, int, Any]],
-             event: Any, state: Any) -> FrozenSet[NfaPos]:
-    m = len(triples)
-    out: Set[NfaPos] = set()
-    for j, k in _closure(positions, triples):
-        if j >= m:
-            continue
-        prop, mn, mx = triples[j]
-        if not prop.step_ok(event, state):
-            continue
-        if mx is PLUS_INF:
-            out.add((j, min(k + 1, mn)))
-        elif k + 1 <= mn + mx:
-            out.add((j, k + 1))
-    return frozenset(out)
-
-
-def _accepting(positions: FrozenSet[NfaPos],
-               triples: Sequence[Tuple[Property, int, Any]]) -> bool:
-    return (len(triples), 0) in _closure(positions, triples)
-
-
 def _check_layered(fsm: StateMachine, all_triples, horizon: int,
-                   max_backtraces: int) -> Tuple[bool, List[MSPR]]:
+                   max_backtraces: int) -> Tuple[bool, List[MSPR], bool]:
+    """Layer by layer over nodes (state, product position id).
+
+    A product position holds each account's set of match positions.  A
+    step's letter is step_ok(event, state) for each account's
+    observations, WILDCARD events included; the letter alone decides
+    where a position goes, so each (position, letter) step, and with it
+    acceptance, is computed once.  These tables live for one call.
+    Also returns whether the backtrace cap cut the read-back short.
+    """
     windows = [_window(t) for t in all_triples]
     lengths = [L for L in range(1, horizon + 1)
                if all(lo <= L and (hi is PLUS_INF or L <= hi)
@@ -509,67 +506,109 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     if empty_ok:
         found.append((0, ()))
     if not lengths:
-        return empty_ok, _synthesize_msprs(all_triples, found)
+        return empty_ok, _synthesize_msprs(all_triples, found), False
 
-    init = tuple(_closure(frozenset({(0, 0)}), t) for t in all_triples)
-    Node = Tuple[Any, Tuple[FrozenSet[NfaPos], ...]]
+    # interned product positions: key -> id, with closures and acceptance
+    ids: Dict[Tuple[FrozenSet[NfaPos], ...], int] = {}
+    closed: List[Tuple[FrozenSet[NfaPos], ...]] = []
+    accepting: List[bool] = []
+
+    def intern(poss: Tuple[FrozenSet[NfaPos], ...]) -> int:
+        if poss not in ids:
+            ids[poss] = len(closed)
+            closed.append(tuple(_closure(p, t)
+                                for p, t in zip(poss, all_triples)))
+            accepting.append(all((len(t), 0) in c
+                                 for c, t in zip(closed[-1], all_triples)))
+        return ids[poss]
+
+    steps: Dict[Tuple[int, Letter], Optional[int]] = {}
+
+    def step(pid: int, lt: Letter) -> Optional[int]:
+        """Successor position, or None when some account dies."""
+        if (pid, lt) not in steps:
+            nxt = []
+            for c, triples, oks in zip(closed[pid], all_triples, lt):
+                out = set()
+                for j, k in c:
+                    if j < len(triples) and oks[j]:
+                        _, mn, mx = triples[j]
+                        if mx is PLUS_INF:
+                            out.add((j, min(k + 1, mn)))
+                        elif k + 1 <= mn + mx:
+                            out.add((j, k + 1))
+                nxt.append(frozenset(out))
+            steps[pid, lt] = intern(tuple(nxt)) if all(nxt) else None
+        return steps[pid, lt]
+
+    def letter(event: Any, state: Any) -> Letter:
+        return tuple(tuple(p.step_ok(event, state) for p, _, _ in t)
+                     for t in all_triples)
+
+    wilds = {s: letter(WILDCARD, s) for s in fsm.states}
+    moves = {s: [(e, fsm.successor(e, s), letter(e, s))
+                 for e in fsm.events if fsm.fires(e, s)] for s in fsm.states}
+    Node = Tuple[Any, int]
+    graph: Dict[Node, Tuple[List[Tuple[Node, Step]], List[Step]]] = {}
+
+    def expand(node: Node) -> Tuple[List[Tuple[Node, Step]], List[Step]]:
+        """The node's chained moves and its final steps, built once."""
+        if node not in graph:
+            state, pid = node
+            edges = []
+            for e, succ, lt in moves[state]:
+                nid = step(pid, lt)
+                if nid is not None:
+                    edges.append(((succ, nid), (e, state)))
+            wild = step(pid, wilds[state])
+            graph[node] = edges, (
+                [(WILDCARD, state)] if wild is not None and accepting[wild]
+                else [stp for (_, nid), stp in edges if accepting[nid]])
+        return graph[node]
+
     layers: List[Dict[Node, List[Tuple[Node, Step]]]] = [
-        {(s, init): [] for s in fsm.states}]
+        {(s, intern(tuple(_closure({(0, 0)}, t)
+                          for t in all_triples))): [] for s in fsm.states}]
+
+    def read_back(t: int, node: Node, fstep: Step) -> bool:
+        """Append the witnesses ending in fstep at node, depth first in
+        edge order; True when the cap left some of them unread."""
+        stack = [(t, node, (fstep,))]
+        while stack:
+            if len(found) >= max_backtraces:
+                return True
+            i, at, suffix = stack.pop()
+            if i == 0:
+                found.append((len(suffix), suffix))
+            else:
+                stack.extend((i - 1, prev, (stp,) + suffix)
+                             for prev, stp in reversed(layers[i][at]))
+        return False
 
     want = set(lengths)
-
-    def final_steps(state: Any, poss: Tuple[FrozenSet[NfaPos], ...]) -> List[Step]:
-        def ok(ev: Any) -> bool:
-            return all(_accepting(_advance(p, t, ev, state), t)
-                       for p, t in zip(poss, all_triples))
-        if ok(WILDCARD):
-            return [(WILDCARD, state)]
-        return [(e, state) for e in fsm.events
-                if fsm.fires(e, state) and ok(e)]
-
-    def read_back(layer_idx: int, node: Node, suffix: Computation) -> None:
-        if len(found) >= max_backtraces:
-            return
-        if layer_idx == 0:
-            found.append((len(suffix), suffix))
-            return
-        for prev_node, step in layers[layer_idx][node]:
-            read_back(layer_idx - 1, prev_node, (step,) + suffix)
-            if len(found) >= max_backtraces:
-                return
-
     consistent = empty_ok
+    truncated = False
     for t in range(0, horizon):
         # close off windows of length t+1: t chained steps plus a final step
         if (t + 1) in want:
-            for (state, poss) in list(layers[t].keys()):
-                for fstep in final_steps(state, poss):
+            for node in layers[t]:
+                for fstep in expand(node)[1]:
                     consistent = True
-                    if len(found) < max_backtraces:
-                        read_back(t, (state, poss), (fstep,))
+                    truncated = read_back(t, node, fstep) or truncated
             if consistent and len(found) >= max_backtraces:
+                truncated = truncated or t + 1 < lengths[-1]
                 break
-        if t + 1 >= max(lengths):
+        if t + 1 >= lengths[-1]:
             break
         nxt: Dict[Node, List[Tuple[Node, Step]]] = {}
-        for (state, poss), _edges in layers[t].items():
-            for e in fsm.events:
-                if not fsm.fires(e, state):
-                    continue
-                new_poss = tuple(_advance(p, tri, e, state)
-                                 for p, tri in zip(poss, all_triples))
-                if any(not p for p in new_poss):
-                    continue
-                node = (fsm.successor(e, state), new_poss)
-                nxt.setdefault(node, []).append(((state, poss), (e, state)))
+        for node in layers[t]:
+            for succ, stp in expand(node)[0]:
+                nxt.setdefault(succ, []).append((node, stp))
         layers.append(nxt)
         if not nxt:
             break
 
-    if not found:
-        return consistent, []
-    msprs = _synthesize_msprs(all_triples, found)
-    return consistent, msprs
+    return consistent, _synthesize_msprs(all_triples, found), truncated
 
 
 def _partition_lens(triples: Sequence[Tuple[Property, int, Any]],
@@ -701,7 +740,11 @@ def _split_top_commas(text: str) -> List[str]:
 
 def _parse_property_block(block: str) -> Tuple[str, Property]:
     head, _, rest = block.partition("{")
-    name = head.split()[1].strip()
+    words = head.split()
+    if len(words) < 2:
+        raise ValidationError(
+            "property needs `property NAME { ... }`: %r" % block, "fsm")
+    name = words[1]
     body = rest.rsplit("}", 1)[0]
     states = allow = None
     deny: FrozenSet[str] = frozenset()
@@ -761,10 +804,15 @@ def load_es(text: str) -> EvidentialStatement:
                         "observation tuple needs (PROP, min, max[, w[, t]]):"
                         " %r" % raw, "es")
                 prop = parts[0]
-                mn = int(parts[1])
-                mx = PLUS_INF if parts[2] in ("infinitum", "INF+") else int(parts[2])
-                w = float(parts[3]) if len(parts) > 3 else None
-                t = int(parts[4]) if len(parts) > 4 else None
+                try:
+                    mn = int(parts[1])
+                    mx = PLUS_INF if parts[2] in ("infinitum", "INF+") else int(parts[2])
+                    w = float(parts[3]) if len(parts) > 3 else None
+                    t = int(parts[4]) if len(parts) > 4 else None
+                except ValueError:
+                    raise ValidationError(
+                        "observation min, max and t must be integers and w a"
+                        " number: %r" % raw, "es") from None
                 observations[name] = make_observation(prop, mn, mx, w, t)
             else:
                 raise ValidationError(

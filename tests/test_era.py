@@ -352,17 +352,21 @@ def engine_result_set(result):
     return out
 
 
-@given(random_setup())
-@settings(max_examples=120, deadline=None)
-def test_check_claim_agrees_with_oracle(setup):
-    trans, states, events, oss, horizon = setup
-    fsm = build_engine_machine(trans, states, events)
-    es = EvidentialStatement([
+def build_engine_statement(oss):
+    return EvidentialStatement([
         ObservationSequence(
             [make_observation(pe, mn, PLUS_INF if mx == "INF+" else mx)
              for _po, pe, mn, mx in obs],
             name="os%d" % i)
         for i, obs in enumerate(oss)])
+
+
+@given(random_setup())
+@settings(max_examples=120, deadline=None)
+def test_check_claim_agrees_with_oracle(setup):
+    trans, states, events, oss, horizon = setup
+    fsm = build_engine_machine(trans, states, events)
+    es = build_engine_statement(oss)
     want_verdict, want_runs = check_claim_oracle(
         trans, states, events,
         [[(po, mn, mx) for po, _pe, mn, mx in obs] for obs in oss],
@@ -372,6 +376,22 @@ def test_check_claim_agrees_with_oracle(setup):
                           route=route)
         assert got.consistent == want_verdict, route
         assert engine_result_set(got) == want_runs, route
+
+
+@given(random_setup(), st.integers(5, 8))
+@settings(max_examples=100, deadline=None)
+def test_layered_agrees_with_exact_past_the_oracle(setup, horizon):
+    # the oracle is too slow past horizon 4; the exact route is the spec
+    trans, states, events, oss, _ = setup
+    fsm = build_engine_machine(trans, states, events)
+    es = build_engine_statement(oss)
+    exact = check_claim(fsm, es, horizon=horizon, max_backtraces=100000,
+                        route="exact")
+    layered = check_claim(fsm, es, horizon=horizon, max_backtraces=100000,
+                          route="layered")
+    assert layered.consistent == exact.consistent
+    assert engine_result_set(layered) == engine_result_set(exact)
+    assert not layered.truncated and not exact.truncated
 
 
 @given(random_setup())
@@ -415,6 +435,36 @@ def test_check_claim_rejects_empty_statement():
     fsm, _ = toy_machine()
     with pytest.raises(ValidationError):
         check_claim(fsm, EvidentialStatement([]))
+
+
+@pytest.mark.parametrize("limits", [
+    {"horizon": "5"}, {"horizon": -1}, {"horizon": 2.0}, {"horizon": True},
+    {"max_backtraces": "64"}, {"max_backtraces": -1},
+    {"max_backtraces": None}])
+def test_check_claim_rejects_bad_limits(limits):
+    fsm, _ = toy_machine()
+    es = EvidentialStatement([ObservationSequence([no_observation()])])
+    with pytest.raises(ValidationError):
+        check_claim(fsm, es, **limits)
+
+
+def test_check_claim_zero_limits_are_valid():
+    fsm, _ = toy_machine()
+    es = EvidentialStatement([ObservationSequence([no_observation()])])
+    assert check_claim(fsm, es, horizon=0).consistent
+    capped = check_claim(fsm, es, horizon=4, max_backtraces=0,
+                         route="layered")
+    assert capped.consistent and capped.truncated
+
+
+def test_long_window_reads_back_without_recursion():
+    fsm = load_fsm("a s0 -> s1\na s1 -> s0\n")
+    es = load_es("observation x = ($, 2500, 0)\nsequence s = x\n"
+                 "statement = s\n")
+    result = check_claim(fsm, es, horizon=2500)
+    assert result.consistent and result.route == "layered"
+    assert sorted(bt[0][1] for bt in result.backtraces) == ["s0", "s1"]
+    assert all(len(bt) == 2500 for bt in result.backtraces)
 
 
 def test_backtraces_collapse_stutters():
@@ -524,6 +574,15 @@ def test_acme_alice_inconsistent(acme):
     assert result.horizon_warning  # unbounded windows remain conceivable
 
 
+def test_acme_truncation_is_reported(acme):
+    es = load_es(fixture_text("acme.es"))
+    capped = check_claim(acme, es, horizon=16)
+    assert len(capped.backtraces) == 64 and capped.truncated
+    full = check_claim(acme, es, horizon=16, max_backtraces=1000)
+    assert len(full.backtraces) == 301 and not full.truncated
+    assert set(capped.backtraces) < set(full.backtraces)
+
+
 def test_acme_backtraces_are_chained(acme):
     es = load_es(fixture_text("acme.es"))
     result = check_claim(acme, es)
@@ -569,6 +628,12 @@ def test_blackmail_exactly_two_explanations(blackmail):
     assert set(result.backtraces) == {PATH_INPLACE, PATH_DISK_EDITOR}
 
 
+def test_blackmail_is_not_truncated(blackmail):
+    es = load_es(fixture_text("blackmail.es"))
+    for route in ("exact", "layered"):
+        assert not check_claim(blackmail, es, route=route).truncated
+
+
 def test_blackmail_without_theory_has_more(blackmail):
     # dropping Mr. A's account admits the write of the threats version
     # over a clean cluster, so his theory is what narrows it to two
@@ -599,3 +664,16 @@ def test_load_es_errors():
         load_es("sequence s = ghost\nstatement = s\n")
     with pytest.raises(ValidationError):
         load_es("junk line\n")
+
+
+@pytest.mark.parametrize("value", [
+    "(a, x, 0)", "(a, 1, y)", "(a, 1, 0, zz)", "(a, 1, 0, 1, tt)"])
+def test_load_es_rejects_non_numeric_fields(value):
+    with pytest.raises(ValidationError, match="observation x"):
+        load_es("observation x = %s\nsequence s = x\nstatement = s\n"
+                % value)
+
+
+def test_load_fsm_rejects_nameless_property():
+    with pytest.raises(ValidationError, match="property  {"):
+        load_fsm("property  { states: a; }")
