@@ -235,24 +235,20 @@ def meaning_fixed_length(fsm: StateMachine,
     for p, d in os:
         schedule.extend([p] * d)
     runs: Set[Computation] = set()
-
-    def extend(prefix: List[Step], state: Any) -> None:
+    last = schedule[-1]
+    stack: List[Tuple[Computation, Any]] = [((), s) for s in fsm.states]
+    while stack:
+        prefix, state = stack.pop()
         i = len(prefix)
-        if i == total - 1:
-            last = schedule[i]
-            if last.step_ok(WILDCARD, state):
-                runs.add(tuple(prefix + [(WILDCARD, state)]))
-            else:
-                for e in fsm.events:
-                    if fsm.fires(e, state) and last.step_ok(e, state):
-                        runs.add(tuple(prefix + [(e, state)]))
-            return
-        for e in fsm.events:
-            if fsm.fires(e, state) and schedule[i].step_ok(e, state):
-                extend(prefix + [(e, state)], fsm.successor(e, state))
-
-    for s in fsm.states:
-        extend([], s)
+        if i < total - 1:
+            stack += [(prefix + ((e, state),), fsm.successor(e, state))
+                      for e in fsm.events
+                      if fsm.fires(e, state) and schedule[i].step_ok(e, state)]
+        elif last.step_ok(WILDCARD, state):
+            runs.add(prefix + ((WILDCARD, state),))
+        else:
+            runs.update(prefix + ((e, state),) for e in fsm.events
+                        if fsm.fires(e, state) and last.step_ok(e, state))
     return MPR(lens, frozenset(runs))
 
 

@@ -168,6 +168,10 @@ def _truthy(v: Any) -> bool:
 
 _RECURSION_LIMIT = 12000
 
+# The default bound on nested evaluation: how many expressions, demands
+# included, may be under evaluation at once.
+MAX_DEPTH = 3000
+
 
 class Evaluator:
     def __init__(self, analysis: Analysis, *,
@@ -175,7 +179,7 @@ class Evaluator:
                  horizon: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None,
                  max_scan: int = 10000,
-                 max_depth: int = 3000,
+                 max_depth: int = MAX_DEPTH,
                  jobs: int = 1):
         self.analysis = analysis
         self.env = analysis.env
@@ -1309,42 +1313,17 @@ def _label_state(label: str, counter: int) -> str:
 
 def _event_literals(body: N.Node, event_param: str) -> List[str]:
     """String literals compared for equality against the event formal."""
-    found: List[str] = []
-
-    def walk(node):
-        if isinstance(node, N.BinOp) and node.op == "==":
-            sides = (node.left, node.right)
-            for a, b in (sides, sides[::-1]):
-                if isinstance(a, N.Ident) and a.name == event_param and \
-                        isinstance(b, N.StringLit) and \
-                        b.value not in found:
-                    found.append(b.value)
-        if isinstance(node, N.Node):
-            for value in vars(node).values():
-                walk(value)
-        elif type(node) is tuple:     # not a Span, which has no children
-            for item in node:
-                walk(item)
-
-    walk(body)
-    return found
+    found = (b.value for n in N.walk(body)
+             if isinstance(n, N.BinOp) and n.op == "=="
+             for a, b in ((n.left, n.right), (n.right, n.left))
+             if isinstance(a, N.Ident) and a.name == event_param
+             and isinstance(b, N.StringLit))
+    return list(dict.fromkeys(found))
 
 
 def _string_literals(body: N.Node) -> List[str]:
-    found: List[str] = []
-
-    def walk(node):
-        if isinstance(node, N.StringLit) and node.value not in found:
-            found.append(node.value)
-        if isinstance(node, N.Node):
-            for value in vars(node).values():
-                walk(value)
-        elif type(node) is tuple:     # not a Span, which has no children
-            for item in node:
-                walk(item)
-
-    walk(body)
-    return found
+    return list(dict.fromkeys(
+        n.value for n in N.walk(body) if isinstance(n, N.StringLit)))
 
 
 def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
@@ -1522,7 +1501,7 @@ def evaluate(program, *, context: Optional[SimpleContext] = None,
              threshold: float = DEFAULT_THRESHOLD,
              horizon: Optional[int] = None,
              trace: Optional[Callable[[str], None]] = None,
-             max_scan: int = 10000, max_depth: int = 2500,
+             max_scan: int = 10000, max_depth: int = MAX_DEPTH,
              jobs: int = 1) -> Any:
     """Parse/analyze as needed, then evaluate the program's head."""
     if isinstance(program, str):

@@ -5,12 +5,18 @@ name a program-wide unique identity, and collects machine-readable
 diagnostics instead of failing on the first problem.  The evaluator
 consumes the flattened definition environment produced here, so scope
 handling (shadowing, function formals, mutual recursion inside a where
-clause) is resolved once, in this pass.
+clause) is resolved once, in this pass.  The pass is one nodes.fold:
+only the nodes that open a scope, bind or resolve a name, or check a
+call's arity have cases, every other node is rebuilt from its renamed
+children, and a subtree with nothing renamed comes back as the same
+object.  Declarations are bound when their where clause is entered and
+visited before its body.
 
 rewrite_to_core() reduces the derived stream operators to context
-navigation, index queries, and conditionals.  It is a pure syntax
-transform used to cross-check the evaluator's direct operator
-implementations; evaluation itself does not depend on it.
+navigation, index queries, and conditionals, bottom-up in the same
+fold.  It is a pure syntax transform used to cross-check the
+evaluator's direct operator implementations; evaluation itself does not
+depend on it.
 
 promote_generic() expands observations that admit a variable number of
 steps into the finite family of fixed-width alternatives.
@@ -19,7 +25,7 @@ steps into the finite family of fixed-width alternatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .values import (
@@ -32,7 +38,6 @@ from .values import (
 from . import era
 from .syntax import nodes as N
 from .syntax.lexer import Span
-from .syntax.nodes import DUMMY_SPAN
 
 # Callable names that exist in every scope.
 BUILTINS = ("bel", "pl", "combine", "product")
@@ -127,6 +132,9 @@ class _Scope:
         return None
 
 
+_LITERALS = frozenset([N.IntLit, N.RealLit, N.StringLit, N.BoolLit,
+                       N.SentinelLit, N.NoObsLit])
+
 _DECL_KINDS = {
     N.ObsDecl: "obs",
     N.OsDecl: "os",
@@ -137,10 +145,19 @@ _DECL_KINDS = {
 
 
 class _Analyzer:
+    """One fold over the tree.  Only the nodes that open a scope, bind or
+    resolve a name, or check a call have cases; every other node keeps
+    its kind and gets its renamed children, and comes back as the same
+    object when none was renamed.
+    """
+
     def __init__(self) -> None:
         self.env: Dict[str, Definition] = {}
         self.records: List[ErrorRecord] = []
         self._counts: Dict[str, int] = {}
+        self.scope = _Scope(None)
+        for name in BUILTINS:
+            self.scope.names[name] = (name, "builtin")
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -153,143 +170,147 @@ class _Analyzer:
         return source if n == 1 else "%s#%d" % (source, n)
 
     def bind(self, scope: _Scope, source: str, kind: str,
-             span: Span) -> str:
+             span: Span) -> None:
         if source in scope.names:
             self.error("duplicate-declaration",
                        "'%s' is declared twice in the same scope" % source,
                        span)
-            return scope.names[source][0]
-        unique = self.fresh(source)
-        scope.names[source] = (unique, kind)
-        return unique
+        else:
+            scope.names[source] = (self.fresh(source), kind)
 
-    # -- expression walk ---------------------------------------------------
-
-    def expr(self, node: N.Node, scope: _Scope) -> N.Node:
-        method = getattr(self, "_x_" + type(node).__name__, None)
-        if method is None:
-            raise AssertionError("no analyzer case for %r" % type(node))
-        return method(node, scope)
-
-    def _x_Ident(self, node: N.Ident, scope: _Scope) -> N.Node:
-        hit = scope.lookup(node.name)
-        if hit is None:
-            self.error("undefined-identifier",
-                       "'%s' is not declared" % node.name, node.span)
-            return node
-        return N.Ident(hit[0], span=node.span)
-
-    def _dim_name(self, name: Optional[str], scope: _Scope) -> Optional[str]:
+    def _dim_name(self, name: Optional[str]) -> Optional[str]:
         # Operator suffixes and context keys may name dimensions that
         # were never declared; those stay under their source name.
         if name is None:
             return None
-        return scope.lookup_dim(name) or name
+        return self.scope.lookup_dim(name) or name
 
-    def _x_IntLit(self, node, scope):
-        return node
+    def _dim_ident(self, node: N.Ident) -> N.Ident:
+        return _renamed(node, self._dim_name(node.name))
 
-    _x_RealLit = _x_IntLit
-    _x_StringLit = _x_IntLit
-    _x_BoolLit = _x_IntLit
-    _x_SentinelLit = _x_IntLit
-    _x_NoObsLit = _x_IntLit
+    def _unique(self, name: str) -> str:
+        # a declaration's where clause bound it before the walk got here
+        return self.scope.names[name][0]
 
-    def _x_ZeroObs(self, node: N.ZeroObs, scope: _Scope) -> N.Node:
-        return N.ZeroObs(self.expr(node.prop, scope), span=node.span)
+    # -- the way down: scopes, and positions that hold no reference ------
 
-    def _x_Described(self, node: N.Described, scope: _Scope) -> N.Node:
-        return N.Described(self.expr(node.expr, scope), node.text,
-                           span=node.span)
+    def kids(self, node) -> Optional[list]:
+        cls = type(node)
+        if cls in _LITERALS:
+            return None         # nothing to resolve: the node stays as it is
+        if cls is N.Ident:
+            return []           # resolved on the way up
+        case = self._KIDS.get(cls)
+        return N.children(node) if case is None else case(self, node)
 
-    def _x_TupleLit(self, node: N.TupleLit, scope: _Scope) -> N.Node:
-        return N.TupleLit(tuple(self.expr(i, scope) for i in node.items),
-                          span=node.span)
+    def _k_WhereExpr(self, node: N.WhereExpr) -> list:
+        inner = _Scope(self.scope)
+        for decl in node.decls:
+            if isinstance(decl, N.DimDecl):
+                for name in decl.names:
+                    self.bind(inner, name, "dim", decl.span)
+            elif isinstance(decl, N.MemberAssign):
+                self.error(
+                    "unsupported-member-assignment",
+                    "assignment to a member is not a supported "
+                    "declaration form", decl.span)
+            else:
+                kind = _DECL_KINDS[type(decl)]
+                self.bind(inner, decl.name, kind, decl.span)
+        self.scope = inner
+        # declarations first, so that calls in the body see their arity
+        return [d for d in node.decls
+                if not isinstance(d, N.MemberAssign)] + [node.body]
 
-    def _x_BracketEntry(self, node: N.BracketEntry,
-                        scope: _Scope) -> N.Node:
-        key = node.key
-        if isinstance(key, N.Ident):
-            key = N.Ident(self._dim_name(key.name, scope), span=key.span)
-        elif key is not None:
-            key = self.expr(key, scope)
-        return N.BracketEntry(key, self.expr(node.value, scope),
-                              span=node.span)
+    def _k_FuncDecl(self, node: N.FuncDecl) -> list:
+        self.scope = _Scope(self.scope)
+        for p in node.dim_params:
+            self.bind(self.scope, p, "dimformal", node.span)
+        for p in node.params:
+            self.bind(self.scope, p, "formal", node.span)
+        return [node.body]
 
-    def _x_BracketLit(self, node: N.BracketLit, scope: _Scope) -> N.Node:
-        return N.BracketLit(
-            tuple(self._x_BracketEntry(e, scope) for e in node.entries),
-            span=node.span)
+    def _k_BracketEntry(self, node: N.BracketEntry) -> list:
+        return [node.value] if isinstance(node.key, N.Ident) \
+            else N.children(node)
 
-    def _x_BraceLit(self, node: N.BraceLit, scope: _Scope) -> N.Node:
-        return N.BraceLit(tuple(self.expr(i, scope) for i in node.items),
-                          span=node.span)
+    def _k_AngleTuple(self, node: N.AngleTuple) -> list:
+        return node.items if isinstance(node.dim, N.Ident) \
+            else N.children(node)
 
-    def _x_RangeLit(self, node: N.RangeLit, scope: _Scope) -> N.Node:
-        step = self.expr(node.step, scope) if node.step is not None else None
-        return N.RangeLit(self.expr(node.lo, scope),
-                          self.expr(node.hi, scope), step, span=node.span)
+    def _k_BoxExpr(self, node: N.BoxExpr) -> list:
+        return [d for d in node.dims if not isinstance(d, N.Ident)] + [
+            node.predicate]
 
-    def _x_AngleTuple(self, node: N.AngleTuple, scope: _Scope) -> N.Node:
-        dim = node.dim
-        if isinstance(dim, N.Ident):
-            dim = N.Ident(self._dim_name(dim.name, scope), span=dim.span)
-        else:
-            dim = self.expr(dim, scope)
-        return N.AngleTuple(dim,
-                            tuple(self.expr(i, scope) for i in node.items),
-                            span=node.span)
+    def _k_HashExpr(self, node: N.HashExpr) -> list:
+        return [] if isinstance(node.target, N.Ident) else N.children(node)
 
-    def _x_IfExpr(self, node: N.IfExpr, scope: _Scope) -> N.Node:
-        return N.IfExpr(self.expr(node.cond, scope),
-                        self.expr(node.then_branch, scope),
-                        self.expr(node.else_branch, scope), span=node.span)
-
-    def _x_HashExpr(self, node: N.HashExpr, scope: _Scope) -> N.Node:
-        target = node.target
-        if isinstance(target, N.Ident):
-            hit = scope.lookup(target.name)
-            if hit is not None:
-                target = N.Ident(hit[0], span=target.span)
-            # otherwise: a query against an implicit dimension
-        elif target is not None:
-            target = self.expr(target, scope)
-        return N.HashExpr(target, span=node.span)
-
-    def _x_AtExpr(self, node: N.AtExpr, scope: _Scope) -> N.Node:
-        return N.AtExpr(self.expr(node.left, scope),
-                        self.expr(node.right, scope),
-                        self._dim_name(node.dim, scope), span=node.span)
-
-    def _x_UnaryOp(self, node: N.UnaryOp, scope: _Scope) -> N.Node:
-        return N.UnaryOp(node.op, self.expr(node.operand, scope),
-                         span=node.span)
-
-    def _x_StreamUnary(self, node: N.StreamUnary, scope: _Scope) -> N.Node:
-        return N.StreamUnary(node.op, self.expr(node.operand, scope),
-                             self._dim_name(node.dim, scope), span=node.span)
-
-    def _x_BinOp(self, node: N.BinOp, scope: _Scope) -> N.Node:
-        return N.BinOp(node.op, self.expr(node.left, scope),
-                       self.expr(node.right, scope), span=node.span)
-
-    def _x_StreamBin(self, node: N.StreamBin, scope: _Scope) -> N.Node:
+    def _k_StreamBin(self, node: N.StreamBin) -> list:
         # Hop annotations are provenance notes, consumed verbatim by the
         # claim validator; their contents are not name-resolved.
-        return N.StreamBin(node.op, self.expr(node.left, scope),
-                           self.expr(node.right, scope),
-                           self._dim_name(node.dim, scope), node.annotation,
-                           span=node.span)
+        return [node.left, node.right]
 
-    def _x_CtxBin(self, node: N.CtxBin, scope: _Scope) -> N.Node:
-        return N.CtxBin(node.op, self.expr(node.left, scope),
-                        self.expr(node.right, scope), span=node.span)
+    def _k_Dot(self, node: N.Dot) -> list:
+        # The member is a navigation step resolved against the value.
+        return [node.base]
 
-    def _x_Call(self, node: N.Call, scope: _Scope) -> N.Node:
-        func = self.expr(node.func, scope)
-        args = tuple(self.expr(a, scope) for a in node.args)
-        self._check_arity(func, len(args), node.span)
-        return N.Call(func, args, span=node.span)
+    # -- the way up: renamed nodes ------------------------------------------
+
+    def leave(self, node, done: list):
+        case = self._LEAVE.get(type(node))
+        return N.with_children(node, done) if case is None \
+            else case(self, node, done)
+
+    def _l_Ident(self, node: N.Ident, done) -> N.Node:
+        hit = self.scope.lookup(node.name)
+        if hit is None:
+            self.error("undefined-identifier",
+                       "'%s' is not declared" % node.name, node.span)
+            return node
+        return _renamed(node, hit[0])
+
+    def _l_HashExpr(self, node: N.HashExpr, done) -> N.Node:
+        target = node.target
+        if isinstance(target, N.Ident):
+            # unresolved, it queries an implicit dimension
+            hit = self.scope.lookup(target.name)
+            done = [target if hit is None else _renamed(target, hit[0])]
+        return N.with_children(node, done)
+
+    def _l_BracketEntry(self, node: N.BracketEntry, done) -> N.Node:
+        if not isinstance(node.key, N.Ident):
+            return N.with_children(node, done)
+        key = self._dim_ident(node.key)
+        if key is node.key and done[0] is node.value:
+            return node         # the common case in encoded evidence
+        return N.BracketEntry(key, done[0], node.span)
+
+    def _l_AngleTuple(self, node: N.AngleTuple, done) -> N.Node:
+        if isinstance(node.dim, N.Ident):
+            done = [self._dim_ident(node.dim)] + done
+        return N.with_children(node, done)
+
+    def _l_BoxExpr(self, node: N.BoxExpr, done) -> N.Node:
+        rest = iter(done)
+        dims = [self._dim_ident(d) if isinstance(d, N.Ident) else next(rest)
+                for d in node.dims]
+        return N.with_children(node, dims + list(rest))
+
+    def _l_dim_op(self, node, done) -> N.Node:
+        # AtExpr, StreamUnary and StreamBin: the .d rider names a dimension
+        if getattr(node, "annotation", None) is not None:
+            done.append(node.annotation)
+        node = N.with_children(node, done)
+        dim = self._dim_name(node.dim)
+        return node if dim == node.dim else replace(node, dim=dim)
+
+    def _l_Dot(self, node: N.Dot, done) -> N.Node:
+        return N.with_children(node, done + [node.member])
+
+    def _l_Call(self, node: N.Call, done) -> N.Node:
+        node = N.with_children(node, done)
+        self._check_arity(node.func, len(node.args), node.span)
+        return node
 
     def _check_arity(self, func: N.Node, nargs: int, span: Span) -> None:
         dim_args = 0
@@ -314,96 +335,36 @@ class _Analyzer:
                        % (defn.source, len(defn.dim_params),
                           len(defn.params), dim_args, nargs), span)
 
-    def _x_Subscript(self, node: N.Subscript, scope: _Scope) -> N.Node:
-        return N.Subscript(self.expr(node.base, scope),
-                           tuple(self.expr(i, scope) for i in node.indices),
-                           span=node.span)
-
-    def _x_Dot(self, node: N.Dot, scope: _Scope) -> N.Node:
-        # The member is a navigation step resolved against the value.
-        return N.Dot(self.expr(node.base, scope), node.member,
-                     span=node.span)
-
-    def _x_Select(self, node: N.Select, scope: _Scope) -> N.Node:
-        return N.Select(self.expr(node.index, scope),
-                        self.expr(node.source, scope), span=node.span)
-
-    def _x_BoxExpr(self, node: N.BoxExpr, scope: _Scope) -> N.Node:
-        dims = []
-        for d in node.dims:
-            if isinstance(d, N.Ident):
-                dims.append(N.Ident(self._dim_name(d.name, scope),
-                                    span=d.span))
-            else:
-                dims.append(self.expr(d, scope))
-        return N.BoxExpr(tuple(dims), self.expr(node.predicate, scope),
-                         span=node.span)
-
-    def _x_Embed(self, node: N.Embed, scope: _Scope) -> N.Node:
-        return N.Embed(tuple(self.expr(a, scope) for a in node.args),
-                       span=node.span)
-
     # -- where clauses and declarations ------------------------------------
 
-    def _x_WhereExpr(self, node: N.WhereExpr, scope: _Scope) -> N.Node:
-        inner = _Scope(scope)
-        uniques: Dict[int, object] = {}
-        for idx, decl in enumerate(node.decls):
-            if isinstance(decl, N.DimDecl):
-                uniques[idx] = tuple(
-                    self.bind(inner, name, "dim", decl.span)
-                    for name in decl.names)
-            elif isinstance(decl, N.MemberAssign):
-                self.error(
-                    "unsupported-member-assignment",
-                    "assignment to a member is not a supported "
-                    "declaration form", decl.span)
-            else:
-                kind = _DECL_KINDS[type(decl)]
-                uniques[idx] = self.bind(inner, decl.name, kind, decl.span)
+    def _l_WhereExpr(self, node: N.WhereExpr, done) -> N.Node:
+        self.scope = self.scope.parent
+        body, decls = done[-1], tuple(done[:-1])
+        if len(decls) < len(node.decls):    # member assignments dropped
+            return N.WhereExpr(body, decls, node.span)
+        return N.with_children(node, [body, *decls])
 
-        new_decls = []
-        for idx, decl in enumerate(node.decls):
-            renamed = self._declaration(decl, uniques.get(idx), inner)
-            if renamed is not None:
-                new_decls.append(renamed)
-        body = self.expr(node.body, inner)
-        return N.WhereExpr(body, tuple(new_decls), span=node.span)
+    def _l_DimDecl(self, node: N.DimDecl, done) -> N.Node:
+        unique = tuple(self._unique(name) for name in node.names)
+        renamed = N.with_children(node, done)
+        if unique != node.names:
+            renamed = replace(renamed, names=unique)
+        for name, source in zip(unique, node.names):
+            self.env[name] = Definition(name, source, "dim", renamed,
+                                        node.flags)
+        return renamed
 
-    def _declaration(self, decl: N.Node, unique, scope: _Scope):
-        if isinstance(decl, N.DimDecl):
-            tags = self.expr(decl.tags, scope) if decl.tags is not None \
-                else None
-            value = self.expr(decl.value, scope) if decl.value is not None \
-                else None
-            renamed = N.DimDecl(tuple(unique), decl.flags, tags, value,
-                                span=decl.span)
-            for pos, name in enumerate(unique):
-                self.env[name] = Definition(
-                    name, decl.names[pos], "dim", renamed, decl.flags)
-            return renamed
-        if isinstance(decl, N.MemberAssign):
-            return None
-        if isinstance(decl, N.FuncDecl):
-            return self._function(decl, unique, scope)
-
-        kind = _DECL_KINDS[type(decl)]
-        value = decl.value if not isinstance(decl, N.VarDecl) else decl.expr
-        renamed_value = self.expr(value, scope) if value is not None else None
-        if isinstance(decl, N.ObsDecl):
-            self._check_observation(renamed_value)
-            renamed = N.ObsDecl(unique, renamed_value, span=decl.span)
-        elif isinstance(decl, N.OsDecl):
-            renamed = N.OsDecl(unique, decl.flags, renamed_value,
-                               span=decl.span)
-        elif isinstance(decl, N.EsDecl):
-            renamed = N.EsDecl(unique, decl.flags, renamed_value,
-                               span=decl.span)
-        else:
-            renamed = N.VarDecl(unique, renamed_value, span=decl.span)
-        flags = getattr(decl, "flags", ())
-        self.env[unique] = Definition(unique, decl.name, kind, renamed,
-                                      tuple(flags))
+    def _l_decl(self, node, done) -> N.Node:
+        # ObsDecl, OsDecl, EsDecl and VarDecl
+        unique = self._unique(node.name)
+        renamed = N.with_children(node, done)
+        if isinstance(node, N.ObsDecl):
+            self._check_observation(renamed.value)
+        if unique != node.name:
+            renamed = replace(renamed, name=unique)
+        self.env[unique] = Definition(unique, node.name,
+                                      _DECL_KINDS[type(node)], renamed,
+                                      tuple(getattr(node, "flags", ())))
         return renamed
 
     def _check_observation(self, value: Optional[N.Node]) -> None:
@@ -413,25 +374,42 @@ class _Analyzer:
                        "(property, min, max, weight, timestamp)",
                        value.span)
 
-    def _function(self, decl: N.FuncDecl, unique: str,
-                  scope: _Scope) -> N.Node:
-        fn_scope = _Scope(scope)
-        dim_params = tuple(self.bind(fn_scope, p, "dimformal", decl.span)
-                           for p in decl.dim_params)
-        params = tuple(self.bind(fn_scope, p, "formal", decl.span)
-                       for p in decl.params)
-        body = self.expr(decl.body, fn_scope)
-        renamed = N.FuncDecl(unique, dim_params, params, body,
-                             span=decl.span)
-        self.env[unique] = Definition(unique, decl.name, "func", renamed,
+    def _l_FuncDecl(self, node: N.FuncDecl, done) -> N.Node:
+        fn_scope, self.scope = self.scope, self.scope.parent
+        unique = self._unique(node.name)
+        dim_params = tuple(fn_scope.names[p][0] for p in node.dim_params)
+        params = tuple(fn_scope.names[p][0] for p in node.params)
+        renamed = replace(N.with_children(node, done), name=unique,
+                          dim_params=dim_params, params=params)
+        self.env[unique] = Definition(unique, node.name, "func", renamed,
                                       dim_params=dim_params, params=params)
-        for src, uniq in zip(decl.dim_params, dim_params):
+        for src, uniq in zip(node.dim_params, dim_params):
             self.env[uniq] = Definition(uniq, src, "dimformal", None,
                                         owner=unique)
-        for src, uniq in zip(decl.params, params):
+        for src, uniq in zip(node.params, params):
             self.env[uniq] = Definition(uniq, src, "formal", None,
                                         owner=unique)
         return renamed
+
+    _KIDS = {
+        N.WhereExpr: _k_WhereExpr, N.FuncDecl: _k_FuncDecl,
+        N.BracketEntry: _k_BracketEntry, N.AngleTuple: _k_AngleTuple,
+        N.BoxExpr: _k_BoxExpr, N.HashExpr: _k_HashExpr,
+        N.StreamBin: _k_StreamBin, N.Dot: _k_Dot,
+    }
+    _LEAVE = {
+        N.Ident: _l_Ident, N.HashExpr: _l_HashExpr,
+        N.BracketEntry: _l_BracketEntry, N.AngleTuple: _l_AngleTuple,
+        N.BoxExpr: _l_BoxExpr, N.AtExpr: _l_dim_op,
+        N.StreamUnary: _l_dim_op, N.StreamBin: _l_dim_op, N.Dot: _l_Dot,
+        N.Call: _l_Call, N.WhereExpr: _l_WhereExpr, N.DimDecl: _l_DimDecl,
+        N.ObsDecl: _l_decl, N.OsDecl: _l_decl, N.EsDecl: _l_decl,
+        N.VarDecl: _l_decl, N.FuncDecl: _l_FuncDecl,
+    }
+
+
+def _renamed(node: N.Ident, unique: str) -> N.Ident:
+    return node if unique == node.name else N.Ident(unique, node.span)
 
 
 def analyze(tree: N.Node) -> Analysis:
@@ -442,10 +420,7 @@ def analyze(tree: N.Node) -> Analysis:
     record was produced; warnings ride along on the result.
     """
     analyzer = _Analyzer()
-    root = _Scope(None)
-    for name in BUILTINS:
-        root.names[name] = (name, "builtin")
-    renamed = analyzer.expr(tree, root)
+    renamed = N.fold(tree, analyzer.leave, analyzer.kids)
     errors = [r for r in analyzer.records if r.severity == "error"]
     if errors:
         raise FlucidSemanticError(analyzer.records)
@@ -513,8 +488,7 @@ class _Names:
     """Fresh-name supply that avoids every identifier in the tree."""
 
     def __init__(self, tree: N.Node):
-        self.used = set()
-        _collect_names(tree, self.used)
+        self.used = {n.name for n in N.walk(tree) if isinstance(n, N.Ident)}
         self.counter = 0
 
     def fresh(self, base: str) -> str:
@@ -524,17 +498,6 @@ class _Names:
             if name not in self.used:
                 self.used.add(name)
                 return name
-
-
-def _collect_names(node, used) -> None:
-    if isinstance(node, N.Ident):
-        used.add(node.name)
-    if isinstance(node, N.Node):
-        for value in vars(node).values():
-            _collect_names(value, used)
-    elif type(node) is tuple:     # not a Span, which has no children
-        for item in node:
-            _collect_names(item, used)
 
 
 def _ident(name: str) -> N.Ident:
@@ -597,23 +560,12 @@ def rewrite_to_core(tree: N.Node) -> N.Node:
     return _rw(tree, names)
 
 
-def _rw(node, names: _Names):
-    if not isinstance(node, N.Node):
-        if isinstance(node, tuple):
-            return tuple(_rw(item, names) for item in node)
-        return node
-    changes = {}
-    for key, value in vars(node).items():
-        if key == "span":
-            continue
-        new = _rw(value, names)
-        if new is not value:
-            changes[key] = new
-    if changes:
-        fields = dict(vars(node))
-        fields.update(changes)
-        node = type(node)(**fields)
+def _rw(tree: N.Node, names: _Names):
+    return N.fold(tree, lambda node, done: _core(
+        N.with_children(node, done), names))
 
+
+def _core(node, names: _Names):
     if isinstance(node, N.StreamUnary) and node.op in REWRITTEN_UNARY:
         return _expand_unary(node, names)
     if (isinstance(node, N.StreamBin) and node.op in REWRITTEN_BIN

@@ -6,12 +6,20 @@ declaration kinds mirror the concrete grammar one to one; bracket,
 brace, and parenthesis literals stay generic here and receive their
 forensic meaning (observation, sequence, statement, context) from the
 semantic analyzer.
+
+Every tree walker goes through the three functions at the end: children()
+lists a node's child nodes, walk() visits a tree in pre-order, and fold()
+computes bottom-up.  None of them recurses, so tree depth is bounded by
+memory, not by the interpreter's stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from operator import is_
+from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar, Union, get_args, get_origin, get_type_hints)
 
 from .lexer import Span
 
@@ -296,3 +304,100 @@ class MemberAssign(Node):
     member: str
     expr: Node
     span: Span = _span_field()
+
+
+# --- the generic walk ----------------------------------------------------------
+
+
+@cache
+def _child_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    """(name, holds a tuple) for each field of cls typed as a node, an
+    optional node or a tuple of nodes, in declaration order."""
+    if not (is_dataclass(cls) and issubclass(cls, Node)):
+        return ()
+    hints = get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        origin = get_origin(hint)
+        if origin in (tuple, Union):
+            hint = get_args(hint)[0]
+        if isinstance(hint, type) and issubclass(hint, Node):
+            table.append((f.name, origin is tuple))
+    return tuple(table)
+
+
+def children(node) -> List[Node]:
+    """The child nodes of node in field order; none for a non-node."""
+    kids: List[Node] = []
+    for name, many in _child_fields(type(node)):
+        value = getattr(node, name)
+        if many:
+            kids += value
+        elif value is not None:
+            kids.append(value)
+    return kids
+
+
+def with_children(node: Node, new: Sequence) -> Node:
+    """node with its children, in children() order, replaced by new.
+
+    Returns node itself when every new child is the old one.
+    """
+    if not new or all(map(is_, children(node), new)):
+        return node
+    old, node = node, object.__new__(type(node))
+    node.__dict__.update(old.__dict__)      # a copy, spans included
+    pos = 0
+    for name, many in _child_fields(type(node)):
+        value = getattr(node, name)
+        if many:
+            setattr(node, name, tuple(new[pos:pos + len(value)]))
+            pos += len(value)
+        elif value is not None:
+            setattr(node, name, new[pos])
+            pos += 1
+    return node
+
+
+def walk(tree) -> Iterator:
+    """Every node of tree in pre-order, children in field order."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
+
+
+R = TypeVar("R")
+
+
+def fold(tree, leave: Callable[[object, Sequence[R]], R],
+         kids: Callable[[object], Sequence] = children) -> R:
+    """Compute bottom-up over tree without recursion.
+
+    kids(node) is called once per node, in pre-order, and names the
+    children to visit, in visiting order; leave(node, results) is called
+    once per node, in post-order, with a new list of the results for
+    those children.  A caller that needs to act on the way down (opening
+    a scope, say) does it in its own kids.  When kids(node) returns None,
+    leave is not called and the node is its own result.
+    """
+    todo = kids(tree)
+    if todo is None:
+        return tree
+    stack = [(tree, iter(todo), [])]
+    while True:
+        node, todo, done = stack[-1]
+        for child in todo:
+            grandkids = kids(child)
+            if grandkids:
+                stack.append((child, iter(grandkids), []))
+                break
+            done.append(child if grandkids is None else leave(child, []))
+        else:
+            stack.pop()
+            result = leave(node, done)
+            if not stack:
+                return result
+            stack[-1][2].append(result)

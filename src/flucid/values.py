@@ -195,7 +195,7 @@ class TagSet:
     def index_of(self, tag: Any) -> int:
         if self.tags is not None:
             for i, t in enumerate(self.tags):
-                if t == tag and type(t) in (type(tag), bool) or t == tag:
+                if t == tag:
                     return i
             raise ValidationError("tag %r not in tag set" % (tag,), "tags")
         frm, _to, step = self.generator
@@ -258,7 +258,7 @@ class SimpleContext:
             items = tuple(pairs)
         seen = {}
         for dim, tag in items:
-            if dim in seen and not _tags_equal(seen[dim], tag):
+            if dim in seen and seen[dim] != tag:
                 raise ValidationError(
                     "dimension %r bound twice in one simple context" % dim, "pairs")
             seen[dim] = tag
@@ -299,10 +299,6 @@ class SimpleContext:
 
     def __repr__(self) -> str:
         return to_source(self)
-
-
-def _tags_equal(a: Any, b: Any) -> bool:
-    return type(a) is type(b) and a == b or a == b
 
 
 class ContextSet:

@@ -467,6 +467,16 @@ def test_long_window_reads_back_without_recursion():
     assert all(len(bt) == 2500 for bt in result.backtraces)
 
 
+def test_exact_route_on_a_long_window_does_not_recurse():
+    fsm = load_fsm("a s0 -> s1\na s1 -> s0\n")
+    es = load_es("observation x = ($, 1200, 0)\nsequence s = x\n"
+                 "statement = s\n")
+    result = check_claim(fsm, es, horizon=1200, route="exact")
+    assert result.consistent and result.route == "exact"
+    assert sorted(bt[0][1] for bt in result.backtraces) == ["s0", "s1"]
+    assert all(len(bt) == 1200 for bt in result.backtraces)
+
+
 def test_backtraces_collapse_stutters():
     assert collapse_stutters((("a", 0), ("a", 0), ("b", 1))) == \
         (("a", 0), ("b", 1))

@@ -350,6 +350,31 @@ def test_jobs_do_not_change_context_set_results():
     assert run(src) == run(src, jobs=3) == (1, 4, 9, 16)
 
 
+def test_entry_points_share_the_demand_depth_limit():
+    src = "N @.d %d where N = 42 fby.d (N + 1); end"
+
+    def fails(entry, index):
+        try:
+            entry(src % index)
+        except EvaluationError:
+            return True
+        return False
+
+    def direct(text):
+        return Evaluator(analyze(parse(text))).run()
+
+    lo, hi = 1, 4000            # the direct entry point passes lo, fails hi
+    assert not fails(direct, lo) and fails(direct, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(direct, mid):
+            hi = mid
+        else:
+            lo = mid
+    assert not fails(evaluate, lo)
+    assert fails(evaluate, hi)
+
+
 def test_box_builds_a_context_set():
     src = ("Box [a \\ #a > 1] where dimension a : {1, 2, 3}; end")
     got = run(src)

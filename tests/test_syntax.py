@@ -42,6 +42,8 @@ from flucid.syntax import (
     pretty_print,
     tokenize,
 )
+from flucid.semantics import analyze, rewrite_to_core
+from flucid.syntax.nodes import walk
 from flucid.values import FlucidError
 
 
@@ -401,6 +403,25 @@ def test_parse_long_operator_chains_do_not_recurse():
     assert isinstance(parse("-" * 5000 + "x"), UnaryOp)
 
 
+@pytest.mark.parametrize("op", ["+", "fby"])
+def test_tree_walkers_handle_long_operator_chains(op):
+    source = (" %s " % op).join(["x"] * 5000) + " where x = 1; end"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)     # the interpreter's default
+    try:
+        tree = parse(source)
+        analysis = analyze(tree)
+        core = rewrite_to_core(analysis.tree)
+        text = pretty_print(tree)
+        again = pretty_print(parse(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert analysis.env["x"].kind == "var"
+    assert not any(isinstance(n, StreamBin) for n in walk(core))
+    assert sum(isinstance(n, Ident) for n in walk(core)) >= 5000
+    assert again == text
+
+
 # --- pretty-print round trip -------------------------------------------------
 
 
@@ -534,6 +555,12 @@ def test_random_text_raises_only_flucid_errors(text):
     except LexicalError as err:
         _assert_position(text, err.span)
     try:
-        parse(text)
+        tree = parse(text)
     except FlucidError as err:
         _assert_position(text, err.span)
+        return
+    try:
+        analyze(tree)
+    except FlucidError as err:
+        for record in getattr(err, "records", ()):
+            _assert_position(text, record.span)

@@ -65,6 +65,10 @@ class TestTagSet:
         assert len(ts) == 31
         assert ts.tag_at(0) == 1 and ts.tag_at(30) == 31
 
+    def test_numerically_equal_tags_are_one_tag(self):
+        ts = TagSet(tags=("a", 1))
+        assert ts.index_of(1) == ts.index_of(1.0) == ts.index_of(True) == 1
+
     def test_infinite_membership(self):
         ts = TagSet.naturals()
         assert 0 in ts and 12345 in ts
@@ -86,6 +90,10 @@ class TestSimpleContext:
     def test_duplicate_pair_collapses(self):
         c = SimpleContext([("d", 1), ("d", 1)])
         assert len(c) == 1
+
+    def test_numerically_equal_tags_are_not_a_double_binding(self):
+        c = SimpleContext([("d", 1), ("d", 1.0)])
+        assert len(c) == 1 and c.tag("d") == 1
 
     def test_access(self):
         c = SimpleContext({"host": "alpha", "pid": 42})
