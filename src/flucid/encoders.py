@@ -6,21 +6,23 @@ and timestamps normalized to canonical forms on the way in.  A small
 line-oriented schema maps record fields onto context dimensions and
 types; the per-service encodings (switch log, DHCP, netflow, ARP, port
 scan) are shipped as schema presets.  A record field that refuses to
-normalize does not abort the encoding: the offending value is kept raw
-and that observation's credibility weight is downgraded instead.
+normalize (a non-finite real too) does not abort the encoding: the
+offending value is kept raw and that observation's credibility weight
+is downgraded instead.  The program is built as a tree, analyzed and
+printed; tests check that parsing the printed text gives the tree back.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .values import FlucidError, to_source
+from .values import FlucidError
 
 DEFAULT_PARTIAL_W = 0.5
 TZ_ENV_VAR = "FLUCID_TZ"
@@ -36,13 +38,12 @@ class EncodeError(FlucidError):
 # Normalizers
 # ---------------------------------------------------------------------------
 
-_MAC_RAW = re.compile(r"^[0-9a-fA-F]{12}$")
 _MAC_SEP = re.compile(r"^([0-9a-fA-F]{1,2})([:-])"
                       r"([0-9a-fA-F]{1,2})\2([0-9a-fA-F]{1,2})\2"
                       r"([0-9a-fA-F]{1,2})\2([0-9a-fA-F]{1,2})\2"
                       r"([0-9a-fA-F]{1,2})$")
-_MAC_DOTTED = re.compile(r"^([0-9a-fA-F]{4})\.([0-9a-fA-F]{4})\."
-                         r"([0-9a-fA-F]{4})$")
+_MAC_PACKED = re.compile(r"^[0-9a-fA-F]{12}$|^([0-9a-fA-F]{4}\.){2}"
+                         r"[0-9a-fA-F]{4}$")
 
 
 def normalize_mac(s: str) -> str:
@@ -50,29 +51,21 @@ def normalize_mac(s: str) -> str:
     zero-padded octets.  Accepts raw 12-hex, colon or dash separated
     (leading zeros optional), and four-hex dotted triplet forms."""
     raw = s.strip()
-    if _MAC_RAW.match(raw):
-        octets = [raw[i:i + 2] for i in range(0, 12, 2)]
+    m = _MAC_SEP.match(raw)
+    if m:
+        octets = m.group(1, 3, 4, 5, 6, 7)      # 2 is the separator
+    elif _MAC_PACKED.match(raw):
+        digits = raw.replace(".", "")
+        octets = tuple(digits[i:i + 2] for i in range(0, 12, 2))
     else:
-        m = _MAC_SEP.match(raw)
-        if m:
-            groups = list(m.groups())
-            groups.pop(1)                    # the separator capture
-            octets = groups
-        else:
-            m = _MAC_DOTTED.match(raw)
-            if m:
-                joined = "".join(m.groups())
-                octets = [joined[i:i + 2] for i in range(0, 12, 2)]
-            else:
-                raise EncodeError(
-                    "unrecognized hardware address: %r" % s)
+        raise EncodeError("unrecognized hardware address: %r" % s)
     return ":".join(o.lower().zfill(2) for o in octets)
 
 
 def normalize_hostname(s: str) -> str:
     """Lowercase, trailing-dot-free host name."""
     raw = s.strip().rstrip(".").lower()
-    if not raw or not re.match(r"^[a-z0-9._-]+$", raw):
+    if not re.fullmatch(r"[a-z0-9._-]+", raw):
         raise EncodeError("unrecognized host name: %r" % s)
     return raw
 
@@ -114,16 +107,12 @@ def _resolve_zone(name: Optional[str]):
         raise EncodeError("unknown time zone: %r" % name)
 
 
-def _month_number(abbrev: str) -> int:
-    try:
-        return _MONTHS.index(abbrev) + 1
-    except ValueError:
-        raise EncodeError("unknown month: %r" % abbrev)
-
-
 def render_timestamp(epoch: int, tz: Optional[str] = None) -> str:
     """Canonical human form for an epoch second in the given zone."""
-    dt = datetime.fromtimestamp(epoch, _resolve_zone(tz))
+    try:
+        dt = datetime.fromtimestamp(epoch, _resolve_zone(tz))
+    except (ValueError, OverflowError, OSError):
+        raise EncodeError("epoch %r is beyond the calendar" % epoch) from None
     return "%s %s %d %02d:%02d:%02d %d" % (
         _WDAYS[dt.weekday()], _MONTHS[dt.month - 1], dt.day,
         dt.hour, dt.minute, dt.second, dt.year)
@@ -140,28 +129,27 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     Zoneless forms are interpreted in tz (or the FLUCID_TZ environment
     variable, or UTC); the canonical text is always rendered there.
     """
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return render_timestamp(s, tz), s
     raw = str(s).strip()
     zone = _resolve_zone(tz)
 
     def done(dt: datetime) -> Tuple[str, int]:
-        epoch = int(dt.timestamp())
-        return render_timestamp(epoch, tz), epoch
+        return normalize_timestamp(int(dt.timestamp()), tz=tz)
 
     try:
         m = _TS_SYSLOG.match(raw)
         if m:
             year = reference_year if reference_year is not None else 1970
             return done(datetime(
-                year, _month_number(m.group(1)), int(m.group(2)),
+                year, _MONTHS.index(m.group(1)) + 1, int(m.group(2)),
                 int(m.group(3)), int(m.group(4)), int(m.group(5)),
                 tzinfo=zone))
 
         m = _TS_CANONICAL.match(raw)
         if m:
             return done(datetime(
-                int(m.group(6)), _month_number(m.group(1)),
+                int(m.group(6)), _MONTHS.index(m.group(1)) + 1,
                 int(m.group(2)), int(m.group(3)), int(m.group(4)),
                 int(m.group(5)), tzinfo=zone))
 
@@ -180,13 +168,10 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
             return done(datetime(
                 int(m.group(1)), int(m.group(2)), int(m.group(3)),
                 int(m.group(4)), int(m.group(5)), tzinfo=zone))
-    except ValueError:
-        if not _TS_EPOCH.match(raw):
-            raise EncodeError("unrecognized timestamp: %r" % s)
-
+    except ValueError:      # an unknown month or a field out of range
+        pass
     if _TS_EPOCH.match(raw):
-        epoch = int(raw)
-        return render_timestamp(epoch, tz), epoch
+        return normalize_timestamp(int(raw), tz=tz)
 
     raise EncodeError("unrecognized timestamp: %r" % s)
 
@@ -202,17 +187,32 @@ class FieldSpec:
     dimension: str
     type: str
 
+    def __post_init__(self) -> None:
+        if self.type not in FIELD_TYPES:
+            raise EncodeError("unknown type %r (one of %s)"
+                              % (self.type, "/".join(FIELD_TYPES)))
+        _check_name(self.dimension, "the dimension of field %r" % self.field)
+
 
 @dataclass(frozen=True)
 class Schema:
     fields: Tuple[FieldSpec, ...]
     partial_w: float = DEFAULT_PARTIAL_W
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.partial_w <= 1.0:
+            raise EncodeError("partial credibility must be in [0, 1]")
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SCHEMA_FIELD = re.compile(
     r"^field\s+(\S+)\s*->\s*dimension\s+(\S+)\s+type\s+(\S+)$")
-_SCHEMA_PARTIAL = re.compile(r"^partial\s+([0-9.]+)$")
+_SCHEMA_PARTIAL = re.compile(r"^partial\s+([0-9]+\.?[0-9]*|\.[0-9]+)$")
+
+
+def _check_name(word: str, what: str, reserved=frozenset()) -> None:
+    if not _IDENT.fullmatch(word) or word in reserved:
+        raise EncodeError("%r is not usable as %s" % (word, what))
 
 
 def parse_schema(text: str) -> Schema:
@@ -222,34 +222,19 @@ def parse_schema(text: str) -> Schema:
     partial = DEFAULT_PARTIAL_W
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("//")[0].split("#")[0].strip()
-        if not body:
-            continue
-        m = _SCHEMA_FIELD.match(body)
-        if m:
-            fname, dname, ftype = m.groups()
-            if ftype not in FIELD_TYPES:
-                raise EncodeError(
-                    "schema line %d: unknown type %r (one of %s)"
-                    % (lineno, ftype, "/".join(FIELD_TYPES)))
-            if not _IDENT.match(dname):
-                raise EncodeError(
-                    "schema line %d: %r is not a dimension name"
-                    % (lineno, dname))
-            if any(f.field == fname for f in fields):
-                raise EncodeError(
-                    "schema line %d: field %r declared twice"
-                    % (lineno, fname))
-            fields.append(FieldSpec(fname, dname, ftype))
-            continue
-        m = _SCHEMA_PARTIAL.match(body)
-        if m:
-            partial = float(m.group(1))
-            if not 0.0 <= partial <= 1.0:
-                raise EncodeError(
-                    "schema line %d: partial credibility must be in "
-                    "[0, 1]" % lineno)
-            continue
-        raise EncodeError("schema line %d: cannot read %r" % (lineno, body))
+        field_line = _SCHEMA_FIELD.match(body)
+        partial_line = _SCHEMA_PARTIAL.match(body)
+        try:
+            if field_line:
+                if any(f.field == field_line[1] for f in fields):
+                    raise EncodeError("field %r declared twice" % field_line[1])
+                fields.append(FieldSpec(*field_line.groups()))
+            elif partial_line:
+                partial = float(partial_line[1])
+            elif body:
+                raise EncodeError("cannot read %r" % body)
+        except EncodeError as exc:
+            raise EncodeError("schema line %d: %s" % (lineno, exc)) from None
     if not fields:
         raise EncodeError("schema declares no fields")
     return Schema(tuple(fields), partial)
@@ -304,7 +289,8 @@ def load_schema(name_or_path: str) -> Schema:
 
 def _normalize_field(spec: FieldSpec, value: Any,
                      reference_year: Optional[int], tz: Optional[str]):
-    """(tag value, epoch-or-None, ok?) for one field of one record."""
+    """(tag value, epoch-or-None, ok?) for one field of one record; a
+    value that refuses to normalize comes back raw and not ok."""
     if spec.type == "text":
         return str(value), None, True
     try:
@@ -313,15 +299,19 @@ def _normalize_field(spec: FieldSpec, value: Any,
         if spec.type == "hostname":
             return normalize_hostname(str(value)), None, True
         if spec.type == "int":
-            return int(str(value).strip(), 0), None, True
+            number = int(str(value).strip(), 0)
+            str(number)     # raises when the decimal literal would be too long
+            return number, None, True
         if spec.type == "real":
-            return float(str(value).strip()), None, True
-        if spec.type == "timestamp":
+            real = float(str(value).strip())
+            if math.isfinite(real):         # inf and nan have no literal
+                return real, None, True
+        else:
             text, epoch = normalize_timestamp(value, reference_year, tz)
             return text, epoch, True
     except (EncodeError, ValueError):
-        return str(value), None, False
-    raise AssertionError(spec.type)
+        pass
+    return str(value), None, False
 
 
 def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
@@ -336,65 +326,76 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     failed to normalize (then the schema's partial credibility), and the
     timestamp slot filled from the first timestamp-typed field.  Zero
     records encode as a single no-observation.  The result is a complete
-    program whose head demands the sequence.
+    program whose head demands the sequence, with the encoding time in its
+    header comment only when now is given.  The tree is analyzed and
+    printed, never re-parsed: values with no source form raise EncodeError
+    up front, and tests/test_encoders.py checks the printed round trip.
     """
-    if not _IDENT.match(name):
-        raise EncodeError("%r is not usable as a sequence name" % name)
-    records = list(lines)
-    stamp = int(time.time()) if now is None else now
-    out: List[str] = []
-    out.append("%s" % name)
-    out.append("where")
-    out.append("  // encoded %s (%d) from %s"
-               % (render_timestamp(stamp, tz), stamp, source))
-    obs_names: List[str] = []
+    from . import semantics     # the front end loads on first use only
+    from .syntax import nodes as N, pretty_print
+    from .syntax.lexer import KEYWORDS
+
+    def literal(value: Any) -> N.Node:
+        """The parser's node for to_source(value); a minus leads a negative."""
+        if isinstance(value, str):
+            return N.StringLit(value)
+        node = (N.IntLit if isinstance(value, int) else N.RealLit)(abs(value))
+        negative = value < 0 or value == 0 and math.copysign(1.0, value) < 0
+        return N.UnaryOp("-", node) if negative else node
+    _check_name(name, "a sequence name", KEYWORDS)
+    for spec in schema.fields:
+        _check_name(spec.dimension, "the dimension of field %r" % spec.field,
+                    KEYWORDS)
+    if "\n" in source:
+        raise EncodeError("the source %r spans lines" % source)
+    _resolve_zone(tz)               # an unknown zone fails with no field too
+    decls: List[N.Node] = []
     epochs: List[Optional[int]] = []
-    for pos, record in enumerate(records, 1):
-        obs_name = "%s_o_%d" % (name, pos)
-        obs_names.append(obs_name)
-        pairs: List[str] = []
+    for pos, record in enumerate(lines, 1):
+        entries: List[N.BracketEntry] = []
         weight = 1.0
         when: Optional[int] = None
         for spec in schema.fields:
             if spec.field not in record:
                 continue
-            tag, epoch, ok = _normalize_field(
-                spec, record[spec.field], reference_year, tz)
+            try:
+                tag, epoch, ok = _normalize_field(
+                    spec, record[spec.field], reference_year, tz)
+                if isinstance(tag, str) and "\n" in tag:
+                    raise ValueError("a value holding a newline has no "
+                                     "source form")
+            except ValueError as exc:       # str() of a huge int raises it too
+                raise EncodeError("record %d, field %r: %s"
+                                  % (pos, spec.field, exc)) from None
             if not ok:
                 weight = schema.partial_w
             if epoch is not None and when is None:
                 when = epoch
                 continue            # the t slot carries it, not the pair set
-            pairs.append("%s:%s" % (spec.dimension, to_source(tag)))
+            entries.append(N.BracketEntry(N.Ident(spec.dimension),
+                                          literal(tag)))
         epochs.append(when)
-        if not pairs and when is None:
-            out.append("  observation %s = $;" % obs_name)
-            continue
-        parts = ["[%s]" % ", ".join(pairs) if pairs else "[]",
-                 "1", "0", to_source(weight)]
-        if when is not None:
-            parts.append(str(when))
-        out.append("  observation %s = (%s);" % (obs_name, ", ".join(parts)))
-    if not records:
-        obs_names.append("%s_o_1" % name)
-        out.append("  observation %s_o_1 = $;" % name)
-    known = [e for e in epochs if e is not None]
-    if len(known) == len(epochs) and known and \
-            any(a > b for a, b in zip(known, known[1:])):
-        out.insert(3, "  // warning: timestamps are not non-decreasing")
-    out.append("  observation sequence %s = {%s};"
-               % (name, ", ".join(obs_names)))
-    out.append("end")
-    text = "\n".join(out) + "\n"
-    _round_trip_gate(text)
-    return text
-
-
-def _round_trip_gate(text: str) -> None:
-    # every emitted program must survive its own front end
-    from .semantics import analyze
-    from .syntax import parse
-    analyze(parse(text))
+        if entries or when is not None:
+            items = [N.BracketLit(tuple(entries)), N.IntLit(1), N.IntLit(0),
+                     literal(weight)]
+            if when is not None:
+                items.append(literal(when))
+            value: N.Node = N.TupleLit(tuple(items))
+        else:
+            value = N.NoObsLit()
+        decls.append(N.ObsDecl("%s_o_%d" % (name, pos), value))
+    if not decls:
+        decls.append(N.ObsDecl("%s_o_1" % name, N.NoObsLit()))
+    members = tuple(N.Ident(d.name) for d in decls)
+    decls.append(N.OsDecl(name, (), N.BraceLit(members)))
+    tree = N.WhereExpr(N.Ident(name), tuple(decls))
+    semantics.analyze(tree)
+    stamp = "" if now is None else "%s (%d) " % (render_timestamp(now, tz), now)
+    header = ["  // encoded %sfrom %s" % (stamp, source)]
+    if None not in epochs and any(a > b for a, b in zip(epochs, epochs[1:])):
+        header.append("  // warning: timestamps are not non-decreasing")
+    head, where, body = pretty_print(tree).split("\n", 2)
+    return "\n".join([head, where, *header, body])
 
 
 def encode_to_files(lines: Iterable[Dict[str, Any]], case: str,
@@ -402,9 +403,8 @@ def encode_to_files(lines: Iterable[Dict[str, Any]], case: str,
                     **kw) -> Tuple[str, str]:
     """Write `<case>.<source>.ctx` plus its checksum sidecar; returns
     both paths."""
-    for part, label in ((case, "case"), (source, "source")):
-        if not _IDENT.match(part):
-            raise EncodeError("%r is not usable as a %s tag" % (part, label))
+    if not _IDENT.fullmatch(case):
+        raise EncodeError("%r is not usable as a case tag" % case)
     text = encode_log(lines, source, "%s/%s" % (case, source), schema, **kw)
     ctx_path = os.path.join(out_dir, "%s.%s.ctx" % (case, source))
     with open(ctx_path, "w", encoding="utf-8") as fh:

@@ -245,7 +245,7 @@ class Evaluator:
         value = self.warehouse.put(key, value)
         if self.trace is not None:
             self.trace("DEMAND %s @ %s -> %s"
-                       % (name, to_source(ctx), _show(value)))
+                       % (name, _show(ctx), _show(value)))
         return value
 
     def _define(self, name: str, ctx: SimpleContext, frame: Frame) -> Any:
@@ -1285,10 +1285,11 @@ def _hash_view(v: Any) -> Any:
 
 
 def _show(v: Any) -> str:
+    """v's source form, or the name of its kind when it has none."""
     try:
         return to_source(v)
-    except Exception:
-        return repr(v)
+    except ValidationError:
+        return "<%s>" % kind_of(v)
 
 
 def _annotation_event(annotation: N.BracketLit) -> str:

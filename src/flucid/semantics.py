@@ -34,6 +34,7 @@ from .values import (
     Observation,
     ObservationSequence,
     PLUS_INF,
+    ValidationError,
 )
 from . import era
 from .syntax import nodes as N
@@ -142,6 +143,7 @@ _DECL_KINDS = {
     N.VarDecl: "var",
     N.FuncDecl: "func",
 }
+_DECLARATIONS = frozenset([*_DECL_KINDS, N.DimDecl, N.MemberAssign])
 
 
 class _Analyzer:
@@ -155,6 +157,7 @@ class _Analyzer:
         self.env: Dict[str, Definition] = {}
         self.records: List[ErrorRecord] = []
         self._counts: Dict[str, int] = {}
+        self._placed: Dict[int, _Scope] = {}    # declaration id -> its scope
         self.scope = _Scope(None)
         for name in BUILTINS:
             self.scope.names[name] = (name, "builtin")
@@ -200,6 +203,10 @@ class _Analyzer:
             return None         # nothing to resolve: the node stays as it is
         if cls is N.Ident:
             return []           # resolved on the way up
+        if cls in _DECLARATIONS and \
+                self._placed.pop(id(node), None) is not self.scope:
+            raise ValidationError("%s outside the declarations of a where "
+                                  "clause" % cls.__name__)
         case = self._KIDS.get(cls)
         return N.children(node) if case is None else case(self, node)
 
@@ -214,10 +221,14 @@ class _Analyzer:
                     "unsupported-member-assignment",
                     "assignment to a member is not a supported "
                     "declaration form", decl.span)
+            elif type(decl) in _DECL_KINDS:
+                self.bind(inner, decl.name, _DECL_KINDS[type(decl)],
+                          decl.span)
             else:
-                kind = _DECL_KINDS[type(decl)]
-                self.bind(inner, decl.name, kind, decl.span)
+                raise ValidationError("%s is not a declaration"
+                                      % type(decl).__name__)
         self.scope = inner
+        self._placed.update((id(d), inner) for d in node.decls)
         # declarations first, so that calls in the body see their arity
         return [d for d in node.decls
                 if not isinstance(d, N.MemberAssign)] + [node.body]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..values import to_source
 from . import nodes as N
 from .parser import (ADD, AT, ATOM, BINDING_POWER, CTX, POSTFIX, STREAM,
                      UNARY, WHERE)
@@ -46,10 +47,6 @@ def _w(kid: Text, min_prec: int) -> str:
 
 def _join(kids: List[Text], min_prec: int) -> str:
     return ", ".join(_w(k, min_prec) for k in kids)
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _op(n) -> str:
@@ -127,13 +124,13 @@ _RENDERERS: Dict[type, Callable] = {
     N.Ident: lambda n, k: n.name,
     N.IntLit: lambda n, k: repr(n.value),
     N.RealLit: lambda n, k: repr(n.value),
-    N.StringLit: lambda n, k: '"%s"' % _escape(n.value),
+    N.StringLit: lambda n, k: to_source(n.value),
     N.BoolLit: lambda n, k: "true" if n.value else "false",
     N.SentinelLit: lambda n, k: n.name,
     N.NoObsLit: lambda n, k: "$",
     N.ZeroObs: lambda n, k: "\\0(%s)" % _w(k[0], WHERE),
-    N.Described: lambda n, k: '%s => "%s"' % (_w(k[0], CTX),
-                                              _escape(n.text)),
+    N.Described: lambda n, k: "%s => %s" % (_w(k[0], CTX),
+                                            to_source(n.text)),
     N.TupleLit: lambda n, k: "(%s)" % _join(k, WHERE),
     N.BracketEntry: _r_bracket_entry,
     N.BracketLit: lambda n, k: "[%s]" % ", ".join(text for text, _ in k),

@@ -539,6 +539,8 @@ def is_forensic(v: Any) -> bool:
 
 
 def _quote(s: str) -> str:
+    if "\n" in s:
+        raise ValidationError("a string holding a newline has no source form")
     return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
 
 

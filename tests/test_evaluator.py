@@ -520,6 +520,14 @@ def _case(name):
         return fh.read()
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(HERE, "cases"))))
+def test_trace_runs_on_every_case(name):
+    lines = []
+    traced = run(_case(name), trace=lines.append)
+    assert lines and all(line.startswith("DEMAND ") for line in lines)
+    assert traced.consistent == run(_case(name)).consistent
+
+
 def test_tabulated_machine_shape():
     analysis = analyze(parse(_case("acme_no_alice.ipl")))
     ev = Evaluator(analysis)

@@ -18,6 +18,7 @@ from flucid.values import (
     FlucidError,
     ObservationSequence,
     PLUS_INF,
+    ValidationError,
     make_observation,
 )
 
@@ -67,6 +68,22 @@ def test_undefined_identifier_is_reported():
     assert record.severity == "error"
     assert record.to_dict()["line"] == 1
     assert "undefined-identifier" in record.render()
+
+
+_X = N.VarDecl("x", N.IntLit(1))
+
+
+@pytest.mark.parametrize("tree", [
+    _X,
+    N.BinOp("+", _X, N.IntLit(2)),
+    N.WhereExpr(N.Ident("x"), (N.IntLit(1),)),
+    N.WhereExpr(_X, (_X,)),                 # listed, and used as the body
+    N.WhereExpr(N.Ident("x"), (N.FuncDecl("f", (), (), _X), _X)),
+])
+def test_analyze_checks_where_declarations_go(tree):
+    # a built tree is checked, not only what the parser can produce
+    with pytest.raises(ValidationError):
+        analyze(tree)
 
 
 def test_member_assignment_is_not_a_declaration():

@@ -44,7 +44,7 @@ from flucid.syntax import (
 )
 from flucid.semantics import analyze, rewrite_to_core
 from flucid.syntax.nodes import walk
-from flucid.values import FlucidError
+from flucid.values import FlucidError, ValidationError
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -564,3 +564,8 @@ def test_random_text_raises_only_flucid_errors(text):
     except FlucidError as err:
         for record in getattr(err, "records", ()):
             _assert_position(text, record.span)
+
+
+def test_pretty_print_refuses_a_string_holding_a_newline():
+    with pytest.raises(ValidationError, match="newline"):
+        pretty_print(StringLit("a\nb"))

@@ -228,6 +228,13 @@ class TestSourceForm:
         o = make_observation("final", 1, 0, 1.0, None, "threat letter")
         assert '=> "threat letter"' in to_source(o)
 
+    def test_newline_has_no_source_form(self):
+        # the lexer rejects a raw newline inside a string literal
+        with pytest.raises(ValidationError, match="newline"):
+            to_source("a\nb")
+        with pytest.raises(ValidationError, match="newline"):
+            to_source(make_observation("final", 1, 0, 1.0, None, "two\nlines"))
+
 
 @given(st.integers(min_value=0, max_value=50),
        st.integers(min_value=0, max_value=50),
