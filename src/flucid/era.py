@@ -9,15 +9,16 @@ consecutive steps each satisfying P; an observation sequence partitions
 the whole window; an evidential statement demands one window satisfying
 every sequence at once.
 
-Two reconstruction routes produce identical answers: exact set algebra
-over expanded fixed-length variants (small windows), and a layered
-product construction that tracks per-sequence match positions per state
-(large windows), from which a capped number of witness paths is read
-back.  The layered route builds its product automaton lazily: a step's
-letter is the tuple of step_ok truth values of every observation, and
-each (product position, letter) transition and acceptance test is
-computed once per check_claim call and then looked up.  A result says
-whether the cap truncated the read-back.
+check_claim answers every claim with one layered search over a lazily
+built product automaton.  A step's letter is the tuple of step_ok truth
+values of every observation, and each (product position, letter)
+transition and acceptance test is computed once per call.  Witness
+windows are read back up to a cap, a forward path count gives their
+exact number, and each account's segment compositions (the MSPR meaning
+of Gladyshev & Patel, 2004) are read from the recorded letters.
+route="exact" runs the paper's fixed-length set algebra instead
+(meaning_fixed_length over expand_generic's variants, then comb): the
+executable spec that tests compare against, exponential in the horizon.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ class ClaimResult:
     horizon: int
     route: str
     truncated: bool = False   # the layered read-back stopped at the cap
+    witnesses: int = 0        # witness windows over the lengths searched
+    nodes: int = 0            # product nodes the layered search expanded
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +219,8 @@ def resolve_property(fsm: StateMachine, prop: Any) -> Property:
 
 def _triples(fsm: StateMachine,
              os: ObservationSequence) -> List[Tuple[Property, int, Any]]:
-    out = []
-    for o in os.observations:
-        out.append((resolve_property(fsm, o.property), o.min, o.max))
-    return out
+    return [(resolve_property(fsm, o.property), o.min, o.max)
+            for o in os.observations]
 
 
 def meaning_fixed_length(fsm: StateMachine,
@@ -303,14 +304,9 @@ def comb(x: MPR, y: MPR) -> MSPR:
 
 def default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
     """Window bound: the longest account's sum of min + capped max."""
-    best = 0
-    for os in es.sequences:
-        total = 0
-        for o in os.observations:
-            cap = len(fsm.states) if o.max is PLUS_INF else min(o.max, len(fsm.states))
-            total += o.min + cap
-        best = max(best, total)
-    return max(best, 1)
+    n = len(fsm.states)
+    return max([1] + [sum(o.min + (n if o.max is PLUS_INF else min(o.max, n))
+                          for o in os.observations) for os in es.sequences])
 
 
 def check_claim(fsm: StateMachine, es: EvidentialStatement,
@@ -323,11 +319,12 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     every observation sequence simultaneously.  Backtraces are the
     witness windows with consecutive identical steps collapsed (dwelling
     in a self-loop is presentation noise, not a separate explanation).
-    route forces "exact" set algebra or the "layered" search; by default
-    small problems go exact and everything else layered.  horizon and
-    max_backtraces are non-negative integers; the layered search reads
-    back at most max_backtraces witness windows and sets truncated when
-    it stopped there with more possibly left.
+    Every claim takes the layered search, which reads back at most
+    max_backtraces witness windows, sets truncated when it stopped there
+    with more possibly left, and counts in witnesses every window of the
+    lengths it searched.  route="exact" is the executable spec's hook:
+    set algebra over fixed-length variants, exponential in the horizon.
+    horizon and max_backtraces are non-negative integers.
     """
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
@@ -340,56 +337,40 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
                                   % (name, limit), name)
     has_unbounded = any(mx is PLUS_INF for tri in all_triples for _, _, mx in tri)
 
-    if route is None:
-        route = "exact" if horizon <= 8 and len(fsm.states) <= 64 else "layered"
-    truncated = False
+    truncated, witnesses, nodes = False, 0, 0
     if route == "exact":
         consistent, msprs = _check_exact(fsm, es, all_triples, horizon)
-    elif route == "layered":
-        consistent, msprs, truncated = _check_layered(
+    elif route in (None, "layered"):
+        route = "layered"
+        consistent, msprs, truncated, witnesses, nodes = _check_layered(
             fsm, all_triples, horizon, max_backtraces)
     else:
         raise ValidationError("route must be exact or layered", "route")
 
-    msprs = list(dict.fromkeys(msprs))
     runs = sorted({c for m in msprs for c in m.computations},
                   key=lambda c: (len(c), repr(c)))
-    traces = []
-    seen = set()
-    for r in runs:
-        collapsed = collapse_stutters(r)
-        if collapsed not in seen:
-            seen.add(collapsed)
-            traces.append(collapsed)
     return ClaimResult(
         consistent=consistent,
         explanations=tuple(msprs),
-        backtraces=tuple(traces),
+        backtraces=tuple(dict.fromkeys(collapse_stutters(r) for r in runs)),
         horizon_warning=bool(has_unbounded and not consistent),
         horizon=horizon,
         route=route,
         truncated=truncated,
+        witnesses=witnesses if route == "layered" else len(runs),
+        nodes=nodes,
     )
 
 
 def collapse_stutters(run: Computation) -> Computation:
-    out: List[Step] = []
-    for step in run:
-        if out and out[-1] == step:
-            continue
-        out.append(step)
-    return tuple(out)
+    return tuple(stp for i, stp in enumerate(run) if i == 0 or run[i - 1] != stp)
 
 
 def _window(triple_list: Sequence[Tuple[Property, int, Any]]) -> Tuple[int, Any]:
     lo = sum(mn for _, mn, _ in triple_list)
-    hi: Any = 0
-    for _, mn, mx in triple_list:
-        if mx is PLUS_INF:
-            hi = PLUS_INF
-        if hi is not PLUS_INF:
-            hi += mn + mx
-    return lo, hi
+    if any(mx is PLUS_INF for _, _, mx in triple_list):
+        return lo, PLUS_INF
+    return lo, lo + sum(mx for _, _, mx in triple_list)
 
 
 def _unify_intersect(left: Iterable[Computation],
@@ -442,8 +423,8 @@ def _check_exact(fsm: StateMachine, es: EvidentialStatement,
                 pool.update(m.computations)
         # one account's meaning keeps only the most general final step
         keep = dedupe_wildcard_twins(pool)
-        mprs = [MPR(m.lens, frozenset(m.computations & keep)) for m in mprs]
-        mprs = [m for m in mprs if not m.is_empty()]
+        mprs = [MPR(m.lens, m.computations & keep) for m in mprs
+                if m.computations & keep]
         if not mprs:
             return False, []
         per_os_mprs.append(mprs)
@@ -476,14 +457,19 @@ def _closure(positions: Iterable[NfaPos],
              triples: Sequence[Tuple[Property, int, Any]]) -> FrozenSet[NfaPos]:
     """Add the start of each observation that may follow an ended one."""
     work = set(positions)
-    for j, (_, mn, _) in enumerate(triples):   # (j+1, 0) may end in turn
-        if any(i == j and k >= mn for i, k in work):
-            work.add((j + 1, 0))
+    ended = [j for j, k in work if j < len(triples) and k >= triples[j][1]]
+    while ended:
+        j = ended.pop() + 1
+        if (j, 0) not in work:
+            work.add((j, 0))
+            if j < len(triples) and triples[j][1] == 0:
+                ended.append(j)
     return frozenset(work)
 
 
 def _check_layered(fsm: StateMachine, all_triples, horizon: int,
-                   max_backtraces: int) -> Tuple[bool, List[MSPR], bool]:
+                   max_backtraces: int
+                   ) -> Tuple[bool, List[MSPR], bool, int, int]:
     """Layer by layer over nodes (state, product position id).
 
     A product position holds each account's set of match positions.  A
@@ -491,18 +477,18 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     observations, WILDCARD events included; the letter alone decides
     where a position goes, so each (position, letter) step, and with it
     acceptance, is computed once.  These tables live for one call.
-    Also returns whether the backtrace cap cut the read-back short.
+    A layer maps each node to its number of paths from layer 0, added up
+    as the layer is built, so every window length closed off has its
+    witnesses counted, read back or not.
+    Returns the verdict, the explanations, whether the cap cut the
+    read-back short, the witness count and the number of nodes expanded.
     """
     windows = [_window(t) for t in all_triples]
     lengths = [L for L in range(1, horizon + 1)
                if all(lo <= L and (hi is PLUS_INF or L <= hi)
                       for lo, hi in windows)]
-    found: List[Tuple[int, Computation]] = []
-    empty_ok = all(lo == 0 for lo, _ in windows)
-    if empty_ok:
-        found.append((0, ()))
-    if not lengths:
-        return empty_ok, _synthesize_msprs(all_triples, found), False
+    found: List[Computation] = [()] if all(lo == 0 for lo, _ in windows) else []
+    last = max(lengths, default=0)
 
     # interned product positions: key -> id, with closures and acceptance
     ids: Dict[Tuple[FrozenSet[NfaPos], ...], int] = {}
@@ -537,12 +523,12 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
             steps[pid, lt] = intern(tuple(nxt)) if all(nxt) else None
         return steps[pid, lt]
 
-    def letter(event: Any, state: Any) -> Letter:
-        return tuple(tuple(p.step_ok(event, state) for p, _, _ in t)
-                     for t in all_triples)
-
-    wilds = {s: letter(WILDCARD, s) for s in fsm.states}
-    moves = {s: [(e, fsm.successor(e, s), letter(e, s))
+    letters: Dict[Step, Letter] = {   # kept for reading explanations back
+        (e, s): tuple(tuple(p.step_ok(e, s) for p, _, _ in t)
+                      for t in all_triples)
+        for s in fsm.states for e in (WILDCARD,) + tuple(fsm.events)
+        if e == WILDCARD or fsm.fires(e, s)}
+    moves = {s: [(e, fsm.successor(e, s), letters[e, s])
                  for e in fsm.events if fsm.fires(e, s)] for s in fsm.states}
     Node = Tuple[Any, int]
     graph: Dict[Node, Tuple[List[Tuple[Node, Step]], List[Step]]] = {}
@@ -556,94 +542,118 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
                 nid = step(pid, lt)
                 if nid is not None:
                     edges.append(((succ, nid), (e, state)))
-            wild = step(pid, wilds[state])
+            wild = step(pid, letters[WILDCARD, state])
             graph[node] = edges, (
                 [(WILDCARD, state)] if wild is not None and accepting[wild]
                 else [stp for (_, nid), stp in edges if accepting[nid]])
         return graph[node]
 
-    layers: List[Dict[Node, List[Tuple[Node, Step]]]] = [
-        {(s, intern(tuple(_closure({(0, 0)}, t)
-                          for t in all_triples))): [] for s in fsm.states}]
+    start = intern(tuple(_closure({(0, 0)}, t) for t in all_triples))
+    layers: List[Dict[Node, int]] = [{(s, start): 1 for s in fsm.states}]
+    back: List[Dict[Node, List[Tuple[Node, Step]]]] = [{}]
 
-    def read_back(t: int, node: Node, fstep: Step) -> bool:
+    def read_back(t: int, node: Node, fstep: Step) -> None:
         """Append the witnesses ending in fstep at node, depth first in
-        edge order; True when the cap left some of them unread."""
+        edge order, until the cap.  A layer's predecessor lists are built
+        when a read-back first crosses it."""
+        while len(back) <= t and len(found) < max_backtraces:
+            pred: Dict[Node, List[Tuple[Node, Step]]] = {}
+            for prev in layers[len(back) - 1]:
+                for succ, stp in expand(prev)[0]:
+                    pred.setdefault(succ, []).append((prev, stp))
+            back.append(pred)
         stack = [(t, node, (fstep,))]
-        while stack:
-            if len(found) >= max_backtraces:
-                return True
+        while stack and len(found) < max_backtraces:
             i, at, suffix = stack.pop()
             if i == 0:
-                found.append((len(suffix), suffix))
+                found.append(suffix)
             else:
                 stack.extend((i - 1, prev, (stp,) + suffix)
-                             for prev, stp in reversed(layers[i][at]))
-        return False
+                             for prev, stp in reversed(back[i][at]))
 
     want = set(lengths)
-    consistent = empty_ok
-    truncated = False
+    witnesses = len(found)
+    stopped = False
     for t in range(0, horizon):
         # close off windows of length t+1: t chained steps plus a final step
         if (t + 1) in want:
-            for node in layers[t]:
-                for fstep in expand(node)[1]:
-                    consistent = True
-                    truncated = read_back(t, node, fstep) or truncated
-            if consistent and len(found) >= max_backtraces:
-                truncated = truncated or t + 1 < lengths[-1]
+            for node, n in layers[t].items():
+                finals = expand(node)[1]
+                witnesses += n * len(finals)
+                for fstep in finals:
+                    read_back(t, node, fstep)
+            if witnesses and len(found) >= max_backtraces:
+                stopped = t + 1 < last
                 break
-        if t + 1 >= lengths[-1]:
+        if t + 1 >= last:
             break
-        nxt: Dict[Node, List[Tuple[Node, Step]]] = {}
-        for node in layers[t]:
-            for succ, stp in expand(node)[0]:
-                nxt.setdefault(succ, []).append((node, stp))
-        layers.append(nxt)
-        if not nxt:
+        counts: Dict[Node, int] = {}
+        for node, n in layers[t].items():
+            for succ, _ in expand(node)[0]:
+                counts[succ] = counts.get(succ, 0) + n
+        layers.append(counts)
+        if not counts:
             break
 
-    return consistent, _synthesize_msprs(all_triples, found), truncated
+    return (witnesses > 0, _explanations(all_triples, found, letters),
+            stopped or witnesses > len(found), witnesses, len(graph))
 
 
-def _partition_lens(triples: Sequence[Tuple[Property, int, Any]],
-                    run: Computation) -> Optional[Tuple[int, ...]]:
-    """First composition of the run into satisfying segments, if any."""
-    L = len(run)
+def _compositions(triples: Sequence[Tuple[Property, int, Any]],
+                  oks: Sequence[Tuple[bool, ...]]) -> List[Tuple[int, ...]]:
+    """Every split of a window into consecutive segments, one per
+    observation, segment j taking min..min+max steps whose step_ok
+    values oks[k][j] all hold."""
+    L = len(oks)
+    starts: List[Dict[int, List[int]]] = [{0: []}]  # [j][end] -> its starts
+    for j, (_, mn, mx) in enumerate(triples):
+        ends: Dict[int, List[int]] = {}
+        for pos in starts[j]:
+            top = L if mx is PLUS_INF else min(L, pos + mn + mx)
+            k = pos
+            while True:
+                if k - pos >= mn:
+                    ends.setdefault(k, []).append(pos)
+                if k == top or not oks[k][j]:
+                    break
+                k += 1
+        starts.append(ends)
+    out = []
+    stack = [(len(triples), L, ())] if L in starts[-1] else []
+    while stack:
+        j, end, suffix = stack.pop()
+        if j == 0:
+            out.append(suffix)
+        else:
+            stack.extend((j - 1, pos, (end - pos,) + suffix)
+                         for pos in starts[j][end])
+    return out
 
-    def rec(j: int, pos: int) -> Optional[Tuple[int, ...]]:
-        if j == len(triples):
-            return () if pos == L else None
-        prop, mn, mx = triples[j]
-        hi = L - pos if mx is PLUS_INF else mn + mx
-        for d in range(mn, min(hi, L - pos) + 1):
-            if all(prop.step_ok(*run[k]) for k in range(pos, pos + d)):
-                rest = rec(j + 1, pos + d)
-                if rest is not None:
-                    return (d,) + rest
-        return None
 
-    return rec(0, 0)
+def _explanations(all_triples, found: List[Computation],
+                  letters: Mapping[Step, Letter]) -> List[MSPR]:
+    """Group the witnesses by each tuple of segment compositions, one per
+    account and the last account first, as comb does.
 
-
-def _synthesize_msprs(all_triples,
-                      found: List[Tuple[int, Computation]]) -> List[MSPR]:
+    An account splits a window that ends in a concrete event as that
+    window ending in WILDCARD when it can, since its meaning keeps only
+    the most general final step, and as it stands otherwise.
+    """
     groups: Dict[Tuple[Tuple[int, ...], ...], Set[Computation]] = {}
-    for _, run in found:
-        vectors = []
-        ok = True
-        for triples in all_triples:
-            lens = _partition_lens(triples, run)
-            if lens is None:
-                ok = False
-                break
-            vectors.append(lens)
-        if ok:
-            key = tuple(reversed(vectors))
-            groups.setdefault(key, set()).add(run)
-    return [MSPR(lens, frozenset(runs))
-            for lens, runs in sorted(groups.items(), key=repr)]
+    for run in found:
+        rows = [letters[stp] for stp in run]
+        tries = ([rows[:-1] + [letters[WILDCARD, run[-1][1]]], rows] if run
+                 else [rows])
+        per_account = []
+        for i, triples in enumerate(all_triples):
+            for r in tries:
+                comps = _compositions(triples, [lt[i] for lt in r])
+                if comps:
+                    break
+            per_account.append(comps)
+        for lens in itertools.product(*reversed(per_account)):
+            groups.setdefault(lens, set()).add(run)
+    return [MSPR(lens, frozenset(groups[lens])) for lens in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +679,6 @@ def load_fsm(text: str) -> StateMachine:
     properties: Dict[str, Property] = {}
     lines = text.splitlines()
     i = 0
-
-    def note_state(s: str) -> None:
-        if s not in states:
-            states.append(s)
-
     while i < len(lines):
         line = lines[i].split("#", 1)[0].strip()
         i += 1
@@ -700,8 +705,9 @@ def load_fsm(text: str) -> StateMachine:
             raise ValidationError("missing target state: %r" % line, "fsm")
         if event not in events:
             events.append(event)
-        note_state(src)
-        note_state(dst)
+        for s in (src, dst):
+            if s not in states:
+                states.append(s)
         transitions[(event, src)] = dst
 
     declared = frozenset(transitions)
@@ -716,22 +722,14 @@ def load_fsm(text: str) -> StateMachine:
 def _split_top_commas(text: str) -> List[str]:
     """Split on commas outside parentheses; labels like (1,u,o2) stay whole."""
     items: List[str] = []
-    depth = 0
-    buf: List[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    depth = start = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            items.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        items.append(tail)
-    return [i for i in items if i]
+            items.append(text[start:i])
+            start = i + 1
+    items.append(text[start:])
+    return [i.strip() for i in items if i.strip()]
 
 
 def _parse_property_block(block: str) -> Tuple[str, Property]:

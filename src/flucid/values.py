@@ -298,7 +298,7 @@ class SimpleContext:
         return hash(("SimpleContext", self.pairs))
 
     def __repr__(self) -> str:
-        return to_source(self)
+        return _source_or_kind(self, self.pairs)
 
 
 class ContextSet:
@@ -334,7 +334,7 @@ class ContextSet:
         return hash(("ContextSet", frozenset(self.members)))
 
     def __repr__(self) -> str:
-        return to_source(self)
+        return _source_or_kind(self, self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,8 @@ class Observation:
         return self.min == 0 and self.max == 0 and self.property is not ANY_PROPERTY
 
     def __repr__(self) -> str:
-        return to_source(self)
+        return _source_or_kind(self, (self.property, self.min, self.max,
+                                      self.w, self.t, self.description))
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,7 @@ class ObservationSequence:
 
     def __repr__(self) -> str:
         label = self.name or "os"
-        return "%s%s" % (label, to_source(self))
+        return "%s%s" % (label, _source_or_kind(self, self.observations))
 
 
 @dataclass(frozen=True)
@@ -582,3 +583,12 @@ def to_source(v: Any) -> str:
     if isinstance(v, EvidentialStatement):
         return "{ %s }" % ", ".join(to_source(s) for s in v.sequences)
     raise ValidationError("value of kind %s has no source form" % kind_of(v))
+
+
+def _source_or_kind(v: Any, parts: Any) -> str:
+    """A value's repr: its source form, or `<kind parts>` when it has
+    none (it holds a tag set or a string with a newline)."""
+    try:
+        return to_source(v)
+    except ValidationError:
+        return "<%s %r>" % (kind_of(v), parts)

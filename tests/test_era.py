@@ -5,6 +5,7 @@ against the brute-force oracle in oracles.py.
 """
 
 import os
+import sys
 import time
 
 import pytest
@@ -352,6 +353,11 @@ def engine_result_set(result):
     return out
 
 
+def explanation_set(result):
+    """Each lens-vector tuple with its computations."""
+    return {(m.lens, m.computations) for m in result.explanations}
+
+
 def build_engine_statement(oss):
     return EvidentialStatement([
         ObservationSequence(
@@ -387,11 +393,36 @@ def test_layered_agrees_with_exact_past_the_oracle(setup, horizon):
     es = build_engine_statement(oss)
     exact = check_claim(fsm, es, horizon=horizon, max_backtraces=100000,
                         route="exact")
-    layered = check_claim(fsm, es, horizon=horizon, max_backtraces=100000,
-                          route="layered")
+    layered = check_claim(fsm, es, horizon=horizon, max_backtraces=100000)
+    assert layered.route == "layered"
     assert layered.consistent == exact.consistent
-    assert engine_result_set(layered) == engine_result_set(exact)
+    assert explanation_set(layered) == explanation_set(exact)
+    assert layered.backtraces == exact.backtraces
+    assert layered.witnesses == exact.witnesses
     assert not layered.truncated and not exact.truncated
+
+
+@given(random_setup())
+@settings(max_examples=80, deadline=None)
+def test_witnesses_count_every_window(setup):
+    trans, states, events, oss, horizon = setup
+    fsm = build_engine_machine(trans, states, events)
+    es = build_engine_statement(oss)
+    for route in ("exact", "layered"):
+        got = check_claim(fsm, es, horizon=horizon, route=route)
+        if not got.truncated:
+            assert got.witnesses == len(engine_result_set(got)), route
+
+
+def test_witness_count_is_exact_past_the_cap():
+    fsm = load_fsm("a s -> s\nb s -> s\n")
+    es = load_es("observation x = ($, 40, 0)\nsequence s = x\n"
+                 "statement = s\n")
+    result = check_claim(fsm, es, horizon=40)
+    # 39 chained steps of two events each, then the wildcard final step
+    assert result.witnesses == 2 ** 39
+    assert result.truncated and len(result.explanations[0].computations) == 64
+    assert result.nodes == 40
 
 
 @given(random_setup())
@@ -465,6 +496,23 @@ def test_long_window_reads_back_without_recursion():
     assert result.consistent and result.route == "layered"
     assert sorted(bt[0][1] for bt in result.backtraces) == ["s0", "s1"]
     assert all(len(bt) == 2500 for bt in result.backtraces)
+
+
+def test_long_account_checks_without_recursion():
+    fsm = load_fsm("a s0 -> s1\na s1 -> s0\n")
+    es = EvidentialStatement([ObservationSequence(
+        [make_observation("s%d" % (i % 2), 1, 0) for i in range(5000)])])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = check_claim(fsm, es, horizon=5000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.consistent and result.witnesses == 1
+    assert [m.lens for m in result.explanations] == [((1,) * 5000,)]
+    (bt,) = result.backtraces
+    assert len(bt) == 5000
+    assert bt[0] == ("a", "s0") and bt[-1] == (WILDCARD, "s1")
 
 
 def test_exact_route_on_a_long_window_does_not_recurse():
@@ -590,6 +638,7 @@ def test_acme_truncation_is_reported(acme):
     assert len(capped.backtraces) == 64 and capped.truncated
     full = check_claim(acme, es, horizon=16, max_backtraces=1000)
     assert len(full.backtraces) == 301 and not full.truncated
+    assert full.witnesses == len(engine_result_set(full))
     assert set(capped.backtraces) < set(full.backtraces)
 
 
@@ -636,6 +685,15 @@ def test_blackmail_exactly_two_explanations(blackmail):
     result = check_claim(blackmail, es)
     assert result.consistent
     assert set(result.backtraces) == {PATH_INPLACE, PATH_DISK_EDITOR}
+
+
+@pytest.mark.parametrize("horizon", [4, 8])
+def test_blackmail_lists_every_segment_composition(blackmail, horizon):
+    es = load_es(fixture_text("blackmail.es"))
+    exact = check_claim(blackmail, es, horizon=horizon, route="exact")
+    layered = check_claim(blackmail, es, horizon=horizon)
+    assert len(layered.explanations) == 15
+    assert explanation_set(layered) == explanation_set(exact)
 
 
 def test_blackmail_is_not_truncated(blackmail):

@@ -566,6 +566,21 @@ def test_random_text_raises_only_flucid_errors(text):
             _assert_position(text, record.span)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_analyze_on_random_trees_raises_only_flucid_errors(tree):
+    # random text seldom parses; printed random trees always do
+    text = pretty_print(tree)
+    try:
+        analyze(parse(text))
+    except FlucidError as err:
+        spans = ([r.span for r in getattr(err, "records", ())]
+                 or [getattr(err, "span", None)])
+        for span in spans:
+            assert span is not None
+            _assert_position(text, span)
+
+
 def test_pretty_print_refuses_a_string_holding_a_newline():
     with pytest.raises(ValidationError, match="newline"):
         pretty_print(StringLit("a\nb"))

@@ -249,3 +249,25 @@ def test_constructed_w_always_in_range(mn, mx, w):
 def test_lift_idempotent_property(v):
     once = lift(v)
     assert lift(once) is once
+
+
+# a repr never raises: values with no source form print as <kind ...>
+
+_TAGS = TagSet(tags=(1, 2))
+
+
+@pytest.mark.parametrize("value, kind", [
+    (make_observation(_TAGS, 1, 0), "observation"),
+    (make_observation("a\nb", 1, 0), "observation"),
+    (SimpleContext({"d": _TAGS}), "simple context"),
+    (SimpleContext({"d": "a\nb"}), "simple context"),
+    (ContextSet([SimpleContext({"d": _TAGS})]), "context set"),
+    (ObservationSequence([make_observation(_TAGS, 1, 0)], name="s"),
+     "observation sequence"),
+    (EvidentialStatement([ObservationSequence(
+        [make_observation(_TAGS, 1, 0)])]), "observation sequence"),
+])
+def test_repr_without_source_form_names_the_kind(value, kind):
+    with pytest.raises(ValidationError):
+        to_source(value)
+    assert ("<%s " % kind) in repr(value)
