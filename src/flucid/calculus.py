@@ -23,6 +23,7 @@ from .values import (
     ObservationSequence,
     SimpleContext,
     TagSet,
+    is_forensic,
     kind_of,
 )
 
@@ -62,7 +63,7 @@ def membership(op: str, a: Any, b: Any) -> bool:
         return all(_tag_in(t, b) for t in a.tags)
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) <= set(b)
-    if _is_forensic(a) and _is_forensic(b):
+    if is_forensic(a) and is_forensic(b):
         return _forensic_sub(a, b)
     _fail(op, a, b)
 
@@ -71,10 +72,6 @@ def _tag_in(tag: Any, ts: TagSet) -> bool:
     if ts.tags is not None:
         return any(type(t) is type(tag) and t == tag for t in ts.tags)
     return tag in ts
-
-
-def _is_forensic(v: Any) -> bool:
-    return isinstance(v, (Observation, ObservationSequence, EvidentialStatement))
 
 
 def _forensic_sub(a: Any, b: Any) -> bool:
@@ -176,7 +173,7 @@ def union(a: Any, b: Any) -> Any:
         return TagSet(ordering="unordered", tags=merged)
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) | set(b)
-    if _is_forensic(a) and _is_forensic(b):
+    if is_forensic(a) and is_forensic(b):
         return _forensic_union(a, b)
     _fail("union", a, b)
 
@@ -270,7 +267,7 @@ def override(a: Any, b: Any) -> Any:
         return SimpleContext(kept + list(b.pairs))
     if isinstance(a, (SimpleContext, ContextSet)) and isinstance(b, (SimpleContext, ContextSet)):
         return _pairwise_set(override, _as_context_set(a), _as_context_set(b))
-    if _is_forensic(a) and _is_forensic(b):
+    if is_forensic(a) and is_forensic(b):
         return _forensic_override(a, b)
     _fail("override", a, b)
 

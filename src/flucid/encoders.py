@@ -109,8 +109,12 @@ def _resolve_zone(name: Optional[str]):
 
 def render_timestamp(epoch: int, tz: Optional[str] = None) -> str:
     """Canonical human form for an epoch second in the given zone."""
+    return _render(epoch, _resolve_zone(tz))
+
+
+def _render(epoch: int, zone) -> str:
     try:
-        dt = datetime.fromtimestamp(epoch, _resolve_zone(tz))
+        dt = datetime.fromtimestamp(epoch, zone)
     except (ValueError, OverflowError, OSError):
         raise EncodeError("epoch %r is beyond the calendar" % epoch) from None
     return "%s %s %d %02d:%02d:%02d %d" % (
@@ -129,13 +133,14 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     Zoneless forms are interpreted in tz (or the FLUCID_TZ environment
     variable, or UTC); the canonical text is always rendered there.
     """
-    if isinstance(s, int) and not isinstance(s, bool):
-        return render_timestamp(s, tz), s
-    raw = str(s).strip()
     zone = _resolve_zone(tz)
+    if isinstance(s, int) and not isinstance(s, bool):
+        return _render(s, zone), s
+    raw = str(s).strip()
 
     def done(dt: datetime) -> Tuple[str, int]:
-        return normalize_timestamp(int(dt.timestamp()), tz=tz)
+        epoch = int(dt.timestamp())
+        return _render(epoch, zone), epoch
 
     try:
         m = _TS_SYSLOG.match(raw)
@@ -171,7 +176,7 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     except ValueError:      # an unknown month or a field out of range
         pass
     if _TS_EPOCH.match(raw):
-        return normalize_timestamp(int(raw), tz=tz)
+        return _render(int(raw), zone), int(raw)
 
     raise EncodeError("unrecognized timestamp: %r" % s)
 

@@ -2,13 +2,14 @@
 
 Expressions are evaluated by demand at a context: a demand names a
 definition, a simple context, and a call frame; its value is computed
-once and kept in a warehouse that is never overwritten.  Scoping was
-flattened by the analyzer (every definition has a unique name) so one
-global definition environment serves the whole program; call frames
-carry only the lazy argument bindings of function application, which
-gives the substitution semantics directly: a formal occurrence
-evaluates its argument expression at the context of the occurrence,
-not of the call.
+once and kept in a warehouse that is never overwritten.  Evaluation is
+single-threaded, and each Evaluator owns its warehouse, in which a key
+is stored once.  Scoping was flattened by the analyzer (every definition
+has a unique name) so one global definition environment serves the
+whole program; call frames carry only the lazy argument bindings of
+function application, which gives the substitution semantics directly:
+a formal occurrence evaluates its argument expression at the context of
+the occurrence, not of the call.
 
 Stream operators are evaluated directly by index arithmetic; the
 semantics.rewrite_to_core reduction is the cross-check, not the
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -124,28 +123,6 @@ _ROOT = Frame(None, {})
 _ROOT.id = 0
 
 
-class Warehouse:
-    """Demand store: first value wins, a differing re-store is a bug."""
-
-    def __init__(self) -> None:
-        self._store: Dict[Any, Any] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._store.get(key, _MISS)
-
-    def put(self, key, value):
-        with self._lock:
-            old = self._store.setdefault(key, value)
-        if old is not value and old != value:
-            raise EvaluationError(
-                "warehouse overwrite for %r: %r vs %r" % (key, old, value))
-        return old
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 class _Miss:
     __repr__ = lambda self: "<miss>"          # noqa: E731
 
@@ -179,8 +156,7 @@ class Evaluator:
                  horizon: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None,
                  max_scan: int = 10000,
-                 max_depth: int = MAX_DEPTH,
-                 jobs: int = 1):
+                 max_depth: int = MAX_DEPTH):
         self.analysis = analysis
         self.env = analysis.env
         self.threshold = threshold
@@ -188,13 +164,12 @@ class Evaluator:
         self.trace = trace
         self.max_scan = max_scan
         self.max_depth = max_depth
-        self.jobs = max(1, jobs)
-        self.warehouse = Warehouse()
-        self._local = threading.local()     # per-thread demand chain
+        self.warehouse: Dict[Any, Any] = {}
+        self._chain: List[Any] = []         # keys being computed, in order
+        self._chain_set = set()             # the same keys, for lookup
+        self._depth = 0
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
-        self._pool = (ThreadPoolExecutor(max_workers=self.jobs)
-                      if self.jobs > 1 else None)
 
     # -- entry points ------------------------------------------------------
 
@@ -215,21 +190,13 @@ class Evaluator:
 
     # -- demands -----------------------------------------------------------
 
-    def _chain(self) -> List[Any]:
-        chain = getattr(self._local, "chain", None)
-        if chain is None:
-            chain = []
-            self._local.chain = chain
-            self._local.chain_set = set()
-        return chain
-
     def demand(self, name: str, ctx: SimpleContext, frame: Frame) -> Any:
         key = (name, ctx, frame.id)
-        hit = self.warehouse.get(key)
+        hit = self.warehouse.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        chain = self._chain()
-        chain_set = self._local.chain_set
+        chain = self._chain
+        chain_set = self._chain_set
         if key in chain_set:
             start = chain.index(key)
             cycle = [k[0] for k in chain[start:]] + [name]
@@ -242,7 +209,7 @@ class Evaluator:
         finally:
             chain.pop()
             chain_set.discard(key)
-        value = self.warehouse.put(key, value)
+        self.warehouse[key] = value
         if self.trace is not None:
             self.trace("DEMAND %s @ %s -> %s"
                        % (name, _show(ctx), _show(value)))
@@ -266,16 +233,16 @@ class Evaluator:
     # -- generic dispatch ----------------------------------------------------
 
     def eval(self, node: N.Node, ctx: SimpleContext, frame: Frame) -> Any:
-        depth = getattr(self._local, "depth", 0) + 1
+        depth = self._depth + 1
         if depth > self.max_depth:
             raise EvaluationError(
                 "demand depth exceeded; a stream is probably unbounded "
                 "in the direction being scanned")
-        self._local.depth = depth
+        self._depth = depth
         try:
             return self._dispatch[type(node)](self, node, ctx, frame)
         finally:
-            self._local.depth = depth - 1
+            self._depth = depth - 1
 
     # -- literals ------------------------------------------------------------
 
@@ -420,11 +387,10 @@ class Evaluator:
         if isinstance(place, SimpleContext):
             return self.eval(node.left, calculus.override(ctx, place), frame)
         if isinstance(place, ContextSet):
-            return self._at_each(node.left, ctx, frame, tuple(place))
+            return self._at_each(node.left, ctx, frame, place)
         if isinstance(place, tuple) and place and \
                 all(isinstance(m, SimpleContext) for m in place):
-            return self._at_each(node.left, ctx, frame,
-                                 tuple(ContextSet(place)))
+            return self._at_each(node.left, ctx, frame, ContextSet(place))
         if isinstance(place, Observation):
             if isinstance(place.w, (int, float)) and \
                     place.w < self.threshold:
@@ -449,11 +415,6 @@ class Evaluator:
             "got %s" % kind_of(place), node.span)
 
     def _at_each(self, left, ctx, frame, members):
-        if self._pool is not None and len(members) > 1:
-            futures = [self._pool.submit(
-                self.eval, left, calculus.override(ctx, m), frame)
-                for m in members]
-            return tuple(f.result() for f in futures)
         return tuple(self.eval(left, calculus.override(ctx, m), frame)
                      for m in members)
 
@@ -1502,14 +1463,12 @@ def evaluate(program, *, context: Optional[SimpleContext] = None,
              threshold: float = DEFAULT_THRESHOLD,
              horizon: Optional[int] = None,
              trace: Optional[Callable[[str], None]] = None,
-             max_scan: int = 10000, max_depth: int = MAX_DEPTH,
-             jobs: int = 1) -> Any:
+             max_scan: int = 10000, max_depth: int = MAX_DEPTH) -> Any:
     """Parse/analyze as needed, then evaluate the program's head."""
     if isinstance(program, str):
         program = parse(program)
     if isinstance(program, N.Node):
         program = analyze(program)
     ev = Evaluator(program, threshold=threshold, horizon=horizon,
-                   trace=trace, max_scan=max_scan, max_depth=max_depth,
-                   jobs=jobs)
+                   trace=trace, max_scan=max_scan, max_depth=max_depth)
     return ev.run(context)

@@ -105,19 +105,6 @@ PLUS_INF = Sentinel("INF+")
 MINUS_INF = Sentinel("INF-")
 
 
-def is_bound_marker(v: Any) -> bool:
-    return v is BOD or v is EOD
-
-
-def saturating_add(a: Any, b: Any) -> Any:
-    """Addition where INF+ absorbs; avoids wraparound on unbounded durations."""
-    if a is PLUS_INF or b is PLUS_INF:
-        return PLUS_INF
-    if a is MINUS_INF or b is MINUS_INF:
-        return MINUS_INF
-    return a + b
-
-
 class _AnyProperty:
     """The wildcard property of the no-observation $."""
 

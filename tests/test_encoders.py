@@ -115,6 +115,17 @@ def test_timestamp_zones():
         "Thu Jan 1 09:00:00 1970"
 
 
+@pytest.mark.parametrize("raw", [
+    "Jan  2 03:04:05", "202001020304", "1577934245", 1577934245])
+def test_timestamp_resolves_its_zone_once(monkeypatch, raw):
+    calls = []
+    resolve = encoders._resolve_zone
+    monkeypatch.setattr(encoders, "_resolve_zone",
+                        lambda name: calls.append(name) or resolve(name))
+    normalize_timestamp(raw, 2020, tz="UTC")
+    assert calls == ["UTC"]
+
+
 def test_timestamp_zone_from_environment(monkeypatch):
     monkeypatch.setenv(encoders.TZ_ENV_VAR, "CET")
     assert normalize_timestamp(0) == ("Thu Jan 1 01:00:00 1970", 0)

@@ -88,6 +88,25 @@ def test_warehouse_computes_each_demand_once():
     assert " @ " in demands[0] and " -> 42" in demands[0]
 
 
+def test_evaluator_recovers_after_depth_and_cycle_errors():
+    # one instance keeps its warehouse across runs; a failed run must
+    # leave no demand chain or depth behind
+    ev = Evaluator(analyze(parse(
+        "if #e > 0 then c else N fi "
+        "where N = 42 fby.d (N + 1); c = c + 1; end")))
+
+    def at_index(d, e=0):
+        return ev.run(SimpleContext({"d": d, "e": e}))
+
+    with pytest.raises(EvaluationError, match="demand depth exceeded"):
+        at_index(5000)
+    assert at_index(3) == 45
+    with pytest.raises(EvaluationError, match="cyclic definition: c -> c"):
+        at_index(0, e=1)
+    # with the shallower indices kept, the failed demand now succeeds
+    assert [at_index(d) for d in range(250, 5001, 250)][-1] == 5042
+
+
 def test_distinct_contexts_are_distinct_demands():
     lines = []
     src = "(y @.d 1) + (y @.d 2) where y = #d; end"
@@ -345,9 +364,9 @@ def test_observation_with_context_property_embeds_it():
     assert run(src) == 7
 
 
-def test_jobs_do_not_change_context_set_results():
+def test_context_set_navigation_evaluates_each_member():
     src = "x @ {[d:1], [d:2], [d:3], [d:4]} where x = #d * #d; end"
-    assert run(src) == run(src, jobs=3) == (1, 4, 9, 16)
+    assert run(src) == (1, 4, 9, 16)
 
 
 def test_entry_points_share_the_demand_depth_limit():
@@ -523,8 +542,10 @@ def _case(name):
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(HERE, "cases"))))
 def test_trace_runs_on_every_case(name):
     lines = []
-    traced = run(_case(name), trace=lines.append)
+    ev = Evaluator(analyze(parse(_case(name))), trace=lines.append)
+    traced = ev.run()
     assert lines and all(line.startswith("DEMAND ") for line in lines)
+    assert len(lines) == len(ev.warehouse)      # each key is stored once
     assert traced.consistent == run(_case(name)).consistent
 
 

@@ -7,7 +7,7 @@ from flucid.values import (
     ANY_PROPERTY, BOD, EOD, MINUS_INF, PLUS_INF,
     ContextSet, EvidentialStatement, Observation, ObservationSequence,
     Sentinel, SimpleContext, TagSet, ValidationError,
-    lift, make_observation, no_observation, saturating_add, to_source,
+    lift, make_observation, no_observation, to_source,
     zero_observation,
 )
 
@@ -38,11 +38,6 @@ class TestSentinels:
             BOD < 1  # noqa: B015
         with pytest.raises(TypeError):
             EOD > 0  # noqa: B015
-
-    def test_saturating_add(self):
-        assert saturating_add(PLUS_INF, 5) is PLUS_INF
-        assert saturating_add(3, PLUS_INF) is PLUS_INF
-        assert saturating_add(2, 3) == 5
 
 
 class TestTagSet:
