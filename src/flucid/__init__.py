@@ -13,7 +13,6 @@ from .values import (
     MINUS_INF,
     ANY_PROPERTY,
     ContextSet,
-    Dimension,
     EvidentialStatement,
     FlucidError,
     Observation,
@@ -55,7 +54,6 @@ __all__ = [
     "MINUS_INF",
     "ANY_PROPERTY",
     "ContextSet",
-    "Dimension",
     "EvidentialStatement",
     "FlucidError",
     "Observation",

@@ -1,13 +1,14 @@
 """Finite-state event reconstruction.
 
-The machine is a total transition map psi over finite state and event
-alphabets.  A computation window of length L is L (event, state) steps:
-the first L-1 steps chain through psi, and the last step names the event
-about to occur in the final state, written "*" while nothing constrains
-it.  An observation (P, min, max) explains a segment of min..min+max
-consecutive steps each satisfying P; an observation sequence partitions
-the whole window; an evidential statement demands one window satisfying
-every sequence at once.
+The machine's transition map psi holds exactly the transitions that
+fire: event e occurs in state s iff (e, s) is a key of psi.  A
+computation window of length L is L (event, state) steps: the first L-1
+steps chain through psi, and the last step names the event about to
+occur in the final state, written "*" while nothing constrains it.  An
+observation (P, min, max) explains a segment of min..min+max consecutive
+steps each satisfying P; an observation sequence partitions the whole
+window; an evidential statement demands one window satisfying every
+sequence at once.
 
 check_claim answers every claim with one layered search over a lazily
 built product automaton.  A step's letter is the tuple of step_ok truth
@@ -90,26 +91,17 @@ ANYTHING = Property(name="$", anything=True)
 
 @dataclass(frozen=True, eq=False)
 class StateMachine:
-    """T = (states, events, psi); psi total over events x states.
-
-    chainable, when given, marks the pairs where the event really fires;
-    the remaining pairs exist only to keep the map total and no
-    reconstructed step may use them.  None means every pair fires.
+    """T = (states, events, psi); psi maps each (event, state) pair where
+    the event fires to the state it leads to, self-loops included.  Every
+    other pair cannot occur, and no reconstructed step uses it.
     """
 
     states: Tuple[Any, ...]
     events: Tuple[Any, ...]
     psi: Mapping[Tuple[Any, Any], Any]
     properties: Mapping[str, Property] = field(default_factory=dict)
-    chainable: Optional[FrozenSet[Tuple[Any, Any]]] = None
 
     def __post_init__(self):
-        for e in self.events:
-            for s in self.states:
-                if (e, s) not in self.psi:
-                    raise ValidationError(
-                        "transition map is not total: no entry for event %r "
-                        "in state %r" % (e, s), "psi")
         for (e, s), q in self.psi.items():
             if e not in self.events or s not in self.states or q not in self.states:
                 raise ValidationError(
@@ -117,14 +109,30 @@ class StateMachine:
                     % (e, s, q), "psi")
 
     def successor(self, event: Any, state: Any) -> Any:
-        return self.psi[(event, state)]
+        if not self.fires(event, state):
+            raise ReconstructionError(
+                "event %r does not fire in state %r" % (event, state))
+        return self.psi[event, state]
 
     def fires(self, event: Any, state: Any) -> bool:
-        return self.chainable is None or (event, state) in self.chainable
+        return (event, state) in self.psi
 
 
-@dataclass(frozen=True)
-class MPR:
+def _by_length(run: Computation) -> Tuple[int, str]:
+    return len(run), repr(run)
+
+
+class _Runs:
+    """Prints computations in _by_length order, the same in every process."""
+
+    def __repr__(self) -> str:
+        return "%s(lens=%r, computations=frozenset(%r))" % (
+            type(self).__name__, self.lens,
+            sorted(self.computations, key=_by_length))
+
+
+@dataclass(frozen=True, repr=False)
+class MPR(_Runs):
     """Map of partitioned runs: segment lengths plus initial computations."""
 
     lens: Tuple[int, ...]
@@ -137,8 +145,8 @@ class MPR:
         return not self.computations
 
 
-@dataclass(frozen=True)
-class MSPR:
+@dataclass(frozen=True, repr=False)
+class MSPR(_Runs):
     """Map of a sequence of partitioned runs (one lens vector per account)."""
 
     lens: Tuple[Tuple[int, ...], ...]
@@ -183,16 +191,9 @@ def invert_transition(fsm: StateMachine) -> Dict[Any, FrozenSet[Step]]:
 
 def psi_inverse_set(fsm: StateMachine,
                     computations: Iterable[Computation]) -> Set[Computation]:
-    """Extend every computation one chained step to the left."""
+    """Extend every non-empty computation one fired step to the left."""
     inverse = invert_transition(fsm)
-    out: Set[Computation] = set()
-    for c in computations:
-        if not c:
-            continue
-        head_state = c[0][1]
-        for e, q in inverse[head_state]:
-            out.add(((e, q),) + c)
-    return out
+    return {(stp,) + c for c in computations if c for stp in inverse[c[0][1]]}
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     else:
         raise ValidationError("route must be exact or layered", "route")
 
-    runs = sorted({c for m in msprs for c in m.computations},
-                  key=lambda c: (len(c), repr(c)))
+    runs = sorted({c for m in msprs for c in m.computations}, key=_by_length)
     return ClaimResult(
         consistent=consistent,
         explanations=tuple(msprs),
@@ -526,8 +526,7 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     letters: Dict[Step, Letter] = {   # kept for reading explanations back
         (e, s): tuple(tuple(p.step_ok(e, s) for p, _, _ in t)
                       for t in all_triples)
-        for s in fsm.states for e in (WILDCARD,) + tuple(fsm.events)
-        if e == WILDCARD or fsm.fires(e, s)}
+        for e, s in [(WILDCARD, s) for s in fsm.states] + list(fsm.psi)}
     moves = {s: [(e, fsm.successor(e, s), letters[e, s])
                  for e in fsm.events if fsm.fires(e, s)] for s in fsm.states}
     Node = Tuple[Any, int]
@@ -668,10 +667,9 @@ def load_fsm(text: str) -> StateMachine:
     named step predicates as blocks:
     `property NAME { states: a, b; allow-events: e; deny-events: f; }`.
 
-    The transition map must be total, so any event/state pair the file
-    leaves out becomes a self-loop; those filler pairs are marked
-    non-chainable, meaning the event cannot actually fire there and no
-    reconstructed path may step through them.
+    The machine's psi holds exactly the listed transitions: an event fires
+    only in the states the file lists it for, a listed self-loop
+    included, and a pair the file leaves out cannot occur.
     """
     transitions: Dict[Tuple[str, str], str] = {}
     states: List[str] = []
@@ -710,13 +708,8 @@ def load_fsm(text: str) -> StateMachine:
                 states.append(s)
         transitions[(event, src)] = dst
 
-    declared = frozenset(transitions)
-    for e in events:
-        for s in states:
-            transitions.setdefault((e, s), s)
     return StateMachine(states=tuple(states), events=tuple(events),
-                        psi=transitions, properties=properties,
-                        chainable=declared)
+                        psi=transitions, properties=properties)
 
 
 def _split_top_commas(text: str) -> List[str]:

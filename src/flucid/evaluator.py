@@ -47,6 +47,7 @@ from .values import (
     ContextSet,
     TagSet,
     ValidationError,
+    is_forensic,
     kind_of,
     make_observation,
     no_observation,
@@ -57,8 +58,6 @@ from .values import (
 EMPTY_CONTEXT = SimpleContext()
 DEFAULT_DIMENSION = "d"
 DEFAULT_THRESHOLD = 0.5
-
-_FORENSIC = (Observation, ObservationSequence, EvidentialStatement)
 
 # Reserved context dimensions for forensic navigation; "~" cannot occur
 # in a source identifier, so user dimensions can never collide.
@@ -291,7 +290,7 @@ class Evaluator:
 
     def _e_BraceLit(self, node, ctx, frame):
         values = [self.eval(item, ctx, frame) for item in node.items]
-        if values and all(isinstance(v, _FORENSIC) for v in values):
+        if values and all(is_forensic(v) for v in values):
             if all(isinstance(v, Observation) for v in values):
                 return ObservationSequence(tuple(values))
             return EvidentialStatement(
@@ -723,7 +722,7 @@ class Evaluator:
             return BOD
         if i == 0:
             lv = self.eval(x, ctx, frame)
-            if isinstance(lv, _FORENSIC):
+            if is_forensic(lv):
                 rv = self.eval(y, ctx, frame)
                 return self._prepend(lv, rv)
             return lv
@@ -980,7 +979,6 @@ class Evaluator:
         dim_bindings = {p: Thunk.of_value(v)
                         for p, v in zip(cand.dim_params, dim_values)}
         edges = {}
-        chainable = set()
         for event in events:
             for pair in itertools.product(cells, repeat=2):
                 stream = N.AngleTuple(
@@ -996,15 +994,12 @@ class Evaluator:
                 snd = self.eval(cand.node.body,
                                 SimpleContext({DEFAULT_DIMENSION: 1}),
                                 call_frame)
-                source = _pair_state(pair)
                 if _is_sentinel(fst) or _is_sentinel(snd):
-                    edges[(event, source)] = source
                     continue
-                target = _pair_state((fst, snd))
-                edges[(event, source)] = target
+                source, target = _pair_state(pair), _pair_state((fst, snd))
                 if target != source:
-                    chainable.add((event, source))
-        if not chainable:
+                    edges[(event, source)] = target
+        if not edges:
             return None
         states = tuple(_pair_state(p)
                        for p in itertools.product(cells, repeat=2))
@@ -1013,8 +1008,7 @@ class Evaluator:
                                states=frozenset({_pair_state((cell, cell))}))
             for cell in cells}
         return era.StateMachine(states=states, events=tuple(events),
-                                psi=edges, properties=properties,
-                                chainable=frozenset(chainable))
+                                psi=edges, properties=properties)
 
     def _declared_chains(self, defn):
         body = defn.node.body
@@ -1071,7 +1065,7 @@ class Evaluator:
             for oa in a.observations for ob in b.observations))
 
     def _lift_forensic(self, v):
-        if isinstance(v, _FORENSIC):
+        if is_forensic(v):
             return v
         if isinstance(v, (SimpleContext, ContextSet, str, int, float, bool)):
             from .values import lift
@@ -1321,15 +1315,7 @@ def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
     events = list(dict.fromkeys(e for e, _, _ in edges))
     states = list(dict.fromkeys(
         itertools.chain(*((s, t) for _, s, t in edges))))
-    psi = {}
-    chainable = set()
-    for event, source, target in edges:
-        psi[(event, source)] = target
-        if target != source:
-            chainable.add((event, source))
-    for event in events:
-        for state in states:
-            psi.setdefault((event, state), state)
+    psi = {(e, s): t for e, s, t in edges if t != s}
     labels: Dict[str, set] = {}
     for state in states:
         label = "(" + state.split(",", 1)[1]
@@ -1338,8 +1324,7 @@ def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
                                       states=frozenset(members))
                   for label, members in labels.items()}
     return era.StateMachine(states=tuple(states), events=tuple(events),
-                            psi=psi, properties=properties,
-                            chainable=frozenset(chainable))
+                            psi=psi, properties=properties)
 
 
 def _static_guard(cond, event_param, state_param):
@@ -1401,28 +1386,19 @@ def _validate_hypothesis(fsm: era.StateMachine,
     steps: List[Tuple[str, str]] = []
     for pos in range(len(items) - 2, -1, -1):
         value, event = items[pos]
-        if event is None or not fsm.fires(event, state):
-            return None
         reached = fsm.psi.get((event, state))
         if reached is None:
             return None
         steps.append((event, state))
-        if pos == 0:
-            if isinstance(value, Observation):
-                prop = era.resolve_property(fsm, value.property)
-                if not prop.step_ok(era.WILDCARD, reached):
-                    return None
-            else:
-                target = _hypothesis_state(fsm, value)
-                if target is None or target != reached:
-                    return None
-            steps.append((era.WILDCARD, reached))
-            return tuple(steps)
-        target = _hypothesis_state(fsm, value)
-        if target is None or target != reached:
+        if pos == 0 and isinstance(value, Observation):
+            prop = era.resolve_property(fsm, value.property)
+            if not prop.step_ok(era.WILDCARD, reached):
+                return None
+        elif _hypothesis_state(fsm, value) != reached:
             return None
         state = reached
-    return None
+    steps.append((era.WILDCARD, state))
+    return tuple(steps)
 
 
 def _hypothesis_state(fsm: era.StateMachine, value) -> Optional[str]:

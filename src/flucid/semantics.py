@@ -17,26 +17,14 @@ navigation, index queries, and conditionals, bottom-up in the same
 fold.  It is a pure syntax transform used to cross-check the
 evaluator's direct operator implementations; evaluation itself does not
 depend on it.
-
-promote_generic() expands observations that admit a variable number of
-steps into the finite family of fixed-width alternatives.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .values import (
-    EvidentialStatement,
-    FlucidError,
-    Observation,
-    ObservationSequence,
-    PLUS_INF,
-    ValidationError,
-)
-from . import era
+from .values import FlucidError, ValidationError
 from .syntax import nodes as N
 from .syntax.lexer import Span
 
@@ -436,48 +424,6 @@ def analyze(tree: N.Node) -> Analysis:
     if errors:
         raise FlucidSemanticError(analyzer.records)
     return Analysis(renamed, analyzer.env, tuple(analyzer.records))
-
-
-# --- generic-width expansion -------------------------------------------------
-
-
-def promote_generic(value, horizon: Optional[int] = None):
-    """Expand zero-or-more observation widths into fixed alternatives.
-
-    An observation (P, min, max) with max > 0 stands for any width in
-    min..min+max; the promotion enumerates them.  Sequences expand to
-    the cross product of their members' alternatives, statements to the
-    cross product of their sequences'.  Unbounded widths need an
-    explicit horizon.
-    """
-    if isinstance(value, Observation):
-        seqs = era.expand_generic(
-            ObservationSequence((value,), name=None),
-            _pick_horizon((value,), horizon))
-        return tuple(seq.observations[0] for seq in seqs)
-    if isinstance(value, ObservationSequence):
-        return era.expand_generic(
-            value, _pick_horizon(value.observations, horizon))
-    if isinstance(value, EvidentialStatement):
-        per_seq = [promote_generic(seq, horizon)
-                   for seq in value.sequences]
-        return tuple(
-            EvidentialStatement(combo, name=value.name)
-            for combo in itertools.product(*per_seq))
-    raise TypeError("promote_generic needs an observation, a sequence, "
-                    "or a statement, not %r" % type(value).__name__)
-
-
-def _pick_horizon(observations, horizon: Optional[int]) -> int:
-    if horizon is not None:
-        return horizon
-    total = 0
-    for obs in observations:
-        if obs.max is PLUS_INF:
-            raise FlucidError(
-                "unbounded observation width needs an explicit horizon")
-        total += int(obs.min) + int(obs.max)
-    return max(total, 1)
 
 
 # --- reduction of derived operators to the core ------------------------------

@@ -214,14 +214,6 @@ class TagSet:
         return len(self.tags)
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """A named axis of variation; tag_set None means open (implicit) dimension."""
-
-    name: str
-    tag_set: Optional[TagSet] = None
-
-
 # ---------------------------------------------------------------------------
 # Contexts
 # ---------------------------------------------------------------------------

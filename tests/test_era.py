@@ -60,12 +60,8 @@ def fixture_text(name):
 def toy_machine():
     """Two states, loop a: 0->1, b: 1->0, c: 1->1."""
     trans = {("a", 0): 1, ("b", 1): 0, ("c", 1): 1}
-    psi = dict(trans)
-    for e in ("a", "b", "c"):
-        for s in (0, 1):
-            psi.setdefault((e, s), s)
-    return StateMachine(states=(0, 1), events=("a", "b", "c"), psi=psi,
-                        chainable=frozenset(trans)), trans
+    return StateMachine(states=(0, 1), events=("a", "b", "c"),
+                        psi=dict(trans)), trans
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +69,12 @@ def toy_machine():
 # ---------------------------------------------------------------------------
 
 
-def test_psi_must_be_total():
-    with pytest.raises(ValidationError):
-        StateMachine(states=(0, 1), events=("a",), psi={("a", 0): 1})
+def test_psi_holds_only_the_transitions_that_fire():
+    fsm = StateMachine(states=(0, 1), events=("a",), psi={("a", 0): 1})
+    assert fsm.fires("a", 0) and fsm.successor("a", 0) == 1
+    assert not fsm.fires("a", 1)
+    with pytest.raises(ReconstructionError):
+        fsm.successor("a", 1)
 
 
 def test_psi_rejects_undeclared_labels():
@@ -114,8 +113,8 @@ def test_invert_transition():
     inv = invert_transition(fsm)
     assert ("a", 0) in inv[1] and ("c", 1) in inv[1]
     assert ("b", 1) in inv[0]
-    # filler self-loops land in the table too: it inverts the raw map
-    assert ("b", 0) in inv[0]
+    # b does not fire in 0, so no step (b, 0) leads anywhere
+    assert ("b", 0) not in inv[0]
 
 
 def test_psi_inverse_set_extends_left():
@@ -336,12 +335,7 @@ def random_setup(draw):
 
 
 def build_engine_machine(trans, states, events):
-    psi = dict(trans)
-    for e in events:
-        for s in states:
-            psi.setdefault((e, s), s)
-    return StateMachine(states=states, events=events, psi=psi,
-                        chainable=frozenset(trans))
+    return StateMachine(states=states, events=events, psi=dict(trans))
 
 
 def engine_result_set(result):
@@ -412,6 +406,17 @@ def test_witnesses_count_every_window(setup):
         got = check_claim(fsm, es, horizon=horizon, route=route)
         if not got.truncated:
             assert got.witnesses == len(engine_result_set(got)), route
+
+
+@given(random_setup())
+@settings(max_examples=60, deadline=None)
+def test_psi_inverse_set_prepends_only_fired_steps(setup):
+    trans, states, events, _oss, _horizon = setup
+    fsm = build_engine_machine(trans, states, events)
+    ext = psi_inverse_set(fsm, {((WILDCARD, s),) for s in states})
+    for (e, s), (_, s2) in ext:
+        assert fsm.fires(e, s) and fsm.successor(e, s) == s2
+    assert len(ext) == len(trans)
 
 
 def test_witness_count_is_exact_past_the_cap():
@@ -551,8 +556,7 @@ def acme():
 def test_acme_machine_shape(acme):
     assert len(acme.states) == 25
     assert set(acme.events) == {"add_A", "add_B", "take"}
-    assert len(acme.chainable) == 46
-    assert len(acme.psi) == 75
+    assert len(acme.psi) == 46
     assert acme.psi[("add_A", "(empty,empty)")] == "(A,empty)"
     assert acme.psi[("take", "(A,B)")] == "(A_Deleted,B)"
     assert acme.psi[("add_B", "(A_Deleted,B_Deleted)")] == "(B,B_Deleted)"
@@ -677,7 +681,7 @@ def blackmail():
 def test_blackmail_machine_shape(blackmail):
     assert len(blackmail.states) == 4
     assert set(blackmail.events) == {"(u)", "(u,t2)", "d(u,t2)"}
-    assert len(blackmail.chainable) == 4
+    assert len(blackmail.psi) == 4
 
 
 def test_blackmail_exactly_two_explanations(blackmail):

@@ -7,6 +7,8 @@ reconstruction dispatch get direct contract tests.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -558,10 +560,25 @@ def test_tabulated_machine_shape():
     assert len(fsm.states) == 25
     assert sorted(fsm.events) == ["add_A", "add_B", "take"]
     per_event = {e: 0 for e in fsm.events}
-    for event, _state in fsm.chainable:
+    for event, _state in fsm.psi:
         per_event[event] += 1
     assert per_event == {"add_A": 15, "add_B": 15, "take": 16}
-    assert len(fsm.chainable) == 46
+    assert len(fsm.psi) == 46
+
+
+def test_claim_result_repr_is_the_same_in_every_process():
+    # a frozenset's order follows the hash seed; explanations print sorted
+    code = ("import sys; from flucid.evaluator import evaluate; "
+            "print(repr(evaluate(open(sys.argv[1]).read())))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(era.__file__)))
+    outs = [subprocess.run(
+        [sys.executable, "-c", code,
+         os.path.join(HERE, "cases", "acme_no_alice.ipl")],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120).stdout
+        for seed in ("1", "2")]
+    assert "MSPR(" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_printer_case_rejects_the_claim():
@@ -594,7 +611,7 @@ def test_blackmail_machine_is_read_statically():
     ev.run()
     fsm = next(iter(ev._machines.values()))
     assert set(fsm.events) == {"(u)", "(u,t2)", "d(u,t2)"}
-    assert len(fsm.chainable) == 4
+    assert len(fsm.psi) == 4
     assert "(0,o1,o2)" in fsm.states and "(2,u,t2)" in fsm.states
 
 

@@ -1,4 +1,4 @@
-"""Name resolution, diagnostics, generic expansion, and the rewriter."""
+"""Name resolution, diagnostics, and the rewriter."""
 
 import pytest
 
@@ -8,19 +8,11 @@ from flucid.semantics import (
     REWRITTEN_BIN,
     REWRITTEN_UNARY,
     analyze,
-    promote_generic,
     rewrite_to_core,
 )
 from flucid.syntax import nodes as N
 from flucid.syntax import parse, pretty_print
-from flucid.values import (
-    EvidentialStatement,
-    FlucidError,
-    ObservationSequence,
-    PLUS_INF,
-    ValidationError,
-    make_observation,
-)
+from flucid.values import ValidationError
 
 
 def codes(err: FlucidSemanticError):
@@ -169,42 +161,6 @@ def test_analysis_is_deterministic_and_idempotent():
     assert set(first.env) == set(second.env)
     again = analyze(first.tree)
     assert again.tree == first.tree
-
-
-# --- generic-width expansion -------------------------------------------------
-
-
-def test_observation_expands_to_width_variants():
-    variants = promote_generic(make_observation("p", 1, 3))
-    assert [v.min for v in variants] == [1, 2, 3, 4]
-    assert all(v.max == 0 for v in variants)
-    assert all(v.property == "p" for v in variants)
-
-
-def test_sequence_expands_to_cross_product():
-    os = ObservationSequence(
-        (make_observation("A", 1, 3), make_observation("B", 1, 2)))
-    variants = promote_generic(os)
-    assert len(variants) == 12
-    assert len(set(variants)) == 12
-    assert all(all(o.max == 0 for o in v.observations) for v in variants)
-
-
-def test_statement_expands_per_sequence():
-    es = EvidentialStatement((
-        ObservationSequence((make_observation("A", 1, 1),), name="a"),
-        ObservationSequence((make_observation("B", 1, 2),), name="b"),
-    ), name="es")
-    variants = promote_generic(es)
-    assert len(variants) == 6
-    assert all(isinstance(v, EvidentialStatement) for v in variants)
-
-
-def test_unbounded_width_needs_horizon():
-    os = ObservationSequence((make_observation("p", 0, PLUS_INF),))
-    with pytest.raises(FlucidError):
-        promote_generic(os)
-    assert len(promote_generic(os, horizon=3)) == 4
 
 
 # --- core rewriting ----------------------------------------------------------
