@@ -1,17 +1,20 @@
-"""Mathematical evidence: mass assignments, belief, plausibility, and
-Dempster's combination rule, plus the credibility operators over the
-forensic context hierarchy.
+"""Dempster-Shafer evidence: mass assignments, belief, plausibility and
+Dempster's combination rule, and the bel/pl credibility of forensic values
+computed with them.
 
 A MassAssignment is a basic belief assignment m : 2^Q -> [0,1] over a
 finite frame Q with m(empty) = 0 and total mass 1.  Belief of A sums the
 masses of subsets of A; plausibility sums the masses of sets meeting A.
+Each observation's weight w is a simple support function (mass w on its
+claim, 1 - w on the frame); repeated claims are combined by Dempster's
+rule, and a statement is one assignment over its claims (`credibility`).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping
 
 from .values import (
     ContextSet,
@@ -56,7 +59,7 @@ class MassAssignment:
                 continue
             if m < -TOL or m > 1 + TOL:
                 raise ValidationError("mass %r outside [0, 1]" % m, "masses")
-            if abs(m) <= TOL:
+            if m <= 0.0:
                 continue
             clean[s] = clean.get(s, 0.0) + m
             total += m
@@ -68,9 +71,6 @@ class MassAssignment:
 
     def mass(self, subset: Iterable[Any]) -> float:
         return self.masses.get(frozenset(subset), 0.0)
-
-    def focal_sets(self) -> Tuple[FrozenSet[Any], ...]:
-        return tuple(sorted(self.masses, key=lambda s: (len(s), sorted(map(str, s)))))
 
     def __repr__(self) -> str:
         parts = ", ".join("%s:%g" % (set(s) or "{}", m)
@@ -98,29 +98,6 @@ def plausibility(m: MassAssignment, a: Iterable[Any]) -> float:
     return sum(mass for focal, mass in m.masses.items() if focal & s)
 
 
-def mass_from_belief(bel_values: Mapping[FrozenSet[Any], float],
-                     frame: Iterable[Any]) -> MassAssignment:
-    """Recover masses from a full belief table by Moebius inversion."""
-    fr = tuple(sorted(frame, key=str))
-    table = {frozenset(k): v for k, v in bel_values.items()}
-    masses: Dict[FrozenSet[Any], float] = {}
-    for r in range(len(fr) + 1):
-        for combo in itertools.combinations(fr, r):
-            a = frozenset(combo)
-            total = 0.0
-            for rr in range(len(combo) + 1):
-                for sub in itertools.combinations(combo, rr):
-                    b = frozenset(sub)
-                    total += ((-1) ** len(a - b)) * table.get(b, 0.0)
-            if total < -TOL:
-                raise ValidationError(
-                    "belief table is inconsistent: recovered m(%s) = %.3g"
-                    % (sorted(map(str, a)), total), "bel_values")
-            if total > TOL:
-                masses[a] = total
-    return MassAssignment(fr, masses)
-
-
 def dempster_combine(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     """Join two independent assignments; undefined under total conflict."""
     if m1.frame != m2.frame:
@@ -141,27 +118,30 @@ def dempster_combine(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     return MassAssignment(m1.frame, {a: m * scale for a, m in joint.items()})
 
 
-def vacuous(frame: Iterable[Any]) -> MassAssignment:
-    """The all-ignorance assignment: full mass on the frame itself."""
-    fr = frozenset(frame)
-    return MassAssignment(fr, {fr: 1.0})
-
-
 # ---------------------------------------------------------------------------
 # Credibility over the forensic hierarchy
 # ---------------------------------------------------------------------------
+
+_CLAIM = frozenset(["claim"])
+_CLAIM_FRAME = frozenset(["claim", "contrary"])
+_CONTRARY = None        # never equal to a claim, which is a string
 
 
 def credibility(kind: str, f: Any) -> float:
     """bel or pl of a forensic value.
 
     Observations carry their own mass w; the no-observation is fully
-    believed and the zero-observation not at all.  A sequence averages the
-    credibility of its accounts, first fusing repeated claims about the
-    same property as independent corroboration.  A statement commits each
-    distinct claim's fused credibility as mass over claims plus an
-    unexplained remainder; its belief is the explained share and its
-    plausibility one minus the (never positive) contrary share.
+    believed and the zero-observation not at all.  Contexts are fully
+    believed.  Repeated claims fuse by Dempster's rule: each weight w is
+    the simple support function {claim: w, frame: 1 - w}, and the fused
+    credibility is the belief in the claim after combining them all.  A
+    sequence averages the fused credibility of each distinct property.
+    A statement is one assignment over its distinct claims (a sequence's
+    property profile, fused as above) plus a contrary element: each claim
+    gets its fused credibility as mass, scaled down to sum to 1 when the
+    claims overcommit, and the remainder goes on the whole frame.  Its
+    bel and pl are the belief and plausibility of the set of claims; an
+    empty statement has bel 0 and pl 1.
     """
     if kind not in ("bel", "pl"):
         raise ValueError("unknown credibility kind %r" % kind)
@@ -172,9 +152,11 @@ def credibility(kind: str, f: Any) -> float:
     if isinstance(f, ObservationSequence):
         return _sequence_credibility(f)
     if isinstance(f, EvidentialStatement):
-        if kind == "pl":
-            return 1.0 if len(f) == 0 else _statement_plausibility(f)
-        return _statement_belief(f)
+        claims = _statement_claims(f)
+        if not claims:
+            return 0.0 if kind == "bel" else 1.0
+        query = belief if kind == "bel" else plausibility
+        return query(_statement_assignment(claims), claims)
     raise DomainError("credibility is not defined on %s" % kind_of(f))
 
 
@@ -186,27 +168,22 @@ def _observation_credibility(o: Observation) -> float:
     return o.w
 
 
-def _fuse_independent(weights: Iterable[float]) -> float:
-    doubt = 1.0
-    for w in weights:
-        doubt *= 1.0 - w
-    return 1.0 - doubt
+def _fuse(weights: Iterable[float]) -> float:
+    """Belief in a claim after combining one simple support per weight."""
+    m = functools.reduce(dempster_combine, (
+        MassAssignment(_CLAIM_FRAME, {_CLAIM: w, _CLAIM_FRAME: 1.0 - w})
+        for w in weights))
+    return belief(m, _CLAIM)
 
 
-def _sequence_groups(os: ObservationSequence) -> Dict[str, float]:
-    """Fused credibility per distinct observed property."""
+def _sequence_credibility(os: ObservationSequence) -> float:
     groups: Dict[str, list] = {}
     for o in os.observations:
         groups.setdefault(to_source(o.property), []).append(
             _observation_credibility(o))
-    return {key: _fuse_independent(ws) for key, ws in groups.items()}
-
-
-def _sequence_credibility(os: ObservationSequence) -> float:
-    groups = _sequence_groups(os)
     if not groups:
         return 1.0          # an empty account asserts nothing to doubt
-    return math.fsum(groups.values()) / len(groups)
+    return math.fsum(map(_fuse, groups.values())) / len(groups)
 
 
 def _statement_claims(es: EvidentialStatement) -> Dict[str, float]:
@@ -215,17 +192,13 @@ def _statement_claims(es: EvidentialStatement) -> Dict[str, float]:
     for os in es.sequences:
         key = "|".join(sorted(to_source(o.property) for o in os.observations))
         claims.setdefault(key, []).append(_sequence_credibility(os))
-    return {key: _fuse_independent(ws) for key, ws in claims.items()}
+    return {key: _fuse(ws) for key, ws in claims.items()}
 
 
-def _statement_belief(es: EvidentialStatement) -> float:
-    claims = _statement_claims(es)
-    if not claims:
-        return 0.0
-    # mass over {claims..., unexplained}; normalized when overcommitted
-    return min(1.0, math.fsum(claims.values()))
-
-
-def _statement_plausibility(es: EvidentialStatement) -> float:
-    # no mass is ever committed strictly against the claims
-    return 1.0
+def _statement_assignment(claims: Dict[str, float]) -> MassAssignment:
+    frame = frozenset(claims) | {_CONTRARY}
+    total = math.fsum(claims.values())
+    scale = 1.0 / max(total, 1.0)
+    masses = {frozenset([c]): w * scale for c, w in claims.items()}
+    masses[frame] = 1.0 - min(total, 1.0)
+    return MassAssignment(frame, masses)

@@ -1011,34 +1011,19 @@ class Evaluator:
                                 psi=edges, properties=properties)
 
     def _declared_chains(self, defn):
-        body = defn.node.body
-        while isinstance(body, N.WhereExpr):
-            body = body.body
-        expr = self._static_expr(body)
+        expr = _static_expr(defn.node.body, self.env)
         if not isinstance(expr, N.BracketLit) or not expr.entries:
             return None
         chains = []
         for entry in expr.entries:
             if entry.key is not None:
                 return None
-            item = self._static_expr(entry.value)
+            item = _static_expr(entry.value, self.env)
             if not (isinstance(item, N.StreamBin) and item.op == "pby"
                     and item.annotation is not None):
                 return None
             chains.append(item)
         return chains
-
-    def _static_expr(self, node):
-        seen = set()
-        while isinstance(node, N.Ident):
-            if node.name in seen:
-                return node
-            seen.add(node.name)
-            defn = self.env.get(node.name)
-            if defn is None or defn.kind != "var":
-                return node
-            node = defn.node.expr
-        return node
 
     def _hypothesis(self, node, ctx, frame) -> Hypothesis:
         items: List[Tuple[Any, Optional[str]]] = []
@@ -1282,23 +1267,29 @@ def _string_literals(body: N.Node) -> List[str]:
         n.value for n in N.walk(body) if isinstance(n, N.StringLit)))
 
 
-def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
-    """Read a transition function written as a guard chain over
-    (label, counter) state pairs without evaluating it."""
-    body = cand.node.body
+def _static_expr(node: N.Node, env) -> N.Node:
+    """The expression a node stands for, seen through `where` wrappers
+    and plain variables, without evaluating anything."""
     seen = set()
     while True:
-        if isinstance(body, N.WhereExpr):
-            body = body.body
-        elif isinstance(body, N.Ident) and body.name in env and \
-                env[body.name].kind == "var" and body.name not in seen:
-            seen.add(body.name)
-            body = env[body.name].node.expr
+        if isinstance(node, N.WhereExpr):
+            node = node.body
+        elif isinstance(node, N.Ident) and node.name in env and \
+                env[node.name].kind == "var" and node.name not in seen:
+            seen.add(node.name)
+            node = env[node.name].node.expr
         else:
-            break
+            return node
+
+
+def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
+    """Read a transition function written as a guard chain over
+    (label, counter) state pairs without evaluating it.  As in any
+    `if ... else if` chain, the first guard on an (event, state) pair
+    decides it."""
     event_param, state_param = cand.params
     edges: List[Tuple[str, str, str]] = []
-    node = body
+    node = _static_expr(cand.node.body, env)
     while isinstance(node, N.IfExpr):
         match = _static_guard(node.cond, event_param, state_param)
         if match is None:
@@ -1315,7 +1306,10 @@ def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
     events = list(dict.fromkeys(e for e, _, _ in edges))
     states = list(dict.fromkeys(
         itertools.chain(*((s, t) for _, s, t in edges))))
-    psi = {(e, s): t for e, s, t in edges if t != s}
+    first: Dict[Tuple[str, str], str] = {}
+    for e, s, t in edges:
+        first.setdefault((e, s), t)
+    psi = {(e, s): t for (e, s), t in first.items() if t != s}
     labels: Dict[str, set] = {}
     for state in states:
         label = "(" + state.split(",", 1)[1]

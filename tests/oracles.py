@@ -41,18 +41,6 @@ def pl_oracle(mass: Dict[FrozenSet[Any], float], a: FrozenSet[Any]) -> float:
     return sum(m for b, m in mass.items() if b & a)
 
 
-def mass_from_belief_oracle(frame: Sequence[Any],
-                            bel: Dict[FrozenSet[Any], float]) -> Dict[FrozenSet[Any], float]:
-    """Moebius inversion: m(A) = sum over B subseteq A of (-1)^|A-B| bel(B)."""
-    out = {}
-    for a in powerset(frame):
-        total = 0.0
-        for b in powerset(a):
-            total += ((-1) ** len(a - b)) * bel.get(b, 0.0)
-        out[a] = total
-    return out
-
-
 def dempster_oracle(m1: Dict[FrozenSet[Any], float],
                     m2: Dict[FrozenSet[Any], float]) -> Dict[FrozenSet[Any], float]:
     conflict = 0.0

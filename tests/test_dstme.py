@@ -1,23 +1,22 @@
 """Mass assignments, belief/plausibility, Dempster combination,
 forensic credibility."""
 
-import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flucid.dstme import (
     CombinationUndefinedError, DomainError, MassAssignment, belief,
-    credibility, dempster_combine, mass_from_belief, plausibility, vacuous,
+    credibility, dempster_combine, plausibility,
 )
+from flucid.evaluator import evaluate
 from flucid.values import (
     ContextSet, EvidentialStatement, ObservationSequence, SimpleContext,
     ValidationError, make_observation, no_observation, zero_observation,
 )
 
-from oracles import (
-    bel_oracle, dempster_oracle, mass_from_belief_oracle, pl_oracle, powerset,
-)
+from oracles import bel_oracle, dempster_oracle, pl_oracle, powerset
 
 R, Y, G = "red", "yellow", "green"
 COLOR_FRAME = (R, Y, G)
@@ -118,41 +117,6 @@ class TestBeliefPlausibility:
             assert p == pytest.approx(1.0 - belief(m, comp), abs=1e-9)
 
 
-class TestMassFromBelief:
-    def test_color_round_trip_recovers_masses(self):
-        m = color_assignment()
-        bel_table = {a: belief(m, a) for a in powerset(COLOR_FRAME)}
-        back = mass_from_belief(bel_table, COLOR_FRAME)
-        for subset, mass in COLOR_MASSES.items():
-            assert back.mass(subset) == pytest.approx(mass, abs=1e-9)
-
-    def test_vacuous_indicator(self):
-        frame = ("a", "b")
-        bel_table = {frozenset(frame): 1.0}
-        m = mass_from_belief(bel_table, frame)
-        assert m.mass(frame) == pytest.approx(1.0)
-        assert m.mass({"a"}) == 0.0
-
-    def test_inconsistent_table_rejected(self):
-        frame = ("a", "b")
-        bad = {frozenset(["a"]): 0.9, frozenset(["b"]): 0.9,
-               frozenset(["a", "b"]): 1.0}
-        with pytest.raises(ValidationError, match="inconsistent"):
-            mass_from_belief(bad, frame)
-
-    @given(assignments(max_frame=4))
-    @settings(max_examples=50)
-    def test_round_trip_identity(self, fm):
-        frame, masses = fm
-        m = MassAssignment(frame, masses)
-        bel_table = {a: belief(m, a) for a in powerset(frame)}
-        back = mass_from_belief(bel_table, frame)
-        oracle = mass_from_belief_oracle(frame, bel_table)
-        for a in powerset(frame):
-            assert back.mass(a) == pytest.approx(masses.get(a, 0.0), abs=1e-9)
-            assert back.mass(a) == pytest.approx(max(oracle[a], 0.0), abs=1e-9)
-
-
 def witness(frame, claim, w):
     fr = frozenset(frame)
     masses = {frozenset([claim]): w}
@@ -180,7 +144,8 @@ class TestDempsterCombine:
 
     def test_vacuous_is_neutral(self):
         m = color_assignment()
-        joint = dempster_combine(m, vacuous(COLOR_FRAME))
+        frame = frozenset(COLOR_FRAME)
+        joint = dempster_combine(m, MassAssignment(frame, {frame: 1.0}))
         for a in powerset(COLOR_FRAME):
             assert joint.mass(a) == pytest.approx(m.mass(a), abs=1e-9)
 
@@ -289,3 +254,79 @@ class TestCredibility:
         ]
         for v in values:
             assert credibility("bel", v) <= credibility("pl", v) + 1e-9
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# an account is a list of (property, kind, w): kind "$" is the
+# no-observation, "0" the zero-observation of the property; the weights
+# include the ends and masses below MassAssignment's tolerance
+accounts = st.lists(st.tuples(
+    st.sampled_from("abc"), st.sampled_from(["w", "w", "$", "0"]),
+    st.one_of(st.sampled_from([0.0, 1.0, 5e-10, 1.0 - 5e-10]),
+              st.floats(0.0, 1.0))), max_size=4)
+
+
+def _observation(prop, kind, w):
+    if kind == "$":
+        return no_observation()
+    if kind == "0":
+        return zero_observation(prop)
+    return make_observation(prop, 1, 0, w)
+
+
+def _oracle_fuse(ws):
+    claim, frame = frozenset(["x"]), frozenset(["x", "y"])
+    mass = {frame: 1.0}
+    for w in ws:
+        mass = dempster_oracle(mass, {claim: w, frame: 1.0 - w})
+    return bel_oracle(mass, claim)
+
+
+def _oracle_account(account):
+    groups = {}
+    for prop, kind, w in account:
+        groups.setdefault("$" if kind == "$" else prop, []).append(
+            {"$": 1.0, "0": 0.0}.get(kind, w))
+    if not groups:
+        return 1.0
+    return sum(_oracle_fuse(ws) for ws in groups.values()) / len(groups)
+
+
+def _oracle_statement(accts):
+    claims = {}
+    for account in accts:
+        key = tuple(sorted("$" if kind == "$" else prop
+                           for prop, kind, _ in account))
+        claims.setdefault(key, []).append(_oracle_account(account))
+    fused = {key: _oracle_fuse(ws) for key, ws in claims.items()}
+    if not fused:
+        return 0.0, 1.0
+    total = sum(fused.values())
+    claimed = frozenset(fused)
+    mass = {frozenset([k]): w / max(total, 1.0) for k, w in fused.items()}
+    mass[claimed | {"contrary"}] = 1.0 - min(total, 1.0)
+    return bel_oracle(mass, claimed), pl_oracle(mass, claimed)
+
+
+class TestCredibilityOracle:
+    @given(st.lists(accounts, max_size=5))
+    @settings(max_examples=200)
+    def test_matches_dempster_oracle(self, accts):
+        sequences = tuple(
+            seq(*(_observation(*o) for o in account), name="os%d" % i)
+            for i, account in enumerate(accts))
+        for os_, account in zip(sequences, accts):
+            for kind in ("bel", "pl"):
+                assert credibility(kind, os_) == pytest.approx(
+                    _oracle_account(account), abs=1e-12)
+        bel, pl = _oracle_statement(accts)
+        es = EvidentialStatement(sequences)
+        assert credibility("bel", es) == pytest.approx(bel, abs=1e-12)
+        assert credibility("pl", es) == pytest.approx(pl, abs=1e-12)
+
+    def test_limb_corpus_program(self):
+        with open(os.path.join(HERE, "corpus", "limb.ipl")) as fh:
+            bel, pl = evaluate(fh.read())
+        assert bel == pytest.approx(0.9999, abs=1e-12)
+        assert pl == pytest.approx(1.0, abs=1e-12)

@@ -615,6 +615,30 @@ def test_blackmail_machine_is_read_statically():
     assert "(0,o1,o2)" in fsm.states and "(2,u,t2)" in fsm.states
 
 
+def _blackmail_with_guard(target, first):
+    """blackmail.ipl with one more guard on the pair ("(u)", ("(o1,o2)", 0)),
+    placed before the chain's first guard or right after it."""
+    guard = ('if (c == "(u)" && s == ("(o1,o2)", 0)) '
+             'then %s fby trans[next I](next s) else ' % target)
+    head, sep, chain = _case("blackmail.ipl").partition("result =\n")
+    chain = guard + chain if first else chain.replace("else", "else " + guard, 1)
+    return head + sep + chain.replace("else eod fi", "else eod fi fi")
+
+
+@pytest.mark.parametrize("target, first, fires", [
+    ('("(u,t2)", 2)', False, "(1,u,o2)"),     # the second guard is shadowed
+    ('("(o1,o2)", 0)', True, None),           # a first self-loop decides too
+])
+def test_first_guard_on_a_pair_decides(target, first, fires):
+    ev = Evaluator(analyze(parse(_blackmail_with_guard(target, first))))
+    result = ev.run()
+    fsm = next(iter(ev._machines.values()))
+    assert fsm.psi.get(("(u)", "(0,o1,o2)")) == fires
+    assert result.consistent == (fires is not None)
+    if fires:
+        assert result.backtraces == run(_case("blackmail.ipl")).backtraces
+
+
 def test_claim_results_are_deterministic():
     first = run(_case("acme_no_alice.ipl"))
     second = run(_case("acme_no_alice.ipl"))
