@@ -8,8 +8,9 @@ types; the per-service encodings (switch log, DHCP, netflow, ARP, port
 scan) are shipped as schema presets.  A record field that refuses to
 normalize (a non-finite real too) does not abort the encoding: the
 offending value is kept raw and that observation's credibility weight
-is downgraded instead.  The program is built as a tree, analyzed and
-printed; tests check that parsing the printed text gives the tree back.
+is downgraded instead.  The program is built as a tree and printed, not
+analyzed: its names are unique by construction.  Tests check that
+parsing the printed text gives the tree back and that it analyzes.
 """
 
 from __future__ import annotations
@@ -332,12 +333,13 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     timestamp slot filled from the first timestamp-typed field.  Zero
     records encode as a single no-observation.  The result is a complete
     program whose head demands the sequence, with the encoding time in its
-    header comment only when now is given.  The tree is analyzed and
-    printed, never re-parsed: values with no source form raise EncodeError
-    up front, and tests/test_encoders.py checks the printed round trip.
+    header comment only when now is given.  The tree is printed, never
+    re-parsed or analyzed: values with no source form raise EncodeError up
+    front, and the names cannot clash, the observations being
+    <name>_o_<k> and the sequence <name>.  tests/test_encoders.py checks
+    the printed round trip and that the program analyzes.
     """
-    from . import semantics     # the front end loads on first use only
-    from .syntax import nodes as N, pretty_print
+    from .syntax import nodes as N, pretty_print    # loaded on first use
     from .syntax.lexer import KEYWORDS
 
     def literal(value: Any) -> N.Node:
@@ -394,7 +396,6 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     members = tuple(N.Ident(d.name) for d in decls)
     decls.append(N.OsDecl(name, (), N.BraceLit(members)))
     tree = N.WhereExpr(N.Ident(name), tuple(decls))
-    semantics.analyze(tree)
     stamp = "" if now is None else "%s (%d) " % (render_timestamp(now, tz), now)
     header = ["  // encoded %sfrom %s" % (stamp, source)]
     if None not in epochs and any(a > b for a, b in zip(epochs, epochs[1:])):

@@ -282,7 +282,7 @@ class _Analyzer:
         key = self._dim_ident(node.key)
         if key is node.key and done[0] is node.value:
             return node         # the common case in encoded evidence
-        return N.BracketEntry(key, done[0], node.span)
+        return N.BracketEntry(key, done[0], span=node.span)
 
     def _l_AngleTuple(self, node: N.AngleTuple, done) -> N.Node:
         if isinstance(node.dim, N.Ident):
@@ -340,7 +340,7 @@ class _Analyzer:
         self.scope = self.scope.parent
         body, decls = done[-1], tuple(done[:-1])
         if len(decls) < len(node.decls):    # member assignments dropped
-            return N.WhereExpr(body, decls, node.span)
+            return N.WhereExpr(body, decls, span=node.span)
         return N.with_children(node, [body, *decls])
 
     def _l_DimDecl(self, node: N.DimDecl, done) -> N.Node:
@@ -408,7 +408,7 @@ class _Analyzer:
 
 
 def _renamed(node: N.Ident, unique: str) -> N.Ident:
-    return node if unique == node.name else N.Ident(unique, node.span)
+    return node if unique == node.name else N.Ident(unique, span=node.span)
 
 
 def analyze(tree: N.Node) -> Analysis:

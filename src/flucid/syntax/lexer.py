@@ -1,7 +1,10 @@
 """Tokenizer for the case-specification language.
 
-Produces position-annotated tokens; every lexical error carries the span
-of the offending text.  Notable lexemes:
+tokenize returns a TokenStream: parallel lists of kind, value, start and
+end offset, and the offsets of the source's newlines; no Token or Span
+is kept per token.  A span's line and column are derived from the
+newline offsets when read.  Every lexical error carries the span of the
+offending text.  Notable lexemes:
 
   - hyphenated identifiers (flow-start, port-state): a hyphen is absorbed
     only directly between identifier characters when a letter or
@@ -18,9 +21,8 @@ of the offending text.  Notable lexemes:
     out as two keyword tokens and are joined by the parser.
 
 One compiled pattern, tried at each position, finds the next lexeme
-together with the whitespace and comments before it; line and column
-come from the offsets of the newlines passed over.  Words that are not
-pure ASCII, and characters the pattern does not match, take a short
+together with the whitespace and comments before it.  Words that are
+not pure ASCII, and characters the pattern does not match, take a short
 character-level path (_odd_lexeme), since Python's \\w has no
 "letter" class to tell an identifier start from a digit such as "²".
 """
@@ -28,6 +30,9 @@ character-level path (_odd_lexeme), since Python's \\w has no
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
+from operator import attrgetter, itemgetter
 from typing import Any, List, NamedTuple, Tuple
 
 from ..values import FlucidError
@@ -51,6 +56,43 @@ class Span(NamedTuple):
         return Span(self.line, self.col, self.offset, max(self.end, other.end))
 
 
+class _SourceSpan(Span):
+    """A Span held as (offset, end, the newline offsets of its source):
+    line and col are derived when read, and it equals and hashes as the
+    Span of the same four fields."""
+
+    __slots__ = ()
+    offset = property(itemgetter(0))
+    end = property(itemgetter(1))
+    line = property(lambda self: bisect_left(self[2], self[0]) + 1)
+
+    @property
+    def col(self) -> int:
+        line = bisect_left(self[2], self[0])
+        return self[0] - (self[2][line - 1] if line else -1)
+
+    def merge(self, other: Span) -> Span:
+        if other.offset < self[0]:
+            return other.merge(self)
+        return _new(_SourceSpan, (self[0], max(self[1], other.end), self[2]))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Span) and _fields(self) == _fields(other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+    def __repr__(self) -> str:
+        return "Span(line=%r, col=%r, offset=%r, end=%r)" % _fields(self)
+
+
+_fields = attrgetter("line", "col", "offset", "end")
+_new = tuple.__new__
+
+
 class Token(NamedTuple):
     kind: str               # IDENT INT REAL STRING KW SYM EOF
     value: Any
@@ -59,6 +101,47 @@ class Token(NamedTuple):
     @property
     def raw(self) -> str:
         return str(self.value)
+
+
+class TokenStream(Sequence):
+    """tokenize's result, a read-only sequence of Token views: indexing
+    builds a Token, slicing gives a stream over the same source."""
+
+    __slots__ = ("kinds", "values", "starts", "ends", "newlines")
+
+    def __init__(self, kinds: List[str], values: List[Any], starts: List[int],
+                 ends: List[int], newlines: Tuple[int, ...]):
+        self.kinds, self.values = kinds, values
+        self.starts, self.ends = starts, ends
+        self.newlines = newlines
+
+    @classmethod
+    def of(cls, tokens: Sequence[Token]) -> "TokenStream":
+        """tokens as a stream that ends with an EOF token."""
+        if isinstance(tokens, cls) and tokens.kinds[-1:] == ["EOF"]:
+            return tokens
+        spans = [t.span for t in tokens]
+        end = spans[-1].end if spans else 0
+        first = spans[0] if spans else None
+        newlines = first[2] if type(first) is _SourceSpan else ()
+        return cls([t.kind for t in tokens] + ["EOF"],
+                   [t.value for t in tokens] + [""],
+                   [s.offset for s in spans] + [end],
+                   [s.end for s in spans] + [end], newlines)
+
+    def span(self, first: int, last: int) -> Span:
+        """From the start of token first to the end of token last."""
+        return _new(_SourceSpan, (self.starts[first], self.ends[last],
+                                  self.newlines))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TokenStream(self.kinds[i], self.values[i], self.starts[i],
+                               self.ends[i], self.newlines)
+        return Token(self.kinds[i], self.values[i], self.span(i, i))
 
 
 KEYWORDS = frozenset("""
@@ -111,29 +194,18 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def tokenize(text: str) -> List[Token]:
-    """Scan text into a token list ending with an EOF token."""
-    out: List[Token] = []
-    append = out.append
-    # builds the named tuples without their constructors' Python frames:
-    # making Token and Span objects is most of the time per token
-    new = tuple.__new__
+def tokenize(text: str) -> TokenStream:
+    """Scan text into a token stream ending with an EOF token."""
+    # one flat list of (kind, value, start, end) runs, split at the end
+    flat: List[Any] = []
+    add = flat.extend
+    newlines = tuple(m.start() for m in re.finditer("\n", text))
     match = _LEXEME.match
-    line, line_start = 1, 0
-    next_nl = text.find("\n")
-    if next_nl < 0:
-        next_nl = len(text)
     pos = 0
     while True:
         m = match(text, pos)
         kind = m.lastgroup
         start, pos = m.span(kind)
-        if start > next_nl:
-            line += text.count("\n", next_nl, start)
-            line_start = text.rindex("\n", next_nl, start) + 1
-            next_nl = text.find("\n", start)
-            if next_nl < 0:
-                next_nl = len(text)
         if kind == "SYM":
             value: Any = text[start:pos]
         elif kind == "IDENT":
@@ -141,13 +213,13 @@ def tokenize(text: str) -> List[Token]:
             if value in KEYWORDS:
                 kind = "KW"
             elif not value.isascii():
-                kind, value, pos = _odd_lexeme(text, start, line, line_start)
+                kind, value, pos = _odd_lexeme(text, start, newlines)
         elif kind == "INT":
             try:
                 value = int(text[start:pos])
             except ValueError:
                 raise LexicalError("integer literal too long",
-                                   Span(line, start - line_start + 1, start, pos))
+                                   _new(_SourceSpan, (start, pos, newlines)))
         elif kind == "STRING":
             value = text[start + 1:pos - 1]
             if "\\" in value:
@@ -157,27 +229,25 @@ def tokenize(text: str) -> List[Token]:
         elif kind == "comment":
             continue
         elif kind == "EOF":
-            col = start - line_start + 1
-            append(Token("EOF", "", Span(line, col, start, start)))
-            return out
+            break
         elif kind == "signed_inf":
             kind, value = "SYM", "INF" + text[start]
         elif kind == "typeset_zero":
             kind, value = "SYM", "\\0"
         else:
-            kind, value, pos = _odd_lexeme(text, start, line, line_start)
-        append(new(Token, (kind, value,
-                           new(Span, (line, start - line_start + 1, start, pos)))))
+            kind, value, pos = _odd_lexeme(text, start, newlines)
+        add((kind, value, start, pos))
+    add(("EOF", "", start, start))
+    return TokenStream(flat[::4], flat[1::4], flat[2::4], flat[3::4], newlines)
 
 
-def _odd_lexeme(text: str, start: int, line: int,
-                line_start: int) -> Tuple[str, Any, int]:
+def _odd_lexeme(text: str, start: int,
+                newlines: Tuple[int, ...]) -> Tuple[str, Any, int]:
     """(kind, value, end) of the lexeme at start, for the cases the
     pattern leaves to code; raises LexicalError for the errors."""
-    col = start - line_start + 1
 
     def error(message: str, end: int) -> LexicalError:
-        return LexicalError(message, Span(line, col, start, end))
+        return LexicalError(message, _new(_SourceSpan, (start, end, newlines)))
 
     c = text[start]
     if text.startswith("/*", start):

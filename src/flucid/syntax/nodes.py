@@ -1,11 +1,11 @@
 """Syntax-tree nodes.
 
-Every node carries a source span (excluded from equality so the
-pretty-print round trip can compare trees structurally).  Expression and
-declaration kinds mirror the concrete grammar one to one; bracket,
-brace, and parenthesis literals stay generic here and receive their
-forensic meaning (observation, sequence, statement, context) from the
-semantic analyzer.
+Every node carries a source span, a keyword-only field of Node that is
+excluded from equality, so that the pretty-print round trip can compare
+trees structurally.  Expression and declaration kinds mirror the
+concrete grammar one to one; bracket, brace, and parenthesis literals
+stay generic here and receive their forensic meaning (observation,
+sequence, statement, context) from the semantic analyzer.
 
 Every tree walker goes through the three functions at the end: children()
 lists a node's child nodes, walk() visits a tree in pre-order, and fold()
@@ -23,16 +23,11 @@ from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
 
 from .lexer import Span
 
-DUMMY_SPAN = Span(0, 0, 0, 0)
-
-
-def _span_field() -> object:
-    return field(default=DUMMY_SPAN, compare=False, repr=False)
-
 
 @dataclass(eq=True)
 class Node:
-    pass
+    span: Span = field(default=Span(0, 0, 0, 0), compare=False, repr=False,
+                       kw_only=True)
 
 
 # --- expressions -----------------------------------------------------------
@@ -41,48 +36,41 @@ class Node:
 @dataclass(eq=True)
 class Ident(Node):
     name: str
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class IntLit(Node):
     value: int
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class RealLit(Node):
     value: float
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class StringLit(Node):
     value: str
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class BoolLit(Node):
     value: bool
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class SentinelLit(Node):
     name: str                   # eod | bod | INF+ | INF-
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class NoObsLit(Node):
-    span: Span = _span_field()
+    pass
 
 
 @dataclass(eq=True)
 class ZeroObs(Node):
     prop: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -90,33 +78,28 @@ class Described(Node):
     """E => "free text": a human-readable annotation on a property."""
     expr: Node
     text: str
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class TupleLit(Node):
     """Parenthesized comma list; arity 1..5 may mean an observation."""
     items: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class BracketEntry(Node):
     key: Optional[Node]         # None for a bare array element
     value: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class BracketLit(Node):
     entries: Tuple[BracketEntry, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class BraceLit(Node):
     items: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -125,7 +108,6 @@ class RangeLit(Node):
     lo: Node
     hi: Node
     step: Optional[Node]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -133,7 +115,6 @@ class AngleTuple(Node):
     """dim<E, ..., E>: a finite stream along the named dimension."""
     dim: Node
     items: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -141,13 +122,11 @@ class IfExpr(Node):
     cond: Node
     then_branch: Node
     else_branch: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class HashExpr(Node):
     target: Optional[Node]      # None: the whole current context
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -155,14 +134,12 @@ class AtExpr(Node):
     left: Node
     right: Node
     dim: Optional[str] = None   # @.d navigates one named dimension
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class UnaryOp(Node):
     op: str                     # + - ! ~
     operand: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -170,7 +147,6 @@ class StreamUnary(Node):
     op: str                     # first next prev last second prelast
     operand: Node               # nnext nprev iseod isbod neg not
     dim: Optional[str] = None
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -178,7 +154,6 @@ class BinOp(Node):
     op: str                     # arithmetic, relational, bitwise, && ||
     left: Node
     right: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -188,7 +163,6 @@ class StreamBin(Node):
     right: Node
     dim: Optional[str] = None
     annotation: Optional[Node] = None   # pby [es.#, I:"..."] hop context
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -196,55 +170,47 @@ class CtxBin(Node):
     op: str                     # isSubContext difference intersection
     left: Node                  # projection hiding override union in
     right: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class Call(Node):
     func: Node
     args: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class Subscript(Node):
     base: Node
     indices: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class Dot(Node):
     base: Node
     member: Node                # Ident or bare HashExpr
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class Select(Node):
     index: Node
     source: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class BoxExpr(Node):
     dims: Tuple[Node, ...]
     predicate: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class Embed(Node):
     args: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class WhereExpr(Node):
     body: Node
     decls: Tuple[Node, ...]
-    span: Span = _span_field()
 
 
 # --- declarations ----------------------------------------------------------
@@ -256,14 +222,12 @@ class DimDecl(Node):
     flags: Tuple[str, ...] = ()          # ordered/unordered finite/infinite ...
     tags: Optional[Node] = None          # BraceLit of tag exprs or RangeLit
     value: Optional[Node] = None         # dimension d = E
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class ObsDecl(Node):
     name: str
     value: Optional[Node] = None
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -271,7 +235,6 @@ class OsDecl(Node):
     name: str
     flags: Tuple[str, ...] = ()
     value: Optional[Node] = None
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -279,14 +242,12 @@ class EsDecl(Node):
     name: str
     flags: Tuple[str, ...] = ()
     value: Optional[Node] = None
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
 class VarDecl(Node):
     name: str
     expr: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -295,7 +256,6 @@ class FuncDecl(Node):
     dim_params: Tuple[str, ...]
     params: Tuple[str, ...]
     body: Node
-    span: Span = _span_field()
 
 
 @dataclass(eq=True)
@@ -303,7 +263,6 @@ class MemberAssign(Node):
     base: Node
     member: str
     expr: Node
-    span: Span = _span_field()
 
 
 # --- the generic walk ----------------------------------------------------------

@@ -37,6 +37,10 @@ Chains of operators and prefixes are read by iteration; only bracketing
 constructs recurse.  MAX_NESTING bounds that recursion, so that deep
 input raises FlucidSyntaxError rather than RecursionError.  Syntax errors
 carry the offending span and the expected-token set.
+
+The parser reads the lists of tokenize's stream by index and builds no
+Token; spans are built for nodes and errors only, from token offsets.
+An atom before a closer (, ) ] ; } :) skips the operand and postfix steps.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..values import FlucidError
-from .lexer import CONTEXT_OPS, Span, Token, tokenize
+from .lexer import CONTEXT_OPS, Span, Token, TokenStream, tokenize
 from . import nodes as N
 
 WHERE, CTX, STREAM, AT, LOGICAL, REL, ADD, MUL, UNARY, POSTFIX, ATOM = range(11)
@@ -85,6 +89,8 @@ _PREFIX_OPS = frozenset(["+", "-", "!", "~"]) | STREAM_UNARY_OPS
 _LEAVES = {"IDENT": N.Ident, "INT": N.IntLit, "REAL": N.RealLit,
            "STRING": N.StringLit}
 
+# an atom followed by one of these is a whole expression
+_CLOSERS = frozenset([",", ")", "]", ";", "}", ":"])
 _EXPR_START_SYMS = frozenset(
     ["(", "[", "{", "#", "$", "\\0", "-", "+", "!", "~", "INF+", "INF-"])
 _EXPR_START_KWS = frozenset(
@@ -104,91 +110,103 @@ class FlucidSyntaxError(FlucidError):
 class _Parser:
     # A token's value alone can look like an operator or a keyword only
     # when the token is a STRING, so value tests check the kind after.
+    # A token is its index; kind and value are those of the one at pos.
 
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: TokenStream):
+        self.kinds, self.values = tokens.kinds, tokens.values
+        self.starts, self.span = tokens.starts, tokens.span
         self.pos = 0
-        self.tok = tokens[0]
+        self.kind, self.value = self.kinds[0], self.values[0]
         self.depth = 0
 
     # --- token plumbing ----------------------------------------------------
 
-    def advance(self) -> Token:
-        tok = self.tok
-        self.pos += 1
-        self.tok = self.tokens[self.pos]
-        return tok
+    def advance(self) -> int:
+        pos = self.pos
+        self.pos = pos + 1
+        self.kind = self.kinds[pos + 1]
+        self.value = self.values[pos + 1]
+        return pos
 
     def at_sym(self, sym: str) -> bool:
-        return self.tok.value == sym and self.tok.kind == "SYM"
+        return self.value == sym and self.kind == "SYM"
 
     def at_kw(self, word: str) -> bool:
-        return self.tok.value == word and self.tok.kind == "KW"
+        return self.value == word and self.kind == "KW"
+
+    def at_next_sym(self, sym: str) -> bool:
+        pos = self.pos + 1
+        return self.values[pos] == sym and self.kinds[pos] == "SYM"
 
     def fail(self, expected: Iterable[str]) -> FlucidSyntaxError:
-        tok = self.tok
-        got = tok.raw if tok.kind != "EOF" else "end of input"
+        got = str(self.value) if self.kind != "EOF" else "end of input"
         exp = sorted(expected)
         if len(exp) == 1:
             msg = "expected %s, found %r" % (exp[0], got)
         else:
             msg = "expected one of %s, found %r" % (", ".join(exp), got)
-        return FlucidSyntaxError(msg, tok.span, exp)
+        return FlucidSyntaxError(msg, self.span(self.pos, self.pos), exp)
 
-    def expect_sym(self, sym: str) -> Token:
+    def expect_sym(self, sym: str) -> int:
         if not self.at_sym(sym):
             raise self.fail([sym])
         return self.advance()
 
-    def expect_kw(self, word: str) -> Token:
+    def expect_kw(self, word: str) -> int:
         if not self.at_kw(word):
             raise self.fail([word])
         return self.advance()
 
-    def expect_ident(self) -> Token:
-        if self.tok.kind != "IDENT":
+    def expect_ident(self) -> str:
+        if self.kind != "IDENT":
             raise self.fail(["identifier"])
-        return self.advance()
+        return self.values[self.advance()]
 
     def _op_dim_suffix(self) -> Optional[str]:
         # fby.d / @.d : a dimension rider on an intensional operator
-        if self.at_sym(".") and self.tokens[self.pos + 1].kind == "IDENT":
+        if self.at_sym(".") and self.kinds[self.pos + 1] == "IDENT":
             self.advance()
-            return self.advance().value
+            return self.values[self.advance()]
         return None
 
     def _starts_expression(self) -> bool:
-        tok = self.tok
-        if tok.kind in ("IDENT", "INT", "REAL", "STRING"):
-            return True
-        if tok.kind == "KW":
-            return tok.value in _EXPR_START_KWS
-        if tok.kind == "SYM":
-            return tok.value in _EXPR_START_SYMS
-        return False
+        if self.kind == "KW":
+            return self.value in _EXPR_START_KWS
+        if self.kind == "SYM":
+            return self.value in _EXPR_START_SYMS
+        return self.kind in _LEAVES
 
     # --- expressions ----------------------------------------------------------
 
     def expr(self, min_bp: int = WHERE) -> N.Node:
         """An expression whose binary operators bind at least min_bp."""
+        leaf = _LEAVES.get(self.kind)
+        if leaf is not None and self.depth < MAX_NESTING:
+            # no operator or postfix follows an atom before a closer
+            pos = self.pos
+            closer = self.values[pos + 1]
+            if closer in _CLOSERS and self.kinds[pos + 1] == "SYM":
+                node = leaf(self.value, span=self.span(pos, pos))
+                self.pos, self.kind, self.value = pos + 1, "SYM", closer
+                return node
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FlucidSyntaxError("expression nested deeper than %d levels"
-                                    % MAX_NESTING, self.tok.span)
+                                    % MAX_NESTING,
+                                    self.span(self.pos, self.pos))
         left = self.operand()
         max_bp = ATOM
         while True:
-            tok = self.tok
-            bp = BINDING_POWER.get(tok.value)
-            if bp is None or not min_bp <= bp <= max_bp or tok.kind == "STRING":
+            op = self.value
+            bp = BINDING_POWER.get(op)
+            if bp is None or not min_bp <= bp <= max_bp or self.kind == "STRING":
                 break
             self.advance()
-            op = tok.value
             if bp == WHERE:
                 decls = self.parse_declarations()
                 end = self.expect_kw("end")
                 left = N.WhereExpr(left, tuple(decls),
-                                   span=left.span.merge(end.span))
+                                   span=left.span.merge(self.span(end, end)))
             elif bp == STREAM:
                 left = self._stream_chain(left, op)
             else:
@@ -222,10 +240,9 @@ class _Parser:
                 annotation = bracket
             links.append((left, op, dim, annotation))
             left = self.expr(AT)
-            tok = self.tok
-            if tok.value not in STREAM_BIN_OPS or tok.kind != "KW":
+            if self.value not in STREAM_BIN_OPS or self.kind != "KW":
                 break
-            op = self.advance().value
+            op = self.values[self.advance()]
         for first, op, dim, annotation in reversed(links):
             left = N.StreamBin(op, first, left, dim, annotation,
                                span=first.span.merge(left.span))
@@ -234,57 +251,55 @@ class _Parser:
     def operand(self) -> N.Node:
         """Prefix operators, then a primary and its postfix tail."""
         prefixes = []
-        tok = self.tok
-        while tok.value in _PREFIX_OPS and tok.kind != "STRING":
-            self.advance()
-            dim = self._op_dim_suffix() if tok.kind == "KW" else None
-            prefixes.append((tok, dim))
-            tok = self.tok
+        while self.value in _PREFIX_OPS and self.kind != "STRING":
+            keyword = self.kind == "KW"
+            tok = self.advance()
+            prefixes.append((tok, self._op_dim_suffix() if keyword else None))
         node = self.postfix(self.primary())
         for tok, dim in reversed(prefixes):
-            span = tok.span.merge(node.span)
-            if tok.kind == "SYM":
-                node = N.UnaryOp(tok.value, node, span=span)
+            span = self.span(tok, tok).merge(node.span)
+            if self.kinds[tok] == "SYM":
+                node = N.UnaryOp(self.values[tok], node, span=span)
             else:
-                node = N.StreamUnary(tok.value, node, dim, span=span)
+                node = N.StreamUnary(self.values[tok], node, dim, span=span)
         return node
 
     def postfix(self, base: N.Node) -> N.Node:
-        while True:
-            tok = self.tok
-            if tok.kind != "SYM":
-                return base
-            if tok.value == "(":
+        while self.kind == "SYM":
+            value = self.value
+            if value == "(":
                 self.advance()
                 args = self._comma_exprs(")")
                 close = self.expect_sym(")")
-                base = N.Call(base, tuple(args), span=base.span.merge(close.span))
-            elif tok.value == "[":
-                self.advance()
+                base = N.Call(base, tuple(args),
+                              span=base.span.merge(self.span(close, close)))
+            elif value == "[":
+                tok = self.advance()
                 indices = self._comma_exprs("]")
                 close = self.expect_sym("]")
                 if not indices:
-                    raise FlucidSyntaxError("empty subscript", tok.span,
-                                            ["expression"])
+                    raise FlucidSyntaxError(
+                        "empty subscript", self.span(tok, tok), ["expression"])
                 base = N.Subscript(base, tuple(indices),
-                                   span=base.span.merge(close.span))
-            elif tok.value == "." and (
-                    self.tokens[self.pos + 1].kind == "IDENT"
-                    or self.tokens[self.pos + 1][:2] == ("SYM", "#")):
+                                   span=base.span.merge(self.span(close, close)))
+            elif value == "." and (self.kinds[self.pos + 1] == "IDENT"
+                                   or self.at_next_sym("#")):
                 self.advance()
                 tok = self.advance()
-                if tok.kind == "SYM":
-                    member: N.Node = N.HashExpr(None, span=tok.span)
+                span = self.span(tok, tok)
+                if self.kinds[tok] == "SYM":
+                    member: N.Node = N.HashExpr(None, span=span)
                 else:
-                    member = N.Ident(tok.value, span=tok.span)
-                base = N.Dot(base, member, span=base.span.merge(tok.span))
-            elif tok.value == "<" and tok.span.offset == base.span.end:
+                    member = N.Ident(self.values[tok], span=span)
+                base = N.Dot(base, member, span=base.span.merge(span))
+            elif value == "<" and self.starts[self.pos] == base.span.end:
                 tup = self._try_angle_tuple(base)
                 if tup is None:
                     return base
                 base = tup
             else:
                 return base
+        return base
 
     def _try_angle_tuple(self, base: N.Node) -> Optional[N.Node]:
         saved = self.pos, self.depth
@@ -297,10 +312,10 @@ class _Parser:
                 items.append(self.expr(ADD))
             close = self.expect_sym(">")
             return N.AngleTuple(base, tuple(items),
-                                span=base.span.merge(close.span))
+                                span=base.span.merge(self.span(close, close)))
         except FlucidSyntaxError:
             self.pos, self.depth = saved
-            self.tok = self.tokens[self.pos]
+            self.kind, self.value = self.kinds[self.pos], self.values[self.pos]
             return None
 
     def _comma_exprs(self, closer: str) -> List[N.Node]:
@@ -316,75 +331,76 @@ class _Parser:
     # --- primaries -----------------------------------------------------------
 
     def primary(self) -> N.Node:
-        tok = self.tok
-        leaf = _LEAVES.get(tok.kind)
+        tok, kind, value = self.pos, self.kind, self.value
+        leaf = _LEAVES.get(kind)
         if leaf is not None:
             self.advance()
-            return leaf(tok.value, span=tok.span)
-        if tok.kind == "SYM":
-            if tok.value == "(":
+            return leaf(value, span=self.span(tok, tok))
+        if kind == "SYM":
+            if value == "(":
                 return self._parse_paren(tok)
-            if tok.value == "[":
+            if value == "[":
                 return self.parse_bracket()
-            if tok.value == "$":
+            if value == "$":
                 self.advance()
-                return N.NoObsLit(span=tok.span)
-            if tok.value in ("INF+", "INF-"):
+                return N.NoObsLit(span=self.span(tok, tok))
+            if value in ("INF+", "INF-"):
                 self.advance()
-                return N.SentinelLit(tok.value, span=tok.span)
-            if tok.value == "\\0":
+                return N.SentinelLit(value, span=self.span(tok, tok))
+            if value == "\\0":
                 self.advance()
                 self.expect_sym("(")
                 prop = self.expr()
                 close = self.expect_sym(")")
-                return N.ZeroObs(prop, span=tok.span.merge(close.span))
-            if tok.value == "#":
+                return N.ZeroObs(prop, span=self.span(tok, close))
+            if value == "#":
                 self.advance()
-                if self.tok.kind == "IDENT" or self.at_sym("("):
+                if self.kind == "IDENT" or self.at_sym("("):
                     target = self.postfix(self.primary())
-                    return N.HashExpr(target, span=tok.span.merge(target.span))
-                return N.HashExpr(None, span=tok.span)
-            if tok.value == "{":
+                    return N.HashExpr(target, span=self.span(tok, tok).merge(
+                        target.span))
+                return N.HashExpr(None, span=self.span(tok, tok))
+            if value == "{":
                 return self._parse_brace(tok)
-        if tok.kind == "KW":
-            if tok.value in ("true", "false"):
+        if kind == "KW":
+            if value in ("true", "false"):
                 self.advance()
-                return N.BoolLit(tok.value == "true", span=tok.span)
-            if tok.value in ("eod", "bod"):
+                return N.BoolLit(value == "true", span=self.span(tok, tok))
+            if value in ("eod", "bod"):
                 self.advance()
-                return N.SentinelLit(tok.value, span=tok.span)
-            if tok.value == "if":
+                return N.SentinelLit(value, span=self.span(tok, tok))
+            if value == "if":
                 return self._parse_if(tok)
-            if tok.value == "select":
+            if value == "select":
                 self.advance()
                 self.expect_sym("(")
                 index = self.expr()
                 self.expect_sym(",")
                 source = self.expr()
                 close = self.expect_sym(")")
-                return N.Select(index, source, span=tok.span.merge(close.span))
-            if tok.value == "Box":
+                return N.Select(index, source, span=self.span(tok, close))
+            if value == "Box":
                 return self._parse_box(tok)
-            if tok.value == "embed":
+            if value == "embed":
                 self.advance()
                 self.expect_sym("(")
                 args = self._comma_exprs(")")
                 close = self.expect_sym(")")
                 if not args:
                     raise FlucidSyntaxError("embed needs a URI argument",
-                                            close.span, ["expression"])
-                return N.Embed(tuple(args), span=tok.span.merge(close.span))
-            if tok.value in FORENSIC_CALLS \
-                    and self.tokens[self.pos + 1][:2] == ("SYM", "("):
+                                            self.span(close, close),
+                                            ["expression"])
+                return N.Embed(tuple(args), span=self.span(tok, close))
+            if value in FORENSIC_CALLS and self.at_next_sym("("):
                 self.advance()
                 self.advance()
                 args = self._comma_exprs(")")
                 close = self.expect_sym(")")
-                return N.Call(N.Ident(tok.value, span=tok.span), tuple(args),
-                              span=tok.span.merge(close.span))
+                return N.Call(N.Ident(value, span=self.span(tok, tok)),
+                              tuple(args), span=self.span(tok, close))
         raise self.fail(["expression"])
 
-    def _parse_paren(self, open_tok: Token) -> N.Node:
+    def _parse_paren(self, open_tok: int) -> N.Node:
         self.advance()
         items: List[N.Node] = []
         described = False
@@ -392,11 +408,11 @@ class _Parser:
             item = self.expr()
             if self.at_sym("=>"):
                 self.advance()
-                if self.tok.kind != "STRING":
+                if self.kind != "STRING":
                     raise self.fail(["string"])
                 text = self.advance()
-                item = N.Described(item, text.value,
-                                   span=item.span.merge(text.span))
+                item = N.Described(item, self.values[text],
+                                   span=item.span.merge(self.span(text, text)))
                 described = True
             items.append(item)
             if self.at_sym(","):
@@ -406,14 +422,14 @@ class _Parser:
         close = self.expect_sym(")")
         if len(items) == 1 and not described:
             return items[0]
-        return N.TupleLit(tuple(items), span=open_tok.span.merge(close.span))
+        return N.TupleLit(tuple(items), span=self.span(open_tok, close))
 
     def parse_bracket(self) -> N.Node:
         open_tok = self.expect_sym("[")
         entries: List[N.BracketEntry] = []
         while not self.at_sym("]"):
             first = self.expr()
-            if self.tok.value in (":", "=>") and self.tok.kind == "SYM":
+            if self.value in (":", "=>") and self.kind == "SYM":
                 self.advance()
                 value = self.expr()
                 entries.append(N.BracketEntry(first, value,
@@ -425,13 +441,13 @@ class _Parser:
                 continue
             break
         close = self.expect_sym("]")
-        return N.BracketLit(tuple(entries), span=open_tok.span.merge(close.span))
+        return N.BracketLit(tuple(entries), span=self.span(open_tok, close))
 
-    def _parse_brace(self, open_tok: Token) -> N.Node:
+    def _parse_brace(self, open_tok: int) -> N.Node:
         self.advance()
         if self.at_sym("}"):
             close = self.advance()
-            return N.BraceLit((), span=open_tok.span.merge(close.span))
+            return N.BraceLit((), span=self.span(open_tok, close))
         first = self.expr()
         if self.at_kw("to"):
             self.advance()
@@ -441,16 +457,15 @@ class _Parser:
                 self.advance()
                 step = self.expr()
             close = self.expect_sym("}")
-            return N.RangeLit(first, hi, step,
-                              span=open_tok.span.merge(close.span))
+            return N.RangeLit(first, hi, step, span=self.span(open_tok, close))
         items = [first]
         while self.at_sym(","):
             self.advance()
             items.append(self.expr())
         close = self.expect_sym("}")
-        return N.BraceLit(tuple(items), span=open_tok.span.merge(close.span))
+        return N.BraceLit(tuple(items), span=self.span(open_tok, close))
 
-    def _parse_if(self, tok: Token) -> N.Node:
+    def _parse_if(self, tok: int) -> N.Node:
         self.advance()
         cond = self.expr(CTX)
         self.expect_kw("then")
@@ -459,9 +474,9 @@ class _Parser:
         else_branch = self.expr(CTX)
         close = self.expect_kw("fi")
         return N.IfExpr(cond, then_branch, else_branch,
-                        span=tok.span.merge(close.span))
+                        span=self.span(tok, close))
 
-    def _parse_box(self, tok: Token) -> N.Node:
+    def _parse_box(self, tok: int) -> N.Node:
         self.advance()
         self.expect_sym("[")
         dims = [self.expr()]
@@ -471,8 +486,7 @@ class _Parser:
         self.expect_sym("\\")
         predicate = self.expr()
         close = self.expect_sym("]")
-        return N.BoxExpr(tuple(dims), predicate,
-                         span=tok.span.merge(close.span))
+        return N.BoxExpr(tuple(dims), predicate, span=self.span(tok, close))
 
     # --- declarations ---------------------------------------------------------
 
@@ -480,7 +494,8 @@ class _Parser:
         decls: List[N.Node] = []
         if self.at_kw("end"):
             raise FlucidSyntaxError("a where clause needs at least one declaration",
-                                    self.tok.span, ["declaration"])
+                                    self.span(self.pos, self.pos),
+                                    ["declaration"])
         while not self.at_kw("end"):
             if self.at_kw("dimension"):
                 decls.append(self._parse_dim_decl())
@@ -488,9 +503,9 @@ class _Parser:
                 decls.append(self._parse_observation_decl())
             elif self.at_kw("evidential"):
                 decls.append(self._parse_es_decl())
-            elif self.tok.kind == "IDENT":
+            elif self.kind == "IDENT":
                 decls.append(self._parse_assignment())
-            elif self.tok.kind == "EOF":
+            elif self.kind == "EOF":
                 raise self.fail(["end"])
             else:
                 raise self.fail(["dimension", "observation",
@@ -499,10 +514,10 @@ class _Parser:
 
     def _parse_dim_decl(self) -> N.Node:
         kw = self.advance()
-        names = [self.expect_ident().value]
+        names = [self.expect_ident()]
         while self.at_sym(","):
             self.advance()
-            names.append(self.expect_ident().value)
+            names.append(self.expect_ident())
         flags: Tuple[str, ...] = ()
         tags = None
         value = None
@@ -510,7 +525,7 @@ class _Parser:
             self.advance()
             flags = self._decl_flags()
             if self.at_sym("{"):
-                tags = self._parse_brace(self.tok)
+                tags = self._parse_brace(self.pos)
             elif not flags:
                 raise self.fail(["tag set", "ordering flag"])
         elif self.at_sym("="):
@@ -518,7 +533,7 @@ class _Parser:
             value = self.expr()
         semi = self.expect_sym(";")
         return N.DimDecl(tuple(names), flags, tags, value,
-                         span=kw.span.merge(semi.span))
+                         span=self.span(kw, semi))
 
     def _parse_observation_decl(self) -> N.Node:
         kw = self.advance()
@@ -526,20 +541,20 @@ class _Parser:
             self.advance()
             flags = self._decl_flags()
             name, value, semi = self._named_value()
-            return N.OsDecl(name, flags, value, span=kw.span.merge(semi.span))
+            return N.OsDecl(name, flags, value, span=self.span(kw, semi))
         name, value, semi = self._named_value()
-        return N.ObsDecl(name, value, span=kw.span.merge(semi.span))
+        return N.ObsDecl(name, value, span=self.span(kw, semi))
 
     def _parse_es_decl(self) -> N.Node:
         kw = self.advance()
         self.expect_kw("statement")
         flags = self._decl_flags()
         name, value, semi = self._named_value()
-        return N.EsDecl(name, flags, value, span=kw.span.merge(semi.span))
+        return N.EsDecl(name, flags, value, span=self.span(kw, semi))
 
-    def _named_value(self) -> Tuple[str, Optional[N.Node], Token]:
+    def _named_value(self) -> Tuple[str, Optional[N.Node], int]:
         # name [= expr] ;
-        name = self.expect_ident().value
+        name = self.expect_ident()
         value = None
         if self.at_sym("="):
             self.advance()
@@ -548,8 +563,8 @@ class _Parser:
 
     def _decl_flags(self) -> Tuple[str, ...]:
         flags: List[str] = []
-        while self.tok.kind == "KW" and self.tok.value in DIM_FLAGS:
-            flags.append(self.advance().value)
+        while self.kind == "KW" and self.value in DIM_FLAGS:
+            flags.append(self.values[self.advance()])
         return tuple(flags)
 
     def _parse_assignment(self) -> N.Node:
@@ -557,7 +572,7 @@ class _Parser:
         self.expect_sym("=")
         rhs = self.expr()
         semi = self.expect_sym(";")
-        span = lhs.span.merge(semi.span)
+        span = lhs.span.merge(self.span(semi, semi))
         if isinstance(lhs, N.Ident):
             return N.VarDecl(lhs.name, rhs, span=span)
         if isinstance(lhs, N.Dot) and isinstance(lhs.member, N.Ident):
@@ -588,17 +603,15 @@ def _ident_names(exprs: Sequence[N.Node]) -> Optional[Tuple[str, ...]]:
 
 
 def parse(source: Union[str, Sequence[Token]]) -> N.Node:
-    """Parse a whole program (one expression, usually with a where)."""
-    tokens = tokenize(source) if isinstance(source, str) else list(source)
-    if not tokens or tokens[-1].kind != "EOF":
-        # a token list cut before its EOF token ends where its last token does
-        last = tokens[-1].span if tokens else Span(1, 1, 0, 0)
-        col = last.col + last.end - last.offset
-        tokens.append(Token("EOF", "", Span(last.line, col, last.end, last.end)))
-    p = _Parser(tokens)
+    """Parse a whole program (one expression, usually with a where).
+
+    source is text or tokens; the stream of tokenize is read as it is.
+    """
+    p = _Parser(tokenize(source) if isinstance(source, str)
+                else TokenStream.of(source))
     tree = p.expr()
     if p.at_sym(";"):
         p.advance()
-    if p.tok.kind != "EOF":
+    if p.kind != "EOF":
         raise p.fail(["end of input"])
     return tree

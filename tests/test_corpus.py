@@ -1,10 +1,13 @@
 """Golden corpus: every bundled program parses and pretty-prints round trip."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from flucid.syntax import parse, pretty_print
+from flucid.syntax import parse, pretty_print, tokenize
+from flucid.syntax.nodes import walk
+from flucid.values import FlucidError
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ipl"))
 CASES = sorted((Path(__file__).parent / "cases").glob("*.ipl"))
@@ -40,3 +43,33 @@ def test_analyzes_without_errors(path):
 
     result = analyze(parse(_read(path)))
     assert result.errors == ()
+
+
+FRONT_END_DIGEST = \
+    "d1a306549386e8bda74805db8de84c1e65ad887953fed1d154b39c7f6391bef6"
+
+
+def _position(span):
+    return span.line, span.col, span.offset, span.end
+
+
+def test_front_end_digest():
+    """Every token's kind, value and position, and every node's type and
+    span in pre-order (or the error, with its position), over the test
+    programs and the fixtures.  The digest changes only with a note in
+    CHANGES.md that says why."""
+    tests = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(tests.rglob("*.ipl")) + sorted(
+            (tests / "fixtures").iterdir()):
+        text = path.read_text(encoding="utf-8")
+        rows = [path.relative_to(tests).as_posix()]
+        try:
+            rows += [(t.kind, t.value, *_position(t.span))
+                     for t in tokenize(text)]
+            rows += [(type(n).__name__, *_position(n.span))
+                     for n in walk(parse(text))]
+        except FlucidError as err:
+            rows.append((type(err).__name__, str(err), *_position(err.span)))
+        digest.update(repr(rows).encode("utf-8"))
+    assert digest.hexdigest() == FRONT_END_DIGEST

@@ -37,3 +37,23 @@ def test_front_end_does_not_import_the_reconstruction_engine():
         for name in _imported_modules(path):
             assert name.split(".")[:2] != ["flucid", "era"], \
                 "%s imports %s" % (path.relative_to(PACKAGE), name)
+
+
+def test_parse_reads_the_token_lists(monkeypatch):
+    # a Token is a view built on indexing a stream; parsing builds none
+    from flucid.encoders import PRESETS, encode_log
+    from flucid.syntax import lexer, parse, parser
+
+    records = [{"ts": 1_600_000_000 + k, "ipaddr": "10.0.0.%d" % k,
+                "mac": "aa:bb:cc:dd:ee:%02x" % k, "hostname": "host-%d" % k}
+               for k in range(50)]
+    sources = [(pathlib.Path(__file__).parent / "cases" / "acme.ipl")
+               .read_text(encoding="utf-8"),
+               encode_log(records, "log", "test", PRESETS["dhcp"], tz="UTC")]
+
+    def no_token(*args, **kwargs):
+        raise AssertionError("a Token was built")
+    monkeypatch.setattr(lexer, "Token", no_token)
+    monkeypatch.setattr(parser, "Token", no_token)
+    for text in sources:
+        parse(text)

@@ -27,7 +27,9 @@ from flucid.encoders import (
     parse_schema,
 )
 from flucid.evaluator import evaluate
+from flucid.semantics import analyze
 from flucid.syntax import parse, pretty_print
+from flucid.syntax.lexer import KEYWORDS
 
 
 def encode_with_tree(records, name="log", source="test", schema=PRESETS["dhcp"],
@@ -340,10 +342,36 @@ records = st.lists(st.dictionaries(
     st.sampled_from([f.field for f in ALL_TYPES.fields]), values), max_size=6)
 
 
+# encode_log does not analyze its program: its names are unique by
+# construction, and this test is what holds it to that
+identifiers = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+    st.tuples(st.sampled_from(["x", "seq", "INF", "x_o_1"]),
+              st.integers(1, 7)).map("%s_o_%d".__mod__),
+    st.sampled_from(["INF", "x_o_1", "x", "d"]),
+).filter(lambda word: word not in KEYWORDS)
+
+
+@st.composite
+def namings(draw):
+    """(sequence name, ALL_TYPES with its dimensions renamed)."""
+    dims = draw(st.lists(identifiers, min_size=len(ALL_TYPES.fields),
+                         max_size=len(ALL_TYPES.fields), unique=True))
+    schema = Schema(tuple(FieldSpec(f.field, dim, f.type)
+                          for f, dim in zip(ALL_TYPES.fields, dims)))
+    return draw(st.one_of(identifiers, st.sampled_from(dims))), schema
+
+
 @settings(max_examples=150, deadline=None)
-@given(records)
-def test_round_trip_adversarial_records(recs):
-    text, tree = encode_with_tree(recs, "seq", "fuzz", ALL_TYPES, tz="UTC",
+@given(records, namings())
+def test_round_trip_adversarial_records(recs, naming):
+    name, schema = naming
+    text, tree = encode_with_tree(recs, name, "fuzz", schema, tz="UTC",
                                   reference_year=2020)
     assert parse(text) == tree
-    assert len(observations(text)) == max(len(recs), 1)
+    n = max(len(recs), 1)
+    analysis = analyze(parse(text))
+    assert analysis.errors == ()
+    assert sorted(analysis.env) == sorted(
+        [name] + ["%s_o_%d" % (name, k) for k in range(1, n + 1)])
+    assert len(observations(text)) == n

@@ -29,10 +29,13 @@ from flucid.syntax import (
     RangeLit,
     RealLit,
     SentinelLit,
+    Span,
     StreamBin,
     StreamUnary,
     StringLit,
     Subscript,
+    Token,
+    TokenStream,
     TupleLit,
     UnaryOp,
     VarDecl,
@@ -42,6 +45,7 @@ from flucid.syntax import (
     pretty_print,
     tokenize,
 )
+from flucid.encoders import PRESETS, encode_log
 from flucid.semantics import analyze, rewrite_to_core
 from flucid.syntax.nodes import walk
 from flucid.values import FlucidError, ValidationError
@@ -76,6 +80,42 @@ def test_tokenize_spans_track_lines():
     assert (toks[0].span.line, toks[0].span.col) == (1, 1)
     assert (toks[1].span.line, toks[1].span.col) == (2, 3)
     assert toks[1].span.offset == 4 and toks[1].span.end == 6
+
+
+def test_token_stream_is_a_sequence_of_token_views():
+    text = "f(x,\n  1)"
+    toks = tokenize(text)
+    assert isinstance(toks, TokenStream) and len(toks) == 7
+    views = list(toks)
+    assert views == [toks[i] for i in range(len(toks))]
+    assert toks[4] == Token("INT", 1, Span(2, 3, 7, 8)) == toks[-3]
+    assert toks[-1] == Token("EOF", "", Span(2, 5, 9, 9))
+    with pytest.raises(IndexError):
+        toks[7]
+    assert isinstance(toks[1:3], TokenStream)
+    assert list(toks[1:3]) == views[1:3]
+    assert list(toks[::-1]) == views[::-1]
+    assert parse(toks[:-1]) == parse(text)
+    assert parse(toks[:-1]).span == parse(text).span == Span(1, 1, 0, 9)
+    assert toks[4].raw == "1"
+
+
+def test_token_views_are_immutable_hashable_values():
+    toks = tokenize("a\n  bb")
+    tok, built = toks[1], Token("IDENT", "bb", Span(2, 3, 4, 6))
+    assert tok == built and not tok != built
+    assert hash(tok) == hash(built) and len({tok, built}) == 1
+    assert tok.span == built.span and hash(tok.span) == hash(built.span)
+    assert tok.span != Span(2, 4, 4, 6) and tok != toks[0]
+    assert repr(tok.span) == repr(built.span)
+    with pytest.raises(AttributeError):
+        tok.span.line = 3
+    with pytest.raises(AttributeError):
+        tok.kind = "KW"
+    whole = Span(1, 1, 0, 6)
+    assert toks[0].span.merge(tok.span) == whole
+    assert tok.span.merge(toks[0].span) == built.span.merge(toks[0].span)
+    assert built.span.merge(toks[0].span) == whole
 
 
 def test_tokenize_hyphenated_identifier():
@@ -559,6 +599,8 @@ def test_random_text_raises_only_flucid_errors(text):
     except FlucidError as err:
         _assert_position(text, err.span)
         return
+    for node in walk(tree):
+        _assert_position(text, node.span)
     try:
         analyze(tree)
     except FlucidError as err:
@@ -571,14 +613,32 @@ def test_random_text_raises_only_flucid_errors(text):
 def test_analyze_on_random_trees_raises_only_flucid_errors(tree):
     # random text seldom parses; printed random trees always do
     text = pretty_print(tree)
+    tree = parse(text)
+    for node in walk(tree):
+        _assert_position(text, node.span)
     try:
-        analyze(parse(text))
+        analyze(tree)
     except FlucidError as err:
         spans = ([r.span for r in getattr(err, "records", ())]
                  or [getattr(err, "span", None)])
         for span in spans:
             assert span is not None
             _assert_position(text, span)
+
+
+def test_node_positions_deep_in_a_long_document():
+    records = [{"ts": 1_600_000_000 + k,
+                "ipaddr": "10.0.%d.%d" % divmod(k, 256),
+                "mac": "aa:bb:cc:dd:%02x:%02x" % divmod(k, 256),
+                "hostname": "host-%d" % k} for k in range(2000)]
+    text = encode_log(records, "log", "test", PRESETS["dhcp"], tz="UTC")
+    last = parse(text).decls[-2]
+    assert last.name == "log_o_2000"
+    offset = text.index("observation log_o_2000 ")
+    assert (last.span.line, last.span.col) == (2003, 3)
+    assert (last.span.offset, last.span.end) == (offset,
+                                                  text.index("\n", offset))
+    _assert_position(text, last.span)
 
 
 def test_pretty_print_refuses_a_string_holding_a_newline():
