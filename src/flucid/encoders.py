@@ -26,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from .values import FlucidError
 
 DEFAULT_PARTIAL_W = 0.5
-TZ_ENV_VAR = "FLUCID_TZ"
 
 FIELD_TYPES = ("text", "int", "real", "mac", "timestamp", "hostname")
 
@@ -97,7 +96,7 @@ _TS_EPOCH = re.compile(r"^-?\d{1,18}$")
 
 def _resolve_zone(name: Optional[str]):
     if name is None:
-        name = os.environ.get(TZ_ENV_VAR) or "UTC"
+        name = "UTC"
     offset = _ZONE_OFFSETS.get(name.upper() if len(name) <= 4 else name)
     if offset is not None:
         return timezone(timedelta(hours=offset), name)
@@ -131,8 +130,8 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     reference_year, 1970 when absent), ISO "YYYY-MM-DD HH:MM[:SS]
     [ZONE]" with optional fractional seconds, compact "YYYYMMDDHHMM",
     a bare epoch integer, and this function's own canonical output.
-    Zoneless forms are interpreted in tz (or the FLUCID_TZ environment
-    variable, or UTC); the canonical text is always rendered there.
+    Zoneless forms are interpreted in tz (UTC when None); the canonical
+    text is always rendered there.
     """
     zone = _resolve_zone(tz)
     if isinstance(s, int) and not isinstance(s, bool):

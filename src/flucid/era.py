@@ -152,10 +152,6 @@ class MSPR(_Runs):
     lens: Tuple[Tuple[int, ...], ...]
     computations: FrozenSet[Computation]
 
-    def is_proper(self) -> bool:
-        sums = {sum(v) for v in self.lens}
-        return len(sums) <= 1
-
     def is_empty(self) -> bool:
         return not self.computations
 

@@ -13,13 +13,19 @@ the occurrence, not of the call.
 
 Stream operators are evaluated directly by index arithmetic; the
 semantics.rewrite_to_core reduction is the cross-check, not the
-implementation.  Forensic values (observations, sequences, statements)
-flow through the same machinery, and a call applying a claim-evaluator
-function to an evidential statement is dispatched to the embedded
-reconstruction engine: the transition function declared alongside it is
-tabulated into a finite state machine, and the claim is either checked
-by reconstruction or, when the program declares explicit hypothesis
-chains, validated hop by hop against the tabulated transitions.
+implementation.  Word operators share their symbolic twins' code: `neg`
+and `not` run that of `-` and `!`, the eight truth-value operators
+(`&&`, `||`, `and`, `or`, `xor` and the n-forms) one routine, and `asa`
+is `wvr` at index 0.  Errors are raised with a message only; `eval`
+gives each the position of the innermost source node it passes through.
+
+Forensic values (observations, sequences, statements) flow through the
+same machinery, and a call applying a claim-evaluator function to an
+evidential statement is dispatched to the embedded reconstruction
+engine: the transition function declared alongside it is tabulated into
+a finite state machine, and the claim is either checked by
+reconstruction or, when the program declares explicit hypothesis chains,
+validated hop by hop against the tabulated transitions.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ _SENTINELS = {"eod": EOD, "bod": BOD, "INF+": PLUS_INF, "INF-": MINUS_INF}
 
 
 class EvaluationError(FlucidError):
-    def __init__(self, message: str, span=None):
-        super().__init__(message)
-        self.span = span
+    """Raised with a message only; Evaluator.eval sets span to that of
+    the innermost source node the error passes through."""
+    span = None
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,17 @@ def _truthy(v: Any) -> bool:
         "a condition must be a truth value, got %s" % kind_of(v))
 
 
+# The truth-value operators: the left value that decides the result on
+# its own (none for xor, which always reads its right operand), whether
+# the result is negated, and its type (&& and || give a bool, the word
+# forms 0 or 1).
+_LOGIC = {
+    "&&": (False, False, bool), "||": (True, False, bool),
+    "and": (False, False, int), "or": (True, False, int),
+    "nand": (False, True, int), "nor": (True, True, int),
+    "xor": (None, False, int), "nxor": (None, True, int),
+}
+
 _RECURSION_LIMIT = 12000
 
 # The default bound on nested evaluation: how many expressions, demands
@@ -164,8 +181,7 @@ class Evaluator:
         self.max_scan = max_scan
         self.max_depth = max_depth
         self.warehouse: Dict[Any, Any] = {}
-        self._chain: List[Any] = []         # keys being computed, in order
-        self._chain_set = set()             # the same keys, for lookup
+        self._chain: Dict[Any, None] = {}   # keys being computed, in order
         self._depth = 0
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
@@ -195,19 +211,16 @@ class Evaluator:
         if hit is not _MISS:
             return hit
         chain = self._chain
-        chain_set = self._chain_set
-        if key in chain_set:
-            start = chain.index(key)
-            cycle = [k[0] for k in chain[start:]] + [name]
+        if key in chain:
+            keys = list(chain)
+            cycle = [k[0] for k in keys[keys.index(key):]] + [name]
             raise EvaluationError(
                 "cyclic definition: %s" % " -> ".join(cycle))
-        chain.append(key)
-        chain_set.add(key)
+        chain[key] = None
         try:
             value = self._define(name, ctx, frame)
         finally:
-            chain.pop()
-            chain_set.discard(key)
+            del chain[key]
         self.warehouse[key] = value
         if self.trace is not None:
             self.trace("DEMAND %s @ %s -> %s"
@@ -240,6 +253,11 @@ class Evaluator:
         self._depth = depth
         try:
             return self._dispatch[type(node)](self, node, ctx, frame)
+        except EvaluationError as exc:
+            # synthesized nodes carry Span(0, 0, 0, 0): no position
+            if exc.span is None and node.span.end:
+                exc.span = node.span
+            raise
         finally:
             self._depth = depth - 1
 
@@ -325,8 +343,7 @@ class Evaluator:
             return self.eval(bound.expr, ctx, bound.frame)
         defn = self.env.get(node.name)
         if defn is None:
-            raise EvaluationError("'%s' has no value here" % node.name,
-                                  node.span)
+            raise EvaluationError("'%s' has no value here" % node.name)
         if defn.kind in ("var", "obs", "os", "es"):
             return self.demand(node.name, ctx, frame)
         if defn.kind == "dim":
@@ -336,8 +353,7 @@ class Evaluator:
                                   dim_params=defn.dim_params,
                                   params=defn.params, payload=defn)
         raise EvaluationError(
-            "%s '%s' is used outside its function" % (defn.kind, defn.source),
-            node.span)
+            "%s '%s' is used outside its function" % (defn.kind, defn.source))
 
     def _dim_tags(self, name: str) -> TagSet:
         cached = self._dims.get(name)
@@ -411,7 +427,7 @@ class Evaluator:
                              ctx.with_pair(DEFAULT_DIMENSION, place), frame)
         raise EvaluationError(
             "navigation target must be a context or forensic value, "
-            "got %s" % kind_of(place), node.span)
+            "got %s" % kind_of(place))
 
     def _at_each(self, left, ctx, frame, members):
         return tuple(self.eval(left, calculus.override(ctx, m), frame)
@@ -429,24 +445,23 @@ class Evaluator:
             if name in ("property", "min", "max", "w", "t"):
                 return getattr(base, name)
             raise EvaluationError(
-                "an observation has no member '%s'" % name, node.span)
+                "an observation has no member '%s'" % name)
         if isinstance(base, EvidentialStatement):
             for os in base.sequences:
                 if os.name == name:
                     return os
             raise EvaluationError(
-                "statement has no sequence named '%s'" % name, node.span)
+                "statement has no sequence named '%s'" % name)
         if isinstance(base, SimpleContext):
             if base.has(name):
                 return base.tag(name)
-            raise EvaluationError(
-                "context has no dimension '%s'" % name, node.span)
+            raise EvaluationError("context has no dimension '%s'" % name)
         if isinstance(base, tuple) and len(base) == 5:
             fields = ("property", "min", "max", "w", "t")
             if name in fields:
                 return base[fields.index(name)]
         raise EvaluationError(
-            "%s has no member '%s'" % (kind_of(base), name), node.span)
+            "%s has no member '%s'" % (kind_of(base), name))
 
     # -- conditionals and operators -------------------------------------------
 
@@ -463,17 +478,14 @@ class Evaluator:
         if _is_sentinel(v):
             return v
         op = node.op
-        if op == "-":
-            self._need_number(v, "-")
-            return -v
-        if op == "+":
-            self._need_number(v, "+")
-            return v
-        if op == "!":
+        if op in ("-", "neg", "+"):
+            self._need_number(v, op)
+            return v if op == "+" else -v
+        if op in ("!", "not"):
             return not _truthy(v)
         if op == "~":
             if not isinstance(v, int) or isinstance(v, bool):
-                raise EvaluationError("~ needs an integer", node.span)
+                raise EvaluationError("~ needs an integer")
             return ~v
         raise AssertionError(op)
 
@@ -484,35 +496,31 @@ class Evaluator:
 
     def _e_BinOp(self, node, ctx, frame):
         op = node.op
-        if op == "&&":
-            left = self.eval(node.left, ctx, frame)
-            if _is_sentinel(left):
-                return left
-            if not _truthy(left):
-                return False
-            right = self.eval(node.right, ctx, frame)
-            if _is_sentinel(right):
-                return right
-            return _truthy(right)
-        if op == "||":
-            left = self.eval(node.left, ctx, frame)
-            if _is_sentinel(left):
-                return left
-            if _truthy(left):
-                return True
-            right = self.eval(node.right, ctx, frame)
-            if _is_sentinel(right):
-                return right
-            return _truthy(right)
+        if op in _LOGIC:
+            return self._logic(op, node.left, node.right, ctx, frame)
         a = self.eval(node.left, ctx, frame)
         if _is_sentinel(a):
             return a
         b = self.eval(node.right, ctx, frame)
         if _is_sentinel(b):
             return b
-        return self._scalar_op(op, a, b, node.span)
+        return self._scalar_op(op, a, b)
 
-    def _scalar_op(self, op, a, b, span):
+    def _logic(self, op, x, y, ctx, frame):
+        decider, negate, result = _LOGIC[op]
+        a = self.eval(x, ctx, frame)
+        if _is_sentinel(a):
+            return a
+        if decider is not None and _truthy(a) is decider:
+            return result(decider != negate)
+        b = self.eval(y, ctx, frame)
+        if _is_sentinel(b):
+            return b
+        if decider is None:
+            return result((_truthy(a) != _truthy(b)) != negate)
+        return result(_truthy(b) != negate)
+
+    def _scalar_op(self, op, a, b):
         if op == "==":
             return _values_equal(a, b)
         if op == "!=":
@@ -529,7 +537,7 @@ class Evaluator:
             except TypeError:
                 raise EvaluationError(
                     "'%s' is not defined between %s and %s"
-                    % (op, kind_of(a), kind_of(b)), span)
+                    % (op, kind_of(a), kind_of(b)))
         if op == "+" and isinstance(a, str) and isinstance(b, str):
             return a + b
         if op in ("+", "-", "*", "/", "%"):
@@ -543,16 +551,16 @@ class Evaluator:
                 return a * b
             if op == "/":
                 if b == 0:
-                    raise EvaluationError("division by zero", span)
+                    raise EvaluationError("division by zero")
                 out = a / b
                 if isinstance(a, int) and isinstance(b, int) \
                         and a % b == 0:
                     return a // b
                 return out
             if b == 0:
-                raise EvaluationError("modulo by zero", span)
+                raise EvaluationError("modulo by zero")
             return a % b
-        raise EvaluationError("operator '%s' is not defined" % op, span)
+        raise EvaluationError("operator '%s' is not defined" % op)
 
     def _e_CtxBin(self, node, ctx, frame):
         op = node.op
@@ -626,20 +634,10 @@ class Evaluator:
             return self.eval(x, ctx, frame) is EOD
         if op == "isbod":
             return self.eval(x, ctx, frame) is BOD
-        if op == "neg":
-            v = self.eval(x, ctx, frame)
-            if _is_sentinel(v):
-                return v
-            self._need_number(v, "neg")
-            return -v
-        if op == "not":
-            v = self.eval(x, ctx, frame)
-            if _is_sentinel(v):
-                return v
-            return not _truthy(v)
+        if op in ("neg", "not"):
+            return self._e_UnaryOp(node, ctx, frame)
         if op in ("nnext", "nprev"):
-            raise EvaluationError(
-                "'%s' has no defined semantics" % op, node.span)
+            raise EvaluationError("'%s' has no defined semantics" % op)
         if op == "first":
             return self._elem(x, ctx, frame, dim, 0)
         if op == "second":
@@ -664,8 +662,7 @@ class Evaluator:
         dim = node.dim or DEFAULT_DIMENSION
         x, y = node.left, node.right
         if op in ("nfby", "npby"):
-            raise EvaluationError(
-                "'%s' has no defined semantics" % op, node.span)
+            raise EvaluationError("'%s' has no defined semantics" % op)
         if op == "fby":
             return self._fby(x, y, ctx, frame, dim)
         if op == "pby":
@@ -675,22 +672,15 @@ class Evaluator:
         if op in ("upon", "nupon"):
             return self._upon(x, y, ctx, frame, dim, op == "nupon")
         if op in ("asa", "nasa"):
-            return self._asa(x, y, ctx, frame, dim, op == "nasa")
+            # first (X wvr Y)
+            return self._wvr(x, y, ctx.with_pair(dim, 0), frame, dim,
+                             op == "nasa")
         if op in ("ala", "nala"):
             return self._ala(x, y, ctx, frame, dim, op == "nala")
         if op in ("rwvr", "nrwvr", "rupon", "nrupon"):
             return self._reversed_op(x, y, ctx, frame, dim, op)
-        if op in ("and", "or", "nand", "nor"):
-            return self._short_logic(x, y, ctx, frame, op)
-        if op in ("xor", "nxor"):
-            a = self.eval(x, ctx, frame)
-            if _is_sentinel(a):
-                return a
-            b = self.eval(y, ctx, frame)
-            if _is_sentinel(b):
-                return b
-            one = _truthy(a) != _truthy(b)
-            return int(one if op == "xor" else not one)
+        if op in _LOGIC:
+            return self._logic(op, x, y, ctx, frame)
         if op in ("band", "bor", "bxor"):
             a = self.eval(x, ctx, frame)
             if _is_sentinel(a):
@@ -701,8 +691,7 @@ class Evaluator:
             for v in (a, b):
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise EvaluationError(
-                        "'%s' needs integers, got %s" % (op, kind_of(v)),
-                        node.span)
+                        "'%s' needs integers, got %s" % (op, kind_of(v)))
             if op == "band":
                 return a & b
             if op == "bor":
@@ -774,16 +763,6 @@ class Evaluator:
                 advanced += 1
         return self._elem(x, ctx, frame, dim, advanced)
 
-    def _asa(self, x, y, ctx, frame, dim, negate):
-        for j in range(self.max_scan):
-            yv = self._elem(y, ctx, frame, dim, j)
-            if _is_sentinel(yv):
-                return yv
-            if _truthy(yv) != negate:
-                return self._elem(x, ctx, frame, dim, j)
-        raise EvaluationError(
-            "no matching element within %d steps" % self.max_scan)
-
     def _ala(self, x, y, ctx, frame, dim, negate):
         # the last element of the filtered stream: an end marker in
         # either the guard or a kept sample closes that stream
@@ -832,27 +811,6 @@ class Evaluator:
                 advanced += 1
         return rx[advanced] if advanced < len(rx) else BOD
 
-    def _short_logic(self, x, y, ctx, frame, op):
-        a = self.eval(x, ctx, frame)
-        if _is_sentinel(a):
-            return a
-        at = _truthy(a)
-        if op in ("and", "nand") and not at:
-            return 0 if op == "and" else 1
-        if op in ("or", "nor") and at:
-            return 1 if op == "or" else 0
-        b = self.eval(y, ctx, frame)
-        if _is_sentinel(b):
-            return b
-        bt = _truthy(b)
-        if op == "and":
-            return int(bt)
-        if op == "nand":
-            return int(not bt)
-        if op == "or":
-            return int(bt)
-        return int(not bt)
-
     # -- calls, functions, claims ----------------------------------------------
 
     def _e_Call(self, node, ctx, frame):
@@ -875,26 +833,22 @@ class Evaluator:
                     return self._product(
                         self.eval(node.args[0], ctx, frame),
                         self.eval(node.args[1], ctx, frame))
-                raise EvaluationError("'%s' has no value here" % name,
-                                      node.span)
+                raise EvaluationError("'%s' has no value here" % name)
             defn = self.env[name]
             if defn.kind == "func":
-                return self._call(defn, dim_nodes, node.args, ctx, frame,
-                                  node.span)
+                return self._call(defn, dim_nodes, node.args, ctx, frame)
         handle = self.eval(func, ctx, frame)
         if isinstance(handle, FunctionHandle):
             return self._call(self.env[handle.name], dim_nodes, node.args,
-                              ctx, frame, node.span)
-        raise EvaluationError(
-            "%s is not callable" % kind_of(handle), node.span)
+                              ctx, frame)
+        raise EvaluationError("%s is not callable" % kind_of(handle))
 
-    def _call(self, defn, dim_nodes, arg_nodes, ctx, frame, span):
+    def _call(self, defn, dim_nodes, arg_nodes, ctx, frame):
         if len(arg_nodes) != len(defn.params) or \
                 len(dim_nodes) != len(defn.dim_params):
             raise EvaluationError(
                 "'%s' takes [%d](%d) arguments" % (
-                    defn.source, len(defn.dim_params), len(defn.params)),
-                span)
+                    defn.source, len(defn.dim_params), len(defn.params)))
         if len(defn.params) == 1 and defn.dim_params:
             argv = self.eval(arg_nodes[0], ctx, frame)
             if isinstance(argv, (EvidentialStatement, ObservationSequence)):
@@ -1076,15 +1030,14 @@ class Evaluator:
         names = []
         for d in node.dims:
             if not isinstance(d, N.Ident):
-                raise EvaluationError("Box needs dimension names", node.span)
+                raise EvaluationError("Box needs dimension names")
             names.append(d.name)
         axes = []
         for name in names:
             tags = self._dim_tags(name) if name in self.env else None
             if tags is None or not tags.is_finite():
                 raise EvaluationError(
-                    "Box needs finite declared dimensions; '%s' is not"
-                    % name, node.span)
+                    "Box needs finite declared dimensions; '%s' is not" % name)
             axes.append(tags.tags)
         members = []
         for combo in itertools.product(*axes):
@@ -1099,12 +1052,11 @@ class Evaluator:
     def _e_Embed(self, node, ctx, frame):
         raise EvaluationError(
             "embed needs an external program store, which this "
-            "evaluator does not provide", node.span)
+            "evaluator does not provide")
 
     def _e_Subscript(self, node, ctx, frame):
         raise EvaluationError(
-            "a dimensional subscript is only meaningful in a call",
-            node.span)
+            "a dimensional subscript is only meaningful in a call")
 
     def _e_WhereExpr(self, node, ctx, frame):
         # declarations were flattened into the environment by analysis

@@ -32,10 +32,6 @@ from .syntax.lexer import Span
 BUILTINS = ("bel", "pl", "combine", "product")
 _BUILTIN_ARITY = {"bel": 1, "pl": 1, "combine": 2, "product": 2}
 
-# Stream operators with no defined meaning; they parse and analyze but
-# the evaluator rejects them, and the rewriter leaves them alone.
-UNDEFINED_OPS = frozenset(["nfby", "npby", "nnext", "nprev"])
-
 
 @dataclass(frozen=True)
 class ErrorRecord:

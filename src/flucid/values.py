@@ -179,25 +179,6 @@ class TagSet:
     def is_finite(self) -> bool:
         return self.cardinality == "finite"
 
-    def index_of(self, tag: Any) -> int:
-        if self.tags is not None:
-            for i, t in enumerate(self.tags):
-                if t == tag:
-                    return i
-            raise ValidationError("tag %r not in tag set" % (tag,), "tags")
-        frm, _to, step = self.generator
-        if isinstance(tag, int):
-            return (tag - frm) // step
-        raise ValidationError("tag %r not indexable in generated tag set" % (tag,), "tags")
-
-    def tag_at(self, index: int) -> Any:
-        if self.tags is not None:
-            if 0 <= index < len(self.tags):
-                return self.tags[index]
-            raise IndexError(index)
-        frm, _to, step = self.generator
-        return frm + index * step
-
     def __contains__(self, tag: Any) -> bool:
         if self.tags is not None:
             return any(t == tag for t in self.tags)

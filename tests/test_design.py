@@ -57,3 +57,14 @@ def test_parse_reads_the_token_lists(monkeypatch):
     monkeypatch.setattr(parser, "Token", no_token)
     for text in sources:
         parse(text)
+
+
+def test_evaluation_errors_get_their_position_from_eval():
+    # Evaluator.eval sets the span of the innermost source node, so a
+    # raise site passes only its message
+    path = PACKAGE / "evaluator.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "EvaluationError":
+            assert len(node.args) == 1 and not node.keywords, \
+                "evaluator.py:%d passes more than a message" % node.lineno

@@ -128,11 +128,6 @@ def test_timestamp_resolves_its_zone_once(monkeypatch, raw):
     assert calls == ["UTC"]
 
 
-def test_timestamp_zone_from_environment(monkeypatch):
-    monkeypatch.setenv(encoders.TZ_ENV_VAR, "CET")
-    assert normalize_timestamp(0) == ("Thu Jan 1 01:00:00 1970", 0)
-
-
 @pytest.mark.parametrize("raw, tz", [
     ("not a time", "UTC"), ("Foo  2 03:04:05", "UTC"),
     ("2020-13-02 03:04:05", "UTC"), ("2020-01-02 03:04:05 Nowhere/Else", "UTC"),

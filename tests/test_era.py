@@ -249,7 +249,7 @@ def test_comb_worked_example():
     out = comb(MPR4, MPR3)
     assert out.lens == ((4, 4), (5, 2, 1))
     assert out.computations == frozenset({"c2", "c3"})
-    assert out.is_proper()
+    assert len({sum(v) for v in out.lens}) == 1
 
 
 def test_comb_empty_on_disjoint_computations():
@@ -277,7 +277,7 @@ def test_comb_proper_or_empty(ca, cb, la, lb):
     if sum(la) != sum(lb) or not (ca & cb):
         assert out == EMPTY_MSPR
     else:
-        assert out.is_proper()
+        assert len({sum(v) for v in out.lens}) == 1
         assert out.computations == frozenset(ca & cb)
 
 

@@ -122,6 +122,35 @@ def test_unbounded_scan_is_an_error():
         run("last.d N where N = 1 fby.d (N + 1); end", max_scan=100)
 
 
+@pytest.mark.parametrize("src, kw, message", [
+    ('if "a" then 1 else 2 fi', {}, "must be a truth value"),
+    ("c where c = c + 1; end", {}, "cyclic definition: c -> c"),
+    ("N @.d 1000 where N = 42 fby.d (N + 1); end", {"max_depth": 200},
+     "demand depth exceeded"),
+    ("N @.d 1.5 where N = 42 fby.d (N + 1); end", {},
+     "stream index must be an integer"),
+    ("last.d N where N = 1 fby.d (N + 1); end", {"max_scan": 100},
+     "did not end"),
+    ('1 + "a"', {}, "'\\+' is not defined on string"),
+], ids=["if-string", "cycle", "depth", "real-index", "endless-last",
+        "int-plus-string"])
+def test_evaluation_errors_carry_a_position(src, kw, message):
+    with pytest.raises(EvaluationError, match=message) as err:
+        run(src, **kw)
+    span = err.value.span
+    assert span is not None and span.line >= 1
+    assert 0 <= span.offset < span.end <= len(src)
+
+
+def test_word_operators_report_errors_as_written():
+    with pytest.raises(EvaluationError, match="'neg' is not defined on"):
+        run('neg "a"')
+    with pytest.raises(EvaluationError, match="'-' is not defined on"):
+        run('-"a"')
+    with pytest.raises(EvaluationError, match="must be a truth value"):
+        run('"a" nand 1')
+
+
 # ---------------------------------------------------------------------------
 # The published operator rows
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ class TestTagSet:
     def test_declaration_order_preserved_even_unordered(self):
         ts = TagSet(ordering="unordered", tags=("c", "a", "b"))
         assert ts.tags == ("c", "a", "b")
-        assert ts.index_of("a") == 1
-        assert ts.tag_at(2) == "b"
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(ValidationError):
@@ -58,17 +56,17 @@ class TestTagSet:
     def test_range_generator(self):
         ts = TagSet.from_range(1, 31)
         assert len(ts) == 31
-        assert ts.tag_at(0) == 1 and ts.tag_at(30) == 31
+        assert ts.tags[0] == 1 and ts.tags[30] == 31
 
     def test_numerically_equal_tags_are_one_tag(self):
-        ts = TagSet(tags=("a", 1))
-        assert ts.index_of(1) == ts.index_of(1.0) == ts.index_of(True) == 1
+        for same in (1.0, True):
+            with pytest.raises(ValidationError, match="duplicate tag"):
+                TagSet(tags=("a", 1, same))
 
     def test_infinite_membership(self):
         ts = TagSet.naturals()
         assert 0 in ts and 12345 in ts
         assert -1 not in ts and "x" not in ts
-        assert ts.tag_at(7) == 7
 
 
 class TestSimpleContext:
