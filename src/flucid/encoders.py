@@ -8,9 +8,10 @@ types; the per-service encodings (switch log, DHCP, netflow, ARP, port
 scan) are shipped as schema presets.  A record field that refuses to
 normalize (a non-finite real too) does not abort the encoding: the
 offending value is kept raw and that observation's credibility weight
-is downgraded instead.  The program is built as a tree and printed, not
-analyzed: its names are unique by construction.  Tests check that
-parsing the printed text gives the tree back and that it analyzes.
+is downgraded instead.  The program is written as text, each value by
+values.to_source, and neither parsed nor analyzed: its names are unique
+by construction.  Tests check that the text prints back unchanged from
+its parse and that it analyzes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .values import FlucidError
+from .values import FlucidError, ValidationError, to_source
 
 DEFAULT_PARTIAL_W = 0.5
 
@@ -205,7 +206,7 @@ class Schema:
     partial_w: float = DEFAULT_PARTIAL_W
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.partial_w <= 1.0:
+        if type(self.partial_w) is bool or not 0 <= self.partial_w <= 1:
             raise EncodeError("partial credibility must be in [0, 1]")
 
 
@@ -332,22 +333,14 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     timestamp slot filled from the first timestamp-typed field.  Zero
     records encode as a single no-observation.  The result is a complete
     program whose head demands the sequence, with the encoding time in its
-    header comment only when now is given.  The tree is printed, never
-    re-parsed or analyzed: values with no source form raise EncodeError up
-    front, and the names cannot clash, the observations being
-    <name>_o_<k> and the sequence <name>.  tests/test_encoders.py checks
-    the printed round trip and that the program analyzes.
+    header comment only when now is given.  Every value is written by
+    to_source, so one with no source form raises EncodeError naming its
+    record and field; the text is never parsed or analyzed, the names
+    being unique by construction (the observations <name>_o_<k>, the
+    sequence <name>).  tests/test_encoders.py checks that the text parses,
+    prints back unchanged and analyzes.
     """
-    from .syntax import nodes as N, pretty_print    # loaded on first use
-    from .syntax.lexer import KEYWORDS
-
-    def literal(value: Any) -> N.Node:
-        """The parser's node for to_source(value); a minus leads a negative."""
-        if isinstance(value, str):
-            return N.StringLit(value)
-        node = (N.IntLit if isinstance(value, int) else N.RealLit)(abs(value))
-        negative = value < 0 or value == 0 and math.copysign(1.0, value) < 0
-        return N.UnaryOp("-", node) if negative else node
+    from .syntax.lexer import KEYWORDS     # loaded on first use
     _check_name(name, "a sequence name", KEYWORDS)
     for spec in schema.fields:
         _check_name(spec.dimension, "the dimension of field %r" % spec.field,
@@ -355,10 +348,10 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     if "\n" in source:
         raise EncodeError("the source %r spans lines" % source)
     _resolve_zone(tz)               # an unknown zone fails with no field too
-    decls: List[N.Node] = []
+    obs: List[str] = []
     epochs: List[Optional[int]] = []
     for pos, record in enumerate(lines, 1):
-        entries: List[N.BracketEntry] = []
+        pairs: List[str] = []
         weight = 1.0
         when: Optional[int] = None
         for spec in schema.fields:
@@ -367,40 +360,33 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
             try:
                 tag, epoch, ok = _normalize_field(
                     spec, record[spec.field], reference_year, tz)
-                if isinstance(tag, str) and "\n" in tag:
-                    raise ValueError("a value holding a newline has no "
-                                     "source form")
-            except ValueError as exc:       # str() of a huge int raises it too
+                if epoch is not None and when is None:
+                    when = epoch    # the t slot carries it, not the pair set
+                else:
+                    pairs.append("%s:%s" % (spec.dimension, to_source(tag)))
+            # a newline has no source form; str() of a huge int raises too
+            except (ValueError, ValidationError) as exc:
                 raise EncodeError("record %d, field %r: %s"
                                   % (pos, spec.field, exc)) from None
             if not ok:
                 weight = schema.partial_w
-            if epoch is not None and when is None:
-                when = epoch
-                continue            # the t slot carries it, not the pair set
-            entries.append(N.BracketEntry(N.Ident(spec.dimension),
-                                          literal(tag)))
         epochs.append(when)
-        if entries or when is not None:
-            items = [N.BracketLit(tuple(entries)), N.IntLit(1), N.IntLit(0),
-                     literal(weight)]
-            if when is not None:
-                items.append(literal(when))
-            value: N.Node = N.TupleLit(tuple(items))
-        else:
-            value = N.NoObsLit()
-        decls.append(N.ObsDecl("%s_o_%d" % (name, pos), value))
-    if not decls:
-        decls.append(N.ObsDecl("%s_o_1" % name, N.NoObsLit()))
-    members = tuple(N.Ident(d.name) for d in decls)
-    decls.append(N.OsDecl(name, (), N.BraceLit(members)))
-    tree = N.WhereExpr(N.Ident(name), tuple(decls))
+        value = "$"                 # no pairs and no time
+        if pairs or when is not None:
+            value = "([%s], 1, 0, %s%s)" % (
+                ", ".join(pairs), to_source(weight),
+                "" if when is None else ", " + to_source(when))
+        obs.append("  observation %s_o_%d = %s;" % (name, pos, value))
+    if not obs:
+        obs.append("  observation %s_o_1 = $;" % name)
+    members = ", ".join("%s_o_%d" % (name, k) for k in range(1, len(obs) + 1))
     stamp = "" if now is None else "%s (%d) " % (render_timestamp(now, tz), now)
     header = ["  // encoded %sfrom %s" % (stamp, source)]
     if None not in epochs and any(a > b for a, b in zip(epochs, epochs[1:])):
         header.append("  // warning: timestamps are not non-decreasing")
-    head, where, body = pretty_print(tree).split("\n", 2)
-    return "\n".join([head, where, *header, body])
+    return "\n".join([name, "where", *header, *obs,
+                      "  observation sequence %s = {%s};" % (name, members),
+                      "end", ""])
 
 
 def encode_to_files(lines: Iterable[Dict[str, Any]], case: str,

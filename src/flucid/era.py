@@ -674,29 +674,33 @@ def load_fsm(text: str) -> StateMachine:
     lines = text.splitlines()
     i = 0
     while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
+        lineno, line = i + 1, lines[i].split("#", 1)[0].strip()
         i += 1
         if not line:
             continue
-        if line.startswith("property "):
-            block = line
-            while "}" not in block and i < len(lines):
-                block += " " + lines[i].split("#", 1)[0].strip()
-                i += 1
-            name, prop = _parse_property_block(block)
-            properties[name] = prop
-            continue
-        if "->" not in line:
-            raise ValidationError("unrecognized fixture line: %r" % line, "fsm")
-        left, _, target = line.partition("->")
-        parts = left.split()
-        if len(parts) != 2:
-            raise ValidationError(
-                "transition needs `event state -> state`: %r" % line, "fsm")
-        event, src = parts
-        dst = target.strip()
-        if not dst:
-            raise ValidationError("missing target state: %r" % line, "fsm")
+        try:
+            if line.startswith("property "):
+                while "}" not in line and i < len(lines):
+                    line += " " + lines[i].split("#", 1)[0].strip()
+                    i += 1
+                name, prop = _parse_property_block(line)
+                properties[name] = prop
+                continue
+            if "->" not in line:
+                raise ValidationError("unrecognized fixture line: %r" % line,
+                                      "fsm")
+            left, _, target = line.partition("->")
+            parts = left.split()
+            if len(parts) != 2:
+                raise ValidationError(
+                    "transition needs `event state -> state`: %r" % line,
+                    "fsm")
+            event, src = parts
+            dst = target.strip()
+            if not dst:
+                raise ValidationError("missing target state: %r" % line, "fsm")
+        except ValidationError as exc:
+            raise _at_line(exc, lineno) from None
         if event not in events:
             events.append(event)
         for s in (src, dst):
@@ -706,6 +710,11 @@ def load_fsm(text: str) -> StateMachine:
 
     return StateMachine(states=tuple(states), events=tuple(events),
                         psi=transitions, properties=properties)
+
+
+def _at_line(exc: ValidationError, lineno: int) -> ValidationError:
+    """exc with the 1-based fixture line it was raised for."""
+    return ValidationError("line %d: %s" % (lineno, exc), exc.fieldname)
 
 
 def _split_top_commas(text: str) -> List[str]:
@@ -763,66 +772,69 @@ def load_es(text: str) -> EvidentialStatement:
     observations: Dict[str, Observation] = {}
     sequences: Dict[str, ObservationSequence] = {}
     statement: Optional[List[str]] = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("observation "):
-            decl = line[len("observation "):]
-            name, _, value = decl.partition("=")
-            name = name.strip()
-            value = value.strip()
-            if not name or not value:
-                raise ValidationError(
-                    "observation needs `observation NAME = VALUE`: %r"
-                    % raw, "es")
-            if value == "$":
-                observations[name] = no_observation()
-            elif value.startswith("\\0(") and value.endswith(")"):
-                observations[name] = zero_observation(value[3:-1].strip())
-            elif value.startswith("(") and value.endswith(")"):
-                parts = _split_top_commas(value[1:-1])
-                if len(parts) < 3:
+        try:
+            if line.startswith("observation "):
+                name, _, value = map(
+                    str.strip, line[len("observation "):].partition("="))
+                if not name or not value:
                     raise ValidationError(
-                        "observation tuple needs (PROP, min, max[, w[, t]]):"
-                        " %r" % raw, "es")
-                prop = parts[0]
+                        "observation needs `observation NAME = VALUE`: %r"
+                        % raw, "es")
+                if value == "$":
+                    observations[name] = no_observation()
+                elif value.startswith("\\0(") and value.endswith(")"):
+                    observations[name] = zero_observation(value[3:-1].strip())
+                elif value.startswith("(") and value.endswith(")"):
+                    parts = _split_top_commas(value[1:-1])
+                    if len(parts) < 3:
+                        raise ValidationError(
+                            "observation tuple needs (PROP, min, max"
+                            "[, w[, t]]): %r" % raw, "es")
+                    prop = parts[0]
+                    try:
+                        mn = int(parts[1])
+                        mx = (PLUS_INF if parts[2] in ("infinitum", "INF+")
+                              else int(parts[2]))
+                        w = float(parts[3]) if len(parts) > 3 else None
+                        t = int(parts[4]) if len(parts) > 4 else None
+                    except ValueError:
+                        raise ValidationError(
+                            "observation min, max and t must be integers and"
+                            " w a number: %r" % raw, "es") from None
+                    observations[name] = make_observation(prop, mn, mx, w, t)
+                else:
+                    raise ValidationError(
+                        "unrecognized observation value %r" % value, "es")
+            elif line.startswith("sequence "):
+                name, _, members = map(
+                    str.strip, line[len("sequence "):].partition("="))
                 try:
-                    mn = int(parts[1])
-                    mx = PLUS_INF if parts[2] in ("infinitum", "INF+") else int(parts[2])
-                    w = float(parts[3]) if len(parts) > 3 else None
-                    t = int(parts[4]) if len(parts) > 4 else None
-                except ValueError:
+                    obs = [observations[m] for m in members.split()]
+                except KeyError as missing:
                     raise ValidationError(
-                        "observation min, max and t must be integers and w a"
-                        " number: %r" % raw, "es") from None
-                observations[name] = make_observation(prop, mn, mx, w, t)
+                        "sequence %s references unknown observation %s"
+                        % (name, missing), "es")
+                if not obs:
+                    raise ValidationError("sequence %s is empty" % name, "es")
+                sequences[name] = ObservationSequence(obs, name=name)
+            elif line.startswith("statement"):
+                _, _, members = line.partition("=")
+                statement, statement_line = members.split(), lineno
             else:
-                raise ValidationError(
-                    "unrecognized observation value %r" % value, "es")
-        elif line.startswith("sequence "):
-            decl = line[len("sequence "):]
-            name, _, members = decl.partition("=")
-            name = name.strip()
-            try:
-                obs = [observations[m] for m in members.split()]
-            except KeyError as missing:
-                raise ValidationError(
-                    "sequence %s references unknown observation %s"
-                    % (name, missing), "es")
-            if not obs:
-                raise ValidationError("sequence %s is empty" % name, "es")
-            sequences[name] = ObservationSequence(obs, name=name)
-        elif line.startswith("statement"):
-            _, _, members = line.partition("=")
-            statement = members.split()
-        else:
-            raise ValidationError("unrecognized claim line: %r" % raw, "es")
+                raise ValidationError("unrecognized claim line: %r" % raw,
+                                      "es")
+        except ValidationError as exc:
+            raise _at_line(exc, lineno) from None
     if statement is None:
         raise ValidationError("claim fixture has no statement line", "es")
     try:
         seqs = [sequences[m] for m in statement]
     except KeyError as missing:
-        raise ValidationError(
-            "statement references unknown sequence %s" % missing, "es")
+        raise _at_line(ValidationError(
+            "statement references unknown sequence %s" % missing, "es"),
+            statement_line) from None
     return EvidentialStatement(seqs)

@@ -105,12 +105,11 @@ class Thunk:
 
 
 class Frame:
-    __slots__ = ("id", "parent", "bindings")
-    _ids = itertools.count(1)
+    __slots__ = ("id", "parent", "bindings")      # id: per Evaluator
 
-    def __init__(self, parent: Optional["Frame"],
+    def __init__(self, id: int, parent: Optional["Frame"],
                  bindings: Dict[str, Thunk]):
-        self.id = next(Frame._ids)
+        self.id = id
         self.parent = parent
         self.bindings = bindings
 
@@ -124,8 +123,7 @@ class Frame:
         return None
 
 
-_ROOT = Frame(None, {})
-_ROOT.id = 0
+_ROOT = Frame(0, None, {})
 
 
 class _Miss:
@@ -185,6 +183,7 @@ class Evaluator:
         self._depth = 0
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
+        self._frame_ids = itertools.count(1)
 
     # -- entry points ------------------------------------------------------
 
@@ -214,8 +213,11 @@ class Evaluator:
         if key in chain:
             keys = list(chain)
             cycle = [k[0] for k in keys[keys.index(key):]] + [name]
-            raise EvaluationError(
-                "cyclic definition: %s" % " -> ".join(cycle))
+            spans = [(n, self.env[n].node.span) for n in cycle[:-1]]
+            raise EvaluationError("cyclic definition: %s (%s)" % (
+                " -> ".join(cycle), ", ".join(
+                    "%s at %d:%d" % (n, span.line, span.col)
+                    for n, span in spans if span.end)))
         chain[key] = None
         try:
             value = self._define(name, ctx, frame)
@@ -859,7 +861,8 @@ class Evaluator:
                         for p, a in zip(defn.params, arg_nodes)}
         for p, a in zip(defn.dim_params, dim_nodes):
             bindings[p] = Thunk(expr=a, frame=frame)
-        return self.eval(defn.node.body, ctx, Frame(frame, bindings))
+        return self.eval(defn.node.body, ctx,
+                         Frame(next(self._frame_ids), frame, bindings))
 
     # claim evaluation
 
@@ -941,7 +944,7 @@ class Evaluator:
                 bindings = dict(dim_bindings)
                 bindings[cand.params[0]] = Thunk.of_value(event)
                 bindings[cand.params[1]] = Thunk(expr=stream, frame=_ROOT)
-                call_frame = Frame(frame, bindings)
+                call_frame = Frame(next(self._frame_ids), frame, bindings)
                 fst = self.eval(cand.node.body,
                                 SimpleContext({DEFAULT_DIMENSION: 0}),
                                 call_frame)

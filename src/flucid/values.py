@@ -267,16 +267,13 @@ class ContextSet:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[SimpleContext] = ()):
-        unique = []
-        for m in members:
-            if not isinstance(m, SimpleContext):
-                raise ValidationError("context set members must be simple contexts",
-                                      "members")
-            if m not in unique:
-                unique.append(m)
+        members = tuple(members)
+        if not all(isinstance(m, SimpleContext) for m in members):
+            raise ValidationError("context set members must be simple contexts",
+                                  "members")
         # canonical order: by printed form, for deterministic iteration
-        object.__setattr__(self, "members",
-                           tuple(sorted(unique, key=lambda c: repr(c))))
+        object.__setattr__(self, "members", tuple(
+            sorted(dict.fromkeys(members), key=repr)))
 
     def __iter__(self):
         return iter(self.members)

@@ -39,6 +39,17 @@ def test_front_end_does_not_import_the_reconstruction_engine():
                 "%s imports %s" % (path.relative_to(PACKAGE), name)
 
 
+def test_encoder_writes_text_without_the_front_end():
+    # encode_log renders values with values.to_source: it builds no node,
+    # prints no tree and analyzes nothing
+    path = PACKAGE / "encoders.py"
+    for name in _imported_modules(path):
+        assert not name.startswith(("flucid.syntax.nodes",
+                                    "flucid.syntax.pretty",
+                                    "flucid.semantics")), \
+            "encoders.py imports %s" % name
+
+
 def test_parse_reads_the_token_lists(monkeypatch):
     # a Token is a view built on indexing a stream; parsing builds none
     from flucid.encoders import PRESETS, encode_log

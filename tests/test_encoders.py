@@ -1,19 +1,19 @@
 """Evidence encoders: normalizers, schemas, and encoded programs.
 
-encode_log builds its program as a tree and prints it without parsing
-the text back; the round-trip tests here are what holds it to its own
-front end: parsing the printed text must give the built tree (spans
-aside), and evaluating it must give one observation per record.
+encode_log writes its program as text without parsing it back; the
+tests here are what hold it to its own front end: a golden text pins
+its layout, the printer must give the text back from its parse (the
+`//` lines aside), and evaluating it must give one observation per
+record.
 """
 
 import hashlib
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flucid import encoders, syntax
+from flucid import encoders
 from flucid.encoders import (
     PRESETS,
     EncodeError,
@@ -32,17 +32,15 @@ from flucid.syntax import parse, pretty_print
 from flucid.syntax.lexer import KEYWORDS
 
 
-def encode_with_tree(records, name="log", source="test", schema=PRESETS["dhcp"],
-                     **kw):
-    """(text, the tree encode_log printed)."""
-    with mock.patch.object(syntax, "pretty_print",
-                           wraps=pretty_print) as printer:
-        text = encode_log(records, name, source, schema, **kw)
-    return text, printer.call_args.args[0]
-
-
 def observations(text):
     return evaluate(text).observations
+
+
+def assert_prints_back(text):
+    """The printer gives the encoded text back from its parse, but for
+    the comment lines, which the parser drops."""
+    code = [line for line in text.split("\n") if not line.startswith("  //")]
+    assert pretty_print(parse(text)) == "\n".join(code)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,7 @@ def test_field_spec_checks_its_dimension_and_type():
 
 
 def test_schema_checks_partial_credibility():
-    for w in (-0.1, 1.5, math.nan):
+    for w in (-0.1, 1.5, math.nan, True):
         with pytest.raises(EncodeError, match="partial credibility"):
             Schema((FieldSpec("f", "d", "text"),), w)
 
@@ -301,23 +299,42 @@ def test_encode_to_files_checks_its_tags(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_built_tree_has_the_parser_shape():
-    text, tree = encode_with_tree(
-        [{"ts": -5, "ipaddr": "x", "mac": "-1", "hostname": "h"}], now=0,
-        tz="UTC")
-    assert parse(text) == tree
-    assert "(-5)" not in text and ", -5);" in text
-
-
-# ---------------------------------------------------------------------------
-# The round trip over adversarial records
-# ---------------------------------------------------------------------------
-
 ALL_TYPES = Schema(tuple(
     FieldSpec("f%d" % i, dim, t) for i, (dim, t) in enumerate(zip(
         ("INF", "d_int", "d_real", "mac", "ts", "host", "ts2", "note"),
         ("text", "int", "real", "mac", "timestamp", "hostname", "timestamp",
          "text")))))
+
+GOLDEN = r"""log
+where
+  // encoded Thu Jan 1 00:00:00 1970 (0) from golden
+  observation log_o_1 = ([INF:"a\"b\\c", d_int:-12, d_real:-1.5, mac:"aa:bb:cc:dd:ee:ff", host:"host.name", ts2:"Thu Jan 2 03:04:05 2020"], 1, 0, 1.0, -86400);
+  observation log_o_2 = ([d_int:31, d_real:1e-300, mac:"zz", note:"note"], 1, 0, 0.5);
+  observation log_o_3 = $;
+  observation log_o_4 = ([d_int:7], 1, 0, 1.0, 5);
+  observation sequence log = {log_o_1, log_o_2, log_o_3, log_o_4};
+end
+"""
+
+
+def test_encoded_text_is_golden():
+    # every field type, a second stamp kept as a pair, a negative int and
+    # epoch, a failed field (mac "zz"), a missing field, an empty record
+    text = encode_log(
+        [{"f0": 'a"b\\c', "f1": "-12", "f2": "-1.5",
+          "f3": "AA-BB-CC-DD-EE-FF", "f4": "-86400", "f5": "Host.Name.",
+          "f6": "2020-01-02 03:04:05"},
+         {"f1": "0x1f", "f2": "1e-300", "f3": "zz", "f7": "note"},
+         {},
+         {"f4": 5, "f1": 7}],
+        "log", "golden", ALL_TYPES, tz="UTC", now=0)
+    assert text == GOLDEN
+    assert_prints_back(text)
+
+
+# ---------------------------------------------------------------------------
+# The round trip over adversarial records
+# ---------------------------------------------------------------------------
 
 TRICKY = ['"', '\\', '\\"', "\t", "\x00", "\r", "é", "日本", "\U0001F600",
           "where", "fby", "true", "eod", "INF+", "$", "//", "/*", "*/", "#JAVA",
@@ -361,9 +378,9 @@ def namings(draw):
 @given(records, namings())
 def test_round_trip_adversarial_records(recs, naming):
     name, schema = naming
-    text, tree = encode_with_tree(recs, name, "fuzz", schema, tz="UTC",
-                                  reference_year=2020)
-    assert parse(text) == tree
+    text = encode_log(recs, name, "fuzz", schema, tz="UTC",
+                      reference_year=2020)
+    assert_prints_back(text)
     n = max(len(recs), 1)
     analysis = analyze(parse(text))
     assert analysis.errors == ()

@@ -746,6 +746,57 @@ def test_load_es_rejects_non_numeric_fields(value):
                 % value)
 
 
+def plant(text, lineno, bad):
+    """text with bad inserted so that it starts at 1-based line lineno."""
+    lines = text.splitlines()
+    lines.insert(lineno - 1, bad)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("junk", "unrecognized fixture line: 'junk'"),
+    ("(u) a b -> c", "transition needs `event state -> state`: '(u) a b -> c'"),
+    ("(u) (0,o1,o2) ->", "missing target state: '(u) (0,o1,o2) ->'"),
+    ("property  { states: a; }", "property  { states: a; }"),
+    # a block over two lines is reported at its first
+    ("property p {\n  colour: red; }", "unknown property clause 'colour'"),
+])
+def test_load_fsm_names_the_bad_line(bad, message):
+    with pytest.raises(ValidationError) as err:
+        load_fsm(plant(fixture_text("blackmail.fsm"), 12, bad))
+    assert str(err.value).startswith("line 12: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("junk line", "unrecognized claim line: 'junk line'"),
+    ("observation x =", "`observation NAME = VALUE`: 'observation x ='"),
+    ("observation x = (p, 1)", "(PROP, min, max[, w[, t]]): "
+     "'observation x = (p, 1)'"),
+    ("observation x = (p, a, 0)", "w a number: 'observation x = (p, a, 0)'"),
+    ("observation x = [p]", "unrecognized observation value '[p]'"),
+    ("observation x = (p, -1, 0)", "min must be non-negative"),
+    ("sequence s = ghost", "sequence s references unknown observation"),
+    ("sequence s =", "sequence s is empty"),
+])
+def test_load_es_names_the_bad_line(bad, message):
+    with pytest.raises(ValidationError) as err:
+        load_es(plant(fixture_text("blackmail.es"), 7, bad))
+    assert str(err.value).startswith("line 7: ")
+    assert message in str(err.value)
+
+
+def test_load_es_names_the_statement_line():
+    text = fixture_text("blackmail.es")
+    lineno = text.splitlines().index(
+        "statement = os_final os_unrelated os_mr_a") + 1
+    with pytest.raises(ValidationError,
+                       match="^line %d: statement references unknown "
+                             "sequence 'ghost'" % lineno):
+        load_es(text.replace("statement = os_final",
+                             "statement = os_final ghost"))
+
+
 def test_load_fsm_rejects_nameless_property():
     with pytest.raises(ValidationError, match="property  {"):
         load_fsm("property  { states: a; }")

@@ -80,6 +80,26 @@ def test_self_cycle_is_reported():
         run("x where x = x + 1; end")
 
 
+def test_cycle_names_where_each_definition_is():
+    with pytest.raises(EvaluationError) as err:
+        run("x where\n  x = y;\n  y = x;\nend")
+    assert str(err.value) == \
+        "cyclic definition: x -> y -> x (x at 2:3, y at 3:3)"
+
+
+def test_fresh_evaluators_store_the_same_keys():
+    # a key names its call frame, which each evaluator numbers from 1
+    analysis = analyze(parse(
+        "f(2) + f(3) where f(x) = y where y = x + 1; end; end"))
+    keys = []
+    for _ in range(2):
+        ev = Evaluator(analysis)
+        assert ev.run() == 7
+        keys.append(list(ev.warehouse))
+    assert keys[0] == keys[1] == [("y", SimpleContext(), 1),
+                                  ("y", SimpleContext(), 2)]
+
+
 def test_warehouse_computes_each_demand_once():
     lines = []
     src = "y + y + y where y = 40 + 2; end"

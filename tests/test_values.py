@@ -109,6 +109,18 @@ class TestContextSet:
         c1, c2 = SimpleContext({"d": 1}), SimpleContext({"d": 2})
         assert ContextSet([c1, c2]) == ContextSet([c2, c1])
 
+    def test_dedupe_is_linear(self, monkeypatch):
+        # list membership compared each member with every kept one
+        calls = []
+        eq = SimpleContext.__eq__
+        monkeypatch.setattr(SimpleContext, "__eq__",
+                            lambda a, b: calls.append(1) or eq(a, b))
+        for n in (1000, 2000):
+            calls.clear()
+            members = [SimpleContext({"d": k}) for k in range(n)]
+            assert len(ContextSet(members + members[:10])) == n
+            assert len(calls) <= 2 * n
+
 
 class TestMakeObservation:
     def test_defaults(self):
