@@ -11,12 +11,13 @@ window; an evidential statement demands one window satisfying every
 sequence at once.
 
 check_claim answers every claim with one layered search over a lazily
-built product automaton.  A step's letter is the tuple of step_ok truth
-values of every observation, and each (product position, letter)
-transition and acceptance test is computed once per call.  Witness
-windows are read back up to a cap, a forward path count gives their
-exact number, and each account's segment compositions (the MSPR meaning
-of Gladyshev & Patel, 2004) are read from the recorded letters.
+built product automaton that stops once its layers cycle without a
+witness.  A letter is an interned id for the step_ok values of the
+distinct properties, and each (product position, letter) step and
+acceptance test is computed once per call.  Witness windows are read
+back up to a cap, a forward path count gives their exact number, and
+each account's segment compositions (the MSPR meaning of Gladyshev &
+Patel, 2004) are read from the recorded letters.
 route="exact" runs the paper's fixed-length set algebra instead
 (meaning_fixed_length over expand_generic's variants, then comb): the
 executable spec that tests compare against, exponential in the horizon.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .values import (
     ANY_PROPERTY,
@@ -102,8 +103,9 @@ class StateMachine:
     properties: Mapping[str, Property] = field(default_factory=dict)
 
     def __post_init__(self):
+        states, events = set(self.states), set(self.events)
         for (e, s), q in self.psi.items():
-            if e not in self.events or s not in self.states or q not in self.states:
+            if e not in events or s not in states or q not in states:
                 raise ValidationError(
                     "transition (%r, %r) -> %r uses undeclared labels"
                     % (e, s, q), "psi")
@@ -469,22 +471,22 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     """Layer by layer over nodes (state, product position id).
 
     A product position holds each account's set of match positions.  A
-    step's letter is step_ok(event, state) for each account's
-    observations, WILDCARD events included; the letter alone decides
-    where a position goes, so each (position, letter) step, and with it
-    acceptance, is computed once.  These tables live for one call.
-    A layer maps each node to its number of paths from layer 0, added up
-    as the layer is built, so every window length closed off has its
-    witnesses counted, read back or not.
+    letter id numbers the step_ok(event, state) values of the distinct
+    properties, WILDCARD events included, and alone decides where a
+    position goes, so each (position, letter) step, and with it
+    acceptance, is computed once per call.  A layer maps each node to its
+    number of paths from layer 0, so every length closed off has its
+    witnesses counted.  A wanted layer whose node set repeats one since
+    the last witness closes a barren cycle that later layers only repeat.
     Returns the verdict, the explanations, whether the cap cut the
     read-back short, the witness count and the number of nodes expanded.
     """
     windows = [_window(t) for t in all_triples]
-    lengths = [L for L in range(1, horizon + 1)
-               if all(lo <= L and (hi is PLUS_INF or L <= hi)
-                      for lo, hi in windows)]
+    want = range(max([1] + [lo for lo, _ in windows]),   # the lengths searched
+                 min([horizon] + [hi for _, hi in windows
+                                  if hi is not PLUS_INF]) + 1)
     found: List[Computation] = [()] if all(lo == 0 for lo, _ in windows) else []
-    last = max(lengths, default=0)
+    last = want[-1] if want else 0
 
     # interned product positions: key -> id, with closures and acceptance
     ids: Dict[Tuple[FrozenSet[NfaPos], ...], int] = {}
@@ -500,13 +502,13 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
                                  for c, t in zip(closed[-1], all_triples)))
         return ids[poss]
 
-    steps: Dict[Tuple[int, Letter], Optional[int]] = {}
+    steps: Dict[Tuple[int, int], Optional[int]] = {}
 
-    def step(pid: int, lt: Letter) -> Optional[int]:
+    def step(pid: int, lid: int) -> Optional[int]:
         """Successor position, or None when some account dies."""
-        if (pid, lt) not in steps:
+        if (pid, lid) not in steps:
             nxt = []
-            for c, triples, oks in zip(closed[pid], all_triples, lt):
+            for c, triples, oks in zip(closed[pid], all_triples, rows[lid]):
                 out = set()
                 for j, k in c:
                     if j < len(triples) and oks[j]:
@@ -516,13 +518,18 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
                         elif k + 1 <= mn + mx:
                             out.add((j, k + 1))
                 nxt.append(frozenset(out))
-            steps[pid, lt] = intern(tuple(nxt)) if all(nxt) else None
-        return steps[pid, lt]
+            steps[pid, lid] = intern(tuple(nxt)) if all(nxt) else None
+        return steps[pid, lid]
 
-    letters: Dict[Step, Letter] = {   # kept for reading explanations back
-        (e, s): tuple(tuple(p.step_ok(e, s) for p, _, _ in t)
-                      for t in all_triples)
+    props: Dict[Property, int] = {}
+    cols = [[props.setdefault(p, len(props)) for p, _, _ in t] for t in all_triples]
+    lids: Dict[Tuple[bool, ...], int] = {}
+    letters: Dict[Step, int] = {   # kept for reading explanations back
+        (e, s): lids.setdefault(tuple(p.step_ok(e, s) for p in props),
+                                len(lids))
         for e, s in [(WILDCARD, s) for s in fsm.states] + list(fsm.psi)}
+    rows: List[Letter] = [tuple(tuple(oks[c] for c in col) for col in cols)
+                          for oks in lids]   # letter id -> per-account row
     moves = {s: [(e, fsm.successor(e, s), letters[e, s])
                  for e in fsm.events if fsm.fires(e, s)] for s in fsm.states}
     Node = Tuple[Any, int]
@@ -532,11 +539,8 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         """The node's chained moves and its final steps, built once."""
         if node not in graph:
             state, pid = node
-            edges = []
-            for e, succ, lt in moves[state]:
-                nid = step(pid, lt)
-                if nid is not None:
-                    edges.append(((succ, nid), (e, state)))
+            edges = [((succ, nid), (e, state)) for e, succ, lid in moves[state]
+                     if (nid := step(pid, lid)) is not None]
             wild = step(pid, letters[WILDCARD, state])
             graph[node] = edges, (
                 [(WILDCARD, state)] if wild is not None and accepting[wild]
@@ -548,30 +552,23 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     back: List[Dict[Node, List[Tuple[Node, Step]]]] = [{}]
 
     def read_back(t: int, node: Node, fstep: Step) -> None:
-        """Append the witnesses ending in fstep at node, depth first in
-        edge order, until the cap.  A layer's predecessor lists are built
-        when a read-back first crosses it."""
+        """Append the witnesses ending in fstep at node, up to the cap."""
         while len(back) <= t and len(found) < max_backtraces:
             pred: Dict[Node, List[Tuple[Node, Step]]] = {}
             for prev in layers[len(back) - 1]:
                 for succ, stp in expand(prev)[0]:
                     pred.setdefault(succ, []).append((prev, stp))
             back.append(pred)
-        stack = [(t, node, (fstep,))]
-        while stack and len(found) < max_backtraces:
-            i, at, suffix = stack.pop()
-            if i == 0:
-                found.append(suffix)
-            else:
-                stack.extend((i - 1, prev, (stp,) + suffix)
-                             for prev, stp in reversed(back[i][at]))
+        runs = _paths(t, node, (fstep,), lambda i, at: reversed(back[i][at]))
+        found.extend(itertools.islice(runs, max(0, max_backtraces - len(found))))
 
-    want = set(lengths)
     witnesses = len(found)
     stopped = False
+    barren: Set[FrozenSet[Node]] = set()    # node sets since the last witness
     for t in range(0, horizon):
         # close off windows of length t+1: t chained steps plus a final step
         if (t + 1) in want:
+            before = witnesses
             for node, n in layers[t].items():
                 finals = expand(node)[1]
                 witnesses += n * len(finals)
@@ -580,6 +577,12 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
             if witnesses and len(found) >= max_backtraces:
                 stopped = t + 1 < last
                 break
+            if witnesses > before:
+                barren.clear()
+            elif (reached := frozenset(layers[t])) in barren:
+                break   # a barren cycle: later layers only repeat it
+            else:
+                barren.add(reached)
         if t + 1 >= last:
             break
         counts: Dict[Node, int] = {}
@@ -590,7 +593,7 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         if not counts:
             break
 
-    return (witnesses > 0, _explanations(all_triples, found, letters),
+    return (witnesses > 0, _explanations(all_triples, found, letters, rows),
             stopped or witnesses > len(found), witnesses, len(graph))
 
 
@@ -613,20 +616,29 @@ def _compositions(triples: Sequence[Tuple[Property, int, Any]],
                     break
                 k += 1
         starts.append(ends)
-    out = []
-    stack = [(len(triples), L, ())] if L in starts[-1] else []
+    return list(_paths(len(triples), L, (), lambda j, end: (
+        (pos, end - pos) for pos in starts[j].get(end, ()))))
+
+
+def _paths(depth: int, at: Any, tail: tuple, before) -> Iterator[tuple]:
+    """Label tuples of the paths of depth steps into at, each followed by
+    tail, depth first: before(i, at) gives step i's (predecessor, label)
+    pairs, the first to follow last.  One buffer holds the current path."""
+    path: List[Any] = [None] * depth
+    stack = [(depth, at, None)]
     while stack:
-        j, end, suffix = stack.pop()
-        if j == 0:
-            out.append(suffix)
+        i, at, label = stack.pop()
+        if i < depth:
+            path[i] = label
+        if i == 0:
+            yield tuple(path) + tail
         else:
-            stack.extend((j - 1, pos, (end - pos,) + suffix)
-                         for pos in starts[j][end])
-    return out
+            stack.extend((i - 1, prev, lb) for prev, lb in before(i, at))
 
 
 def _explanations(all_triples, found: List[Computation],
-                  letters: Mapping[Step, Letter]) -> List[MSPR]:
+                  letters: Mapping[Step, int],
+                  rows: Sequence[Letter]) -> List[MSPR]:
     """Group the witnesses by each tuple of segment compositions, one per
     account and the last account first, as comb does.
 
@@ -635,17 +647,19 @@ def _explanations(all_triples, found: List[Computation],
     the most general final step, and as it stands otherwise.
     """
     groups: Dict[Tuple[Tuple[int, ...], ...], Set[Computation]] = {}
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
     for run in found:
-        rows = [letters[stp] for stp in run]
-        tries = ([rows[:-1] + [letters[WILDCARD, run[-1][1]]], rows] if run
-                 else [rows])
+        word = tuple(letters[stp] for stp in run)
+        tries = ([word[:-1] + (letters[WILDCARD, run[-1][1]],), word] if run
+                 else [word])
         per_account = []
         for i, triples in enumerate(all_triples):
-            for r in tries:
-                comps = _compositions(triples, [lt[i] for lt in r])
-                if comps:
+            for w in tries:
+                if (i, w) not in memo:
+                    memo[i, w] = _compositions(triples, [rows[lid][i] for lid in w])
+                if memo[i, w]:
                     break
-            per_account.append(comps)
+            per_account.append(memo[i, w])
         for lens in itertools.product(*reversed(per_account)):
             groups.setdefault(lens, set()).add(run)
     return [MSPR(lens, frozenset(groups[lens])) for lens in sorted(groups)]
@@ -668,8 +682,8 @@ def load_fsm(text: str) -> StateMachine:
     included, and a pair the file leaves out cannot occur.
     """
     transitions: Dict[Tuple[str, str], str] = {}
-    states: List[str] = []
-    events: List[str] = []
+    states: Dict[str, None] = {}     # insertion-ordered sets
+    events: Dict[str, None] = {}
     properties: Dict[str, Property] = {}
     lines = text.splitlines()
     i = 0
@@ -701,11 +715,8 @@ def load_fsm(text: str) -> StateMachine:
                 raise ValidationError("missing target state: %r" % line, "fsm")
         except ValidationError as exc:
             raise _at_line(exc, lineno) from None
-        if event not in events:
-            events.append(event)
-        for s in (src, dst):
-            if s not in states:
-                states.append(s)
+        events[event] = None
+        states.update(dict.fromkeys((src, dst)))
         transitions[(event, src)] = dst
 
     return StateMachine(states=tuple(states), events=tuple(events),
@@ -737,7 +748,9 @@ def _parse_property_block(block: str) -> Tuple[str, Property]:
         raise ValidationError(
             "property needs `property NAME { ... }`: %r" % block, "fsm")
     name = words[1]
-    body = rest.rsplit("}", 1)[0]
+    body, _, tail = rest.partition("}")
+    if tail.strip():
+        raise ValidationError("text after '}': %r" % tail.strip(), "fsm")
     states = allow = None
     deny: FrozenSet[str] = frozenset()
     for clause in body.split(";"):
@@ -821,9 +834,11 @@ def load_es(text: str) -> EvidentialStatement:
                 if not obs:
                     raise ValidationError("sequence %s is empty" % name, "es")
                 sequences[name] = ObservationSequence(obs, name=name)
-            elif line.startswith("statement"):
-                _, _, members = line.partition("=")
-                statement, statement_line = members.split(), lineno
+            elif line.partition("=")[0].strip() == "statement":
+                if statement is not None:
+                    raise ValidationError("a second statement line; the first"
+                                          " is line %d" % statement_line, "es")
+                statement, statement_line = line.partition("=")[2].split(), lineno
             else:
                 raise ValidationError("unrecognized claim line: %r" % raw,
                                       "es")

@@ -7,6 +7,7 @@ against the brute-force oracle in oracles.py.
 import os
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -520,6 +521,32 @@ def test_long_account_checks_without_recursion():
     assert bt[0] == ("a", "s0") and bt[-1] == (WILDCARD, "s1")
 
 
+BARREN_CLAIMS = [
+    # both accounts go on forever, but one ends in s0 and one in s1
+    ("a s0 -> s1\na s1 -> s0\n",
+     "observation any = ($, 0, infinitum)\nobservation in0 = (s0, 1, 0)\n"
+     "observation in1 = (s1, 1, 0)\nsequence p = any in0\n"
+     "sequence q = any in1\nstatement = p q\n", 0),
+    # a window ends in s1 only at lengths 1 and 2; s2 and s3 then cycle
+    ("a s0 -> s1\nb s1 -> s2\nc s2 -> s3\nc s3 -> s2\n",
+     "observation any = ($, 0, infinitum)\nobservation in1 = (s1, 1, 0)\n"
+     "sequence p = any in1\nstatement = p\n", 2),
+]
+
+
+@pytest.mark.parametrize("fsm_text, es_text, witnesses", BARREN_CLAIMS,
+                         ids=["inconsistent", "short_windows_only"])
+def test_search_stops_at_a_barren_cycle(fsm_text, es_text, witnesses):
+    fsm, es = load_fsm(fsm_text), load_es(es_text)
+    short = check_claim(fsm, es, horizon=64)
+    started = time.monotonic()
+    endless = check_claim(fsm, es, horizon=10 ** 6)
+    assert time.monotonic() - started < 1.0
+    assert short.witnesses == witnesses and not short.truncated
+    # the same result, nodes and backtraces included, but for the horizon
+    assert replace(endless, horizon=64) == short
+
+
 def test_exact_route_on_a_long_window_does_not_recurse():
     fsm = load_fsm("a s0 -> s1\na s1 -> s0\n")
     es = load_es("observation x = ($, 1200, 0)\nsequence s = x\n"
@@ -760,6 +787,7 @@ def plant(text, lineno, bad):
     ("property  { states: a; }", "property  { states: a; }"),
     # a block over two lines is reported at its first
     ("property p {\n  colour: red; }", "unknown property clause 'colour'"),
+    ("property p { states: a; } b t -> s", "text after '}': 'b t -> s'"),
 ])
 def test_load_fsm_names_the_bad_line(bad, message):
     with pytest.raises(ValidationError) as err:
@@ -778,6 +806,7 @@ def test_load_fsm_names_the_bad_line(bad, message):
     ("observation x = (p, -1, 0)", "min must be non-negative"),
     ("sequence s = ghost", "sequence s references unknown observation"),
     ("sequence s =", "sequence s is empty"),
+    ("statements = os_final", "unrecognized claim line: 'statements = os_final'"),
 ])
 def test_load_es_names_the_bad_line(bad, message):
     with pytest.raises(ValidationError) as err:
@@ -795,6 +824,17 @@ def test_load_es_names_the_statement_line():
                              "sequence 'ghost'" % lineno):
         load_es(text.replace("statement = os_final",
                              "statement = os_final ghost"))
+
+
+def test_load_es_rejects_a_second_statement_line():
+    text = fixture_text("blackmail.es")
+    first = text.splitlines().index(
+        "statement = os_final os_unrelated os_mr_a") + 1
+    second = len(text.splitlines()) + 1
+    with pytest.raises(ValidationError,
+                       match="^line %d: a second statement line; the first "
+                             "is line %d$" % (second, first)):
+        load_es(text + "statement = os_final\n")
 
 
 def test_load_fsm_rejects_nameless_property():
