@@ -11,13 +11,16 @@ function application, which gives the substitution semantics directly:
 a formal occurrence evaluates its argument expression at the context of
 the occurrence, not of the call.
 
-Stream operators are evaluated directly by index arithmetic; the
-semantics.rewrite_to_core reduction is the cross-check, not the
-implementation.  Word operators share their symbolic twins' code: `neg`
-and `not` run that of `-` and `!`, the eight truth-value operators
-(`&&`, `||`, `and`, `or`, `xor` and the n-forms) one routine, and `asa`
-is `wvr` at index 0.  Errors are raised with a message only; `eval`
-gives each the position of the innermost source node it passes through.
+The stream filters (`wvr`, `upon`, `asa`, `ala` and their n- and
+r-forms) arrive as their semantics.rewrite_to_core templates, which
+analyze expands, so every element a filter yields is a demand that the
+warehouse keeps.  The other stream operators are evaluated directly by
+index arithmetic.  Word operators share their symbolic twins' code:
+`neg` and `not` run that of `-` and `!`, and the truth-value and
+bitwise words that of the binary operators.  Errors are raised with a
+message only; `eval` gives each FlucidError the position of the
+innermost source node it passes through.  A demand chain too deep for
+one Python stack resumes on a fresh one (see Evaluator.run).
 
 Forensic values (observations, sequences, statements) flow through the
 same machinery, and a call applying a claim-evaluator function to an
@@ -31,6 +34,7 @@ validated hop by hop against the tabulated transitions.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,8 +80,8 @@ _SENTINELS = {"eod": EOD, "bod": BOD, "INF+": PLUS_INF, "INF-": MINUS_INF}
 
 class EvaluationError(FlucidError):
     """Raised with a message only; Evaluator.eval sets span to that of
-    the innermost source node the error passes through."""
-    span = None
+    the innermost source node the error passes through, as it does for
+    every FlucidError."""
 
 
 @dataclass(frozen=True)
@@ -156,12 +160,26 @@ _LOGIC = {
     "nand": (False, True, int), "nor": (True, True, int),
     "xor": (None, False, int), "nxor": (None, True, int),
 }
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge}
+_BITWISE = {"band": operator.and_, "bor": operator.or_, "bxor": operator.xor}
 
-_RECURSION_LIMIT = 12000
+# Nesting on one Python stack, in evaluations; past it, run resumes the
+# demand chain on a fresh stack.  An evaluation nests at most five
+# interpreter frames, so the recursion limit leaves the caller room.
+_STACK_BUDGET = 3000
+_RECURSION_LIMIT = 6 * _STACK_BUDGET
 
 # The default bound on nested evaluation: how many expressions, demands
-# included, may be under evaluation at once.
-MAX_DEPTH = 3000
+# included, may be under evaluation at once, across resumed stacks.
+MAX_DEPTH = 100_000
+
+
+class _Cut(Exception):
+    """Unwinds to Evaluator.run with the demand to resume on a fresh
+    stack: its key, frame, pending ancestors and nesting.  Not a
+    FlucidError, so that no handler inside evaluation takes it for a
+    failure."""
 
 
 class Evaluator:
@@ -179,28 +197,67 @@ class Evaluator:
         self.max_scan = max_scan
         self.max_depth = max_depth
         self.warehouse: Dict[Any, Any] = {}
-        self._chain: Dict[Any, None] = {}   # keys being computed, in order
-        self._depth = 0
+        # keys being computed, in order, to (nesting demanded at, frame)
+        self._chain: Dict[Any, Tuple[int, Frame]] = {}
+        self._failed: Dict[Any, FlucidError] = {}
+        self._base = self._depth = self._room = 0   # see run
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
-        self._frame_ids = itertools.count(1)
+        self._frames: Dict[Any, Frame] = {}     # (site, parent id) -> frame
 
     # -- entry points ------------------------------------------------------
 
     def run(self, context: Optional[SimpleContext] = None) -> Any:
+        """The program's head at context.  Past _STACK_BUDGET nested
+        evaluations on one stack, eval unwinds to the most recent demand
+        pending in the stack's lower half.  run evaluates it on a fresh
+        stack, its pending ancestors kept in the chain, then retries what
+        was cut short; a failure is raised again where it is demanded."""
         ctx = context if context is not None else EMPTY_CONTEXT
         previous = sys.getrecursionlimit()
         if previous < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
+        resumed = [(None, _ROOT, {}, 0)]        # innermost last
         try:
-            return self.eval(self.analysis.tree, ctx, _ROOT)
+            while True:
+                key, frame, self._chain, self._base = resumed[-1]
+                self._depth = 0
+                self._room = min(_STACK_BUDGET, self.max_depth - self._base)
+                try:
+                    if key is None:
+                        return self.eval(self.analysis.tree, ctx, frame)
+                    self.demand(key[0], key[1], frame)
+                except _Cut as cut:
+                    resumed.append(cut.args)    # not the unwound frames
+                    continue
+                except FlucidError as exc:
+                    if key is None:
+                        raise
+                    self._failed[key] = exc
+                resumed.pop()
         except RecursionError:
             raise EvaluationError(
                 "demand depth exceeded; a definition recurses too deeply "
                 "for this interpreter")
         finally:
+            self._failed.clear()
             if previous < _RECURSION_LIMIT:
                 sys.setrecursionlimit(previous)
+
+    def _too_deep(self, depth: int):
+        """Cut back to a demand in this stack's lower half (see run), or
+        fail when there is none or the nesting is over max_depth."""
+        if self._base + depth <= self.max_depth:
+            chain = dict(self._chain)
+            while chain:
+                key, (at, frame) = chain.popitem()
+                if at <= self._base:
+                    break           # demanded below this stack
+                if at <= self._base + _STACK_BUDGET // 2:
+                    raise _Cut(key, frame, chain, at)
+        raise EvaluationError(
+            "demand depth exceeded; a stream is probably unbounded "
+            "in the direction being scanned")
 
     # -- demands -----------------------------------------------------------
 
@@ -209,6 +266,8 @@ class Evaluator:
         hit = self.warehouse.get(key, _MISS)
         if hit is not _MISS:
             return hit
+        if self._failed and key in self._failed:
+            raise self._failed[key]
         chain = self._chain
         if key in chain:
             keys = list(chain)
@@ -218,7 +277,7 @@ class Evaluator:
                 " -> ".join(cycle), ", ".join(
                     "%s at %d:%d" % (n, span.line, span.col)
                     for n, span in spans if span.end)))
-        chain[key] = None
+        chain[key] = (self._base + self._depth, frame)
         try:
             value = self._define(name, ctx, frame)
         finally:
@@ -248,14 +307,12 @@ class Evaluator:
 
     def eval(self, node: N.Node, ctx: SimpleContext, frame: Frame) -> Any:
         depth = self._depth + 1
-        if depth > self.max_depth:
-            raise EvaluationError(
-                "demand depth exceeded; a stream is probably unbounded "
-                "in the direction being scanned")
+        if depth > self._room:
+            self._too_deep(depth)
         self._depth = depth
         try:
             return self._dispatch[type(node)](self, node, ctx, frame)
-        except EvaluationError as exc:
+        except FlucidError as exc:
             # synthesized nodes carry Span(0, 0, 0, 0): no position
             if exc.span is None and node.span.end:
                 exc.span = node.span
@@ -527,21 +584,21 @@ class Evaluator:
             return _values_equal(a, b)
         if op == "!=":
             return not _values_equal(a, b)
-        if op in ("<", "<=", ">", ">="):
+        if op in _ORDER:
             try:
-                if op == "<":
-                    return a < b
-                if op == "<=":
-                    return a <= b
-                if op == ">":
-                    return a > b
-                return a >= b
+                return _ORDER[op](a, b)
             except TypeError:
                 raise EvaluationError(
                     "'%s' is not defined between %s and %s"
                     % (op, kind_of(a), kind_of(b)))
         if op == "+" and isinstance(a, str) and isinstance(b, str):
             return a + b
+        if op in _BITWISE:
+            for v in (a, b):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise EvaluationError(
+                        "'%s' needs integers, got %s" % (op, kind_of(v)))
+            return _BITWISE[op](a, b)
         if op in ("+", "-", "*", "/", "%"):
             self._need_number(a, op)
             self._need_number(b, op)
@@ -669,36 +726,8 @@ class Evaluator:
             return self._fby(x, y, ctx, frame, dim)
         if op == "pby":
             return self._pby(x, y, ctx, frame, dim)
-        if op in ("wvr", "nwvr"):
-            return self._wvr(x, y, ctx, frame, dim, op == "nwvr")
-        if op in ("upon", "nupon"):
-            return self._upon(x, y, ctx, frame, dim, op == "nupon")
-        if op in ("asa", "nasa"):
-            # first (X wvr Y)
-            return self._wvr(x, y, ctx.with_pair(dim, 0), frame, dim,
-                             op == "nasa")
-        if op in ("ala", "nala"):
-            return self._ala(x, y, ctx, frame, dim, op == "nala")
-        if op in ("rwvr", "nrwvr", "rupon", "nrupon"):
-            return self._reversed_op(x, y, ctx, frame, dim, op)
-        if op in _LOGIC:
-            return self._logic(op, x, y, ctx, frame)
-        if op in ("band", "bor", "bxor"):
-            a = self.eval(x, ctx, frame)
-            if _is_sentinel(a):
-                return a
-            b = self.eval(y, ctx, frame)
-            if _is_sentinel(b):
-                return b
-            for v in (a, b):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise EvaluationError(
-                        "'%s' needs integers, got %s" % (op, kind_of(v)))
-            if op == "band":
-                return a & b
-            if op == "bor":
-                return a | b
-            return a ^ b
+        if op in _LOGIC or op in _BITWISE:
+            return self._e_BinOp(node, ctx, frame)
         if op == "combine":
             return self._combine(self.eval(x, ctx, frame),
                                  self.eval(y, ctx, frame))
@@ -734,84 +763,6 @@ class Evaluator:
         if before is EOD:
             return EOD
         return self._elem(x, ctx, frame, dim, 0)
-
-    def _wvr(self, x, y, ctx, frame, dim, negate):
-        target = self._index(ctx.tag(dim, 0))
-        if target < 0:
-            return BOD
-        count = -1
-        for j in range(self.max_scan):
-            yv = self._elem(y, ctx, frame, dim, j)
-            if _is_sentinel(yv):
-                return yv
-            if _truthy(yv) != negate:
-                count += 1
-                if count == target:
-                    return self._elem(x, ctx, frame, dim, j)
-        raise EvaluationError(
-            "filter scanned %d elements without finding index %d"
-            % (self.max_scan, target))
-
-    def _upon(self, x, y, ctx, frame, dim, negate):
-        target = self._index(ctx.tag(dim, 0))
-        if target < 0:
-            return BOD
-        advanced = 0
-        for j in range(target):
-            yv = self._elem(y, ctx, frame, dim, j)
-            if _is_sentinel(yv):
-                return yv
-            if _truthy(yv) != negate:
-                advanced += 1
-        return self._elem(x, ctx, frame, dim, advanced)
-
-    def _ala(self, x, y, ctx, frame, dim, negate):
-        # the last element of the filtered stream: an end marker in
-        # either the guard or a kept sample closes that stream
-        best = _MISS
-        for j in range(self.max_scan):
-            yv = self._elem(y, ctx, frame, dim, j)
-            if yv is EOD:
-                return EOD if best is _MISS else best
-            if yv is BOD:
-                return BOD
-            if _truthy(yv) != negate:
-                xv = self._elem(x, ctx, frame, dim, j)
-                if xv is EOD:
-                    return EOD if best is _MISS else best
-                best = xv
-        raise EvaluationError(
-            "stream did not end within %d elements; bounded input is "
-            "required here" % self.max_scan)
-
-    def _reversed_op(self, x, y, ctx, frame, dim, op):
-        xs = self._scan(x, ctx, frame, dim)
-        ys = self._scan(y, ctx, frame, dim)
-        rx = xs[::-1]
-        ry = ys[::-1]
-        i = self._index(ctx.tag(dim, 0))
-        if i < 0:
-            return BOD
-        negate = op in ("nrwvr", "nrupon")
-        if op in ("rwvr", "nrwvr"):
-            count = -1
-            for j, yv in enumerate(ry):
-                if _is_sentinel(yv):
-                    return BOD                  # poisoned guard element
-                if _truthy(yv) != negate:
-                    count += 1
-                    if count == i:
-                        return rx[j] if j < len(rx) else BOD
-            return BOD                          # reverse exhaustion
-        advanced = 0
-        for j in range(i):
-            if j >= len(ry):
-                return BOD
-            if _is_sentinel(ry[j]):
-                return BOD
-            if _truthy(ry[j]) != negate:
-                advanced += 1
-        return rx[advanced] if advanced < len(rx) else BOD
 
     # -- calls, functions, claims ----------------------------------------------
 
@@ -861,8 +812,15 @@ class Evaluator:
                         for p, a in zip(defn.params, arg_nodes)}
         for p, a in zip(defn.dim_params, dim_nodes):
             bindings[p] = Thunk(expr=a, frame=frame)
+        site = (defn.unique, id(arg_nodes), id(dim_nodes), ctx)
         return self.eval(defn.node.body, ctx,
-                         Frame(next(self._frame_ids), frame, bindings))
+                         self._frame(site, frame, bindings))
+
+    def _frame(self, site, parent: Frame, bindings) -> Frame:
+        """The frame a call site makes under parent, the same one each
+        time, so that a retry (see run) finds the demands stored in it."""
+        return self._frames.setdefault((site, parent.id), Frame(
+            len(self._frames) + 1, parent, bindings))
 
     # claim evaluation
 
@@ -935,6 +893,7 @@ class Evaluator:
             return None
         dim_bindings = {p: Thunk.of_value(v)
                         for p, v in zip(cand.dim_params, dim_values)}
+        dims = tuple(repr(v) for v in dim_values)      # as _machine keys
         edges = {}
         for event in events:
             for pair in itertools.product(cells, repeat=2):
@@ -944,7 +903,8 @@ class Evaluator:
                 bindings = dict(dim_bindings)
                 bindings[cand.params[0]] = Thunk.of_value(event)
                 bindings[cand.params[1]] = Thunk(expr=stream, frame=_ROOT)
-                call_frame = Frame(next(self._frame_ids), frame, bindings)
+                call_frame = self._frame(
+                    (cand.unique, dims, event, pair), frame, bindings)
                 fst = self.eval(cand.node.body,
                                 SimpleContext({DEFAULT_DIMENSION: 0}),
                                 call_frame)

@@ -14,9 +14,10 @@ visited before its body.
 
 rewrite_to_core() reduces the derived stream operators to context
 navigation, index queries, and conditionals, bottom-up in the same
-fold.  It is a pure syntax transform used to cross-check the
-evaluator's direct operator implementations; evaluation itself does not
-depend on it.
+fold.  Its templates are the one implementation of the stream filters
+(wvr, upon, asa, ala and their n- and r-forms): analyze() expands the
+filters of a program that has any, so that the evaluator's warehouse
+keeps each element a filter yields.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class Definition:
 class Analysis:
     tree: N.Node
     env: Dict[str, Definition]
-    errors: Tuple[ErrorRecord, ...]     # warnings that did not abort
 
 
 class _Scope:
@@ -143,6 +143,7 @@ class _Analyzer:
         self._counts: Dict[str, int] = {}
         self._placed: Dict[int, _Scope] = {}    # declaration id -> its scope
         self.scope = _Scope(None)
+        self.filters = False        # an unannotated stream filter was seen
         for name in BUILTINS:
             self.scope.names[name] = (name, "builtin")
 
@@ -243,6 +244,8 @@ class _Analyzer:
     def _k_StreamBin(self, node: N.StreamBin) -> list:
         # Hop annotations are provenance notes, consumed verbatim by the
         # claim validator; their contents are not name-resolved.
+        if node.op in FILTERS and node.annotation is None:
+            self.filters = True
         return [node.left, node.right]
 
     def _k_Dot(self, node: N.Dot) -> list:
@@ -411,15 +414,18 @@ def analyze(tree: N.Node) -> Analysis:
     """Resolve names and collect diagnostics for a whole program.
 
     Deterministic and idempotent: analyzing an already-renamed tree is
-    the identity.  Raises FlucidSemanticError when any error-severity
-    record was produced; warnings ride along on the result.
+    the identity.  Raises FlucidSemanticError when any record was
+    produced.  A program with a stream filter comes back with its
+    filters expanded to their core templates.
     """
-    analyzer = _Analyzer()
-    renamed = N.fold(tree, analyzer.leave, analyzer.kids)
-    errors = [r for r in analyzer.records if r.severity == "error"]
-    if errors:
-        raise FlucidSemanticError(analyzer.records)
-    return Analysis(renamed, analyzer.env, tuple(analyzer.records))
+    while True:
+        analyzer = _Analyzer()
+        renamed = N.fold(tree, analyzer.leave, analyzer.kids)
+        if analyzer.records:
+            raise FlucidSemanticError(analyzer.records)
+        if not analyzer.filters:
+            return Analysis(renamed, analyzer.env)
+        tree = _rewrite(renamed, FILTERS)
 
 
 # --- reduction of derived operators to the core ------------------------------
@@ -435,12 +441,17 @@ REWRITTEN_BIN = frozenset("""
     fby pby wvr rwvr nwvr nrwvr asa nasa ala nala
     upon rupon nupon nrupon and or xor nand nor nxor
 """.split())
+# The stream filters, which analyze() expands for evaluation.
+FILTERS = frozenset("wvr rwvr nwvr nrwvr asa nasa ala nala "
+                    "upon rupon nupon nrupon".split())
 
 
 class _Names:
-    """Fresh-name supply that avoids every identifier in the tree."""
+    """The operators a rewrite expands, and a fresh-name supply that
+    avoids every identifier in the tree."""
 
-    def __init__(self, tree: N.Node):
+    def __init__(self, tree: N.Node, ops: frozenset):
+        self.ops = ops
         self.used = {n.name for n in N.walk(tree) if isinstance(n, N.Ident)}
         self.counter = 0
 
@@ -509,8 +520,11 @@ def rewrite_to_core(tree: N.Node) -> N.Node:
     predicates, and plain arithmetic.  Deterministic, and the identity
     on trees that are already core.
     """
-    names = _Names(tree)
-    return _rw(tree, names)
+    return _rewrite(tree, REWRITTEN_UNARY | REWRITTEN_BIN)
+
+
+def _rewrite(tree: N.Node, ops: frozenset) -> N.Node:
+    return _rw(tree, _Names(tree, ops))
 
 
 def _rw(tree: N.Node, names: _Names):
@@ -519,12 +533,13 @@ def _rw(tree: N.Node, names: _Names):
 
 
 def _core(node, names: _Names):
-    if isinstance(node, N.StreamUnary) and node.op in REWRITTEN_UNARY:
+    if isinstance(node, N.StreamUnary) and node.op in names.ops:
         return _expand_unary(node, names)
-    if (isinstance(node, N.StreamBin) and node.op in REWRITTEN_BIN
+    if (isinstance(node, N.StreamBin) and node.op in names.ops
             and node.annotation is None):
         # Annotated hops carry evidence structure, never stream flow.
-        return _expand_bin(node, names)
+        # The expansion keeps the operator's position for its errors.
+        return replace(_expand_bin(node, names), span=node.span)
     return node
 
 
@@ -609,7 +624,7 @@ def _filter_template(x, y, dim, names: _Names, negate: bool) -> N.Node:
     t = _var(tn, N.StreamBin(
         "fby", _ident(un),
         _at(_ident(un), _add(_ident(tn), _int(1)), dim), dim))
-    return _where(_at(_ident(xn), _ident(tn), dim),
+    return _where(_from_zero(_at(_ident(xn), _ident(tn), dim), dim),
                   [_var(xn, x), _var(yn, y), u, t])
 
 
@@ -620,8 +635,14 @@ def _advance_template(x, y, dim, names: _Names, negate: bool) -> N.Node:
     w = _var(wn, N.StreamBin(
         "fby", _int(0),
         _if(cond, _add(_ident(wn), _int(1)), _ident(wn)), dim))
-    return _where(_at(_ident(xn), _ident(wn), dim),
+    return _where(_from_zero(_at(_ident(xn), _ident(wn), dim), dim),
                   [_var(xn, x), _var(yn, y), w])
+
+
+def _from_zero(body: N.Node, dim: str) -> N.IfExpr:
+    """body at the natural indices, bod below them: a filter's position
+    counter, read below zero, would recurse without end."""
+    return _if(N.BinOp("<", _hash(dim), _int(0)), N.SentinelLit("bod"), body)
 
 
 def _reversed_template(x, y, dim, names: _Names, op: str) -> N.Node:

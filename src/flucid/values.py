@@ -17,6 +17,7 @@ from typing import Any, Iterable, Optional, Sequence, Tuple, Union
 
 class FlucidError(Exception):
     """Root of the package exception hierarchy."""
+    span = None     # where in the source it was raised, when known
 
 
 class ValidationError(FlucidError):

@@ -41,8 +41,7 @@ def test_corpus_is_complete():
 def test_analyzes_without_errors(path):
     from flucid.semantics import analyze
 
-    result = analyze(parse(_read(path)))
-    assert result.errors == ()
+    analyze(parse(_read(path)))     # raises on any record
 
 
 FRONT_END_DIGEST = \

@@ -6,6 +6,7 @@ demand machinery, context navigation, forensic coercions, and the
 reconstruction dispatch get direct contract tests.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -13,15 +14,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flucid import era
-from flucid.evaluator import EvaluationError, Evaluator, evaluate
+from flucid import era, evaluator
+from flucid.evaluator import MAX_DEPTH, EvaluationError, Evaluator, evaluate
 from flucid.semantics import analyze, rewrite_to_core
-from flucid.syntax import parse
+from flucid.syntax import parse, pretty_print
 from flucid.values import (
     BOD,
     EOD,
     ContextSet,
     EvidentialStatement,
+    FlucidError,
     Observation,
     ObservationSequence,
     SimpleContext,
@@ -30,6 +32,7 @@ from flucid.values import (
 from oracles import BOD as OBOD
 from oracles import EOD as OEOD
 from oracles import ref_stream_op
+from test_syntax import _trees
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -112,10 +115,11 @@ def test_warehouse_computes_each_demand_once():
 
 def test_evaluator_recovers_after_depth_and_cycle_errors():
     # one instance keeps its warehouse across runs; a failed run must
-    # leave no demand chain or depth behind
+    # leave no demand chain or depth behind.  Index 5000 nests about
+    # 15000 deep: it fails past the limit, on a resumed stack.
     ev = Evaluator(analyze(parse(
         "if #e > 0 then c else N fi "
-        "where N = 42 fby.d (N + 1); c = c + 1; end")))
+        "where N = 42 fby.d (N + 1); c = c + 1; end")), max_depth=6000)
 
     def at_index(d, e=0):
         return ev.run(SimpleContext({"d": d, "e": e}))
@@ -127,6 +131,64 @@ def test_evaluator_recovers_after_depth_and_cycle_errors():
         at_index(0, e=1)
     # with the shallower indices kept, the failed demand now succeeds
     assert [at_index(d) for d in range(250, 5001, 250)][-1] == 5042
+
+
+def test_deep_stream_index_evaluates_at_the_default_limit():
+    assert run("N @.d 10000 where N = 42 fby.d (N + 1); end") == 10042
+
+
+def test_cycle_across_resumed_stacks_is_reported():
+    # each definition nests one evaluation: the cycle spans two cuts
+    n = 5001
+    decls = "".join("a%d = a%d; " % (k, (k + 1) % n) for k in range(n))
+    with pytest.raises(EvaluationError) as err:
+        run("a0 where %send" % decls)
+    assert str(err.value).startswith("cyclic definition: a0 -> a1 -> a2")
+    assert " -> a5000 -> a0 (a0 at 1:" in str(err.value)
+
+
+SUM_WVR = """S @.d %d
+where
+  S = X fby.d (S + next.d X);
+  X = (#.d * 2) wvr.d (#.d %% 2 == 0);
+end
+"""
+
+
+def test_filter_elements_are_kept_in_the_warehouse():
+    # the filter's elements and position counters are demands that the
+    # warehouse keeps once each, so its size is linear in the index
+    sizes = {}
+    for n in (200, 400):
+        ev = Evaluator(analyze(parse(SUM_WVR % n)))
+        assert ev.run() == 2 * n * (n + 1)
+        sizes[n] = len(ev.warehouse)
+    assert sizes[400] <= 2.2 * sizes[200]
+
+
+def test_cold_filter_demand_reaches_past_one_stack():
+    assert run("(X wvr.d Y) @.d 3000 "
+               "where X = #.d * 2; Y = #.d % 2 == 0; end") == 12000
+
+
+def test_deep_demands_inside_a_call_resume():
+    # a retry re-enters the call, and must find the call's frame again
+    assert run("f(1) where f(x) = Z @.d 5000; "
+               "Z = 42 fby.d (Z + 1); end") == 5042
+    assert run("f(3000) where f(n) = (X wvr.d Y) @.d n; "
+               "X = #.d * 2; Y = #.d % 2 == 0; end") == 12000
+
+
+def test_a_failure_on_a_resumed_stack_reaches_its_handler():
+    # the first candidate transition function fails past max_depth on a
+    # resumed stack; as on one deep stack, the claim goes on to the next
+    src = _case("acme_no_alice.ipl")
+    failing = src.replace("end; // inv\n", "end; // inv\n"
+                          '  aaa[S](c, s) = if c == "take" then Z @.d 1 '
+                          "else s fi;\n"
+                          "  Z = 1 + next.d Z;\n", 1)
+    assert failing != src
+    assert repr(run(failing, max_depth=8000)) == repr(run(src))
 
 
 def test_distinct_contexts_are_distinct_demands():
@@ -152,8 +214,9 @@ def test_unbounded_scan_is_an_error():
     ("last.d N where N = 1 fby.d (N + 1); end", {"max_scan": 100},
      "did not end"),
     ('1 + "a"', {}, "'\\+' is not defined on string"),
+    ('1 wvr.d "a"', {}, "must be a truth value"),
 ], ids=["if-string", "cycle", "depth", "real-index", "endless-last",
-        "int-plus-string"])
+        "int-plus-string", "wvr-string-guard"])
 def test_evaluation_errors_carry_a_position(src, kw, message):
     with pytest.raises(EvaluationError, match=message) as err:
         run(src, **kw)
@@ -348,18 +411,45 @@ _REWRITE_SPOTS = [
 
 @pytest.mark.parametrize("expr", _REWRITE_SPOTS)
 def test_direct_matches_core_rewrite(expr):
-    # the core templates define the operators over natural indices;
-    # the begin-marker boundary below zero belongs to the operators
-    # themselves, so equivalence is compared from zero upward
+    # analyze expands the filters and runs the other operators directly;
+    # the full rewrite must agree, below zero included, where a filter's
+    # position counter must not recurse without end
     src = ("%s where X = d<3, 1, 4, 1, 5>; "
            "Y = d<true, false, true, true, false>; end" % expr)
     tree = parse(src)
     core = rewrite_to_core(tree)
-    for i in range(0, 8):
+    for i in range(-2, 8):
         ctx = SimpleContext({"d": i})
         direct = Evaluator(analyze(tree)).run(ctx)
         rewritten = Evaluator(analyze(core)).run(ctx)
         assert direct == rewritten or direct is rewritten, (expr, i)
+
+
+# every evaluation returns or raises a FlucidError with a position
+
+def _outcome(text, stack_budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_STACK_BUDGET", stack_budget)
+        try:
+            return repr(evaluate(text, max_depth=300, max_scan=30))
+        except FlucidError as err:
+            spans = ([r.span for r in getattr(err, "records", ())]
+                     or [err.span])
+            for span in spans:
+                assert span is not None, (text, err)
+                assert 0 <= span.offset < span.end <= len(text), (text, err)
+            return "%s at %s" % (err, spans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_evaluate_on_random_trees_raises_only_positioned_errors(tree):
+    # any other exception, the stack unwinding signal or a RecursionError
+    # included, fails the test; a small stack budget makes random
+    # programs resume their demands on fresh stacks, which must change
+    # no outcome
+    text = pretty_print(tree)
+    assert _outcome(text, 60) == _outcome(text, evaluator._STACK_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +512,20 @@ def test_context_set_navigation_evaluates_each_member():
 
 def test_entry_points_share_the_demand_depth_limit():
     src = "N @.d %d where N = 42 fby.d (N + 1); end"
+    limit = 4500                # more than one stack's nesting
+    defaults = [inspect.signature(entry).parameters["max_depth"].default
+                for entry in (Evaluator, evaluate)]
+    assert defaults == [MAX_DEPTH, MAX_DEPTH]
 
     def fails(entry, index):
         try:
-            entry(src % index)
+            entry(src % index, max_depth=limit)
         except EvaluationError:
             return True
         return False
 
-    def direct(text):
-        return Evaluator(analyze(parse(text))).run()
+    def direct(text, max_depth):
+        return Evaluator(analyze(parse(text)), max_depth=max_depth).run()
 
     lo, hi = 1, 4000            # the direct entry point passes lo, fails hi
     assert not fails(direct, lo) and fails(direct, hi)
