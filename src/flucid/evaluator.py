@@ -19,8 +19,9 @@ index arithmetic.  Word operators share their symbolic twins' code:
 `neg` and `not` run that of `-` and `!`, and the truth-value and
 bitwise words that of the binary operators.  Errors are raised with a
 message only; `eval` gives each FlucidError the position of the
-innermost source node it passes through.  A demand chain too deep for
-one Python stack resumes on a fresh one (see Evaluator.run).
+innermost source node it passes through.  Nesting too deep for one
+Python stack resumes on a fresh one (see Evaluator.run), so evaluation
+runs within the interpreter's recursion limit and never changes it.
 
 Forensic values (observations, sequences, statements) flow through the
 same machinery, and a call applying a claim-evaluator function to an
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -164,11 +164,10 @@ _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
 _BITWISE = {"band": operator.and_, "bor": operator.or_, "bxor": operator.xor}
 
-# Nesting on one Python stack, in evaluations; past it, run resumes the
-# demand chain on a fresh stack.  An evaluation nests at most five
-# interpreter frames, so the recursion limit leaves the caller room.
-_STACK_BUDGET = 3000
-_RECURSION_LIMIT = 6 * _STACK_BUDGET
+# Nesting on one Python stack, in evaluations; past it, run resumes on a
+# fresh stack.  An evaluation nests at most about four interpreter frames,
+# so a stack fits the default recursion limit, 1000, with room to spare.
+_STACK_BUDGET = 150
 
 # The default bound on nested evaluation: how many expressions, demands
 # included, may be under evaluation at once, across resumed stacks.
@@ -176,10 +175,10 @@ MAX_DEPTH = 100_000
 
 
 class _Cut(Exception):
-    """Unwinds to Evaluator.run with the demand to resume on a fresh
-    stack: its key, frame, pending ancestors and nesting.  Not a
-    FlucidError, so that no handler inside evaluation takes it for a
-    failure."""
+    """Unwinds to Evaluator.run with the evaluation to resume on a fresh
+    stack, filled in by eval: its node, context, frame, pending demands
+    and nesting.  Not a FlucidError, so that no handler inside
+    evaluation takes it for a failure."""
 
 
 class Evaluator:
@@ -197,9 +196,9 @@ class Evaluator:
         self.max_scan = max_scan
         self.max_depth = max_depth
         self.warehouse: Dict[Any, Any] = {}
-        # keys being computed, in order, to (nesting demanded at, frame)
-        self._chain: Dict[Any, Tuple[int, Frame]] = {}
-        self._failed: Dict[Any, FlucidError] = {}
+        self._chain: Dict[Any, None] = {}      # keys being computed, in order
+        # id(node) -> (node, {(context, frame id): value or FlucidError})
+        self._settled: Dict[int, Tuple[N.Node, Dict]] = {}     # see run
         self._base = self._depth = self._room = 0   # see run
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
@@ -209,55 +208,40 @@ class Evaluator:
 
     def run(self, context: Optional[SimpleContext] = None) -> Any:
         """The program's head at context.  Past _STACK_BUDGET nested
-        evaluations on one stack, eval unwinds to the most recent demand
-        pending in the stack's lower half.  run evaluates it on a fresh
-        stack, its pending ancestors kept in the chain, then retries what
-        was cut short; a failure is raised again where it is demanded."""
+        evaluations on one stack, eval unwinds to the one pending at three
+        quarters of that nesting; run evaluates it on a fresh stack, then
+        retries the stack it was cut from, where eval finds its value or
+        its failure.  A caller that leaves too little stack gets an error
+        at the head."""
         ctx = context if context is not None else EMPTY_CONTEXT
-        previous = sys.getrecursionlimit()
-        if previous < _RECURSION_LIMIT:
-            sys.setrecursionlimit(_RECURSION_LIMIT)
-        resumed = [(None, _ROOT, {}, 0)]        # innermost last
+        resumed = [(self.analysis.tree, ctx, _ROOT, {}, 0)]    # innermost last
         try:
             while True:
-                key, frame, self._chain, self._base = resumed[-1]
+                node, at, frame, self._chain, self._base = resumed[-1]
                 self._depth = 0
                 self._room = min(_STACK_BUDGET, self.max_depth - self._base)
                 try:
-                    if key is None:
-                        return self.eval(self.analysis.tree, ctx, frame)
-                    self.demand(key[0], key[1], frame)
+                    value = self.eval(node, at, frame)
                 except _Cut as cut:
                     resumed.append(cut.args)    # not the unwound frames
                     continue
                 except FlucidError as exc:
-                    if key is None:
+                    if len(resumed) == 1:
                         raise
-                    self._failed[key] = exc
+                    value = exc
                 resumed.pop()
+                if not resumed:
+                    return value
+                self._settled.setdefault(id(node), (node, {}))[1][
+                    at, frame.id] = value
         except RecursionError:
-            raise EvaluationError(
-                "demand depth exceeded; a definition recurses too deeply "
-                "for this interpreter")
+            err = EvaluationError("demand depth exceeded; the caller leaves "
+                                  "too little stack for evaluation")
+            span = self.analysis.tree.span
+            err.span = span if span.end else None       # as eval does
+            raise err
         finally:
-            self._failed.clear()
-            if previous < _RECURSION_LIMIT:
-                sys.setrecursionlimit(previous)
-
-    def _too_deep(self, depth: int):
-        """Cut back to a demand in this stack's lower half (see run), or
-        fail when there is none or the nesting is over max_depth."""
-        if self._base + depth <= self.max_depth:
-            chain = dict(self._chain)
-            while chain:
-                key, (at, frame) = chain.popitem()
-                if at <= self._base:
-                    break           # demanded below this stack
-                if at <= self._base + _STACK_BUDGET // 2:
-                    raise _Cut(key, frame, chain, at)
-        raise EvaluationError(
-            "demand depth exceeded; a stream is probably unbounded "
-            "in the direction being scanned")
+            self._settled.clear()
 
     # -- demands -----------------------------------------------------------
 
@@ -266,8 +250,6 @@ class Evaluator:
         hit = self.warehouse.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        if self._failed and key in self._failed:
-            raise self._failed[key]
         chain = self._chain
         if key in chain:
             keys = list(chain)
@@ -277,7 +259,7 @@ class Evaluator:
                 " -> ".join(cycle), ", ".join(
                     "%s at %d:%d" % (n, span.line, span.col)
                     for n, span in spans if span.end)))
-        chain[key] = (self._base + self._depth, frame)
+        chain[key] = None
         try:
             value = self._define(name, ctx, frame)
         finally:
@@ -306,9 +288,20 @@ class Evaluator:
     # -- generic dispatch ----------------------------------------------------
 
     def eval(self, node: N.Node, ctx: SimpleContext, frame: Frame) -> Any:
+        if self._settled and id(node) in self._settled:
+            got = self._settled[id(node)][1].get((ctx, frame.id), _MISS)
+            if got is not _MISS:
+                if isinstance(got, FlucidError):
+                    raise got
+                return got
         depth = self._depth + 1
         if depth > self._room:
-            self._too_deep(depth)
+            if self._base + depth <= self.max_depth:
+                raise _Cut()                    # see run
+            raise EvaluationError(
+                "demand depth exceeded max_depth=%d: probably a stream that "
+                "is unbounded in the direction being scanned, or a recursion "
+                "that does not end" % self.max_depth)
         self._depth = depth
         try:
             return self._dispatch[type(node)](self, node, ctx, frame)
@@ -316,6 +309,11 @@ class Evaluator:
             # synthesized nodes carry Span(0, 0, 0, 0): no position
             if exc.span is None and node.span.end:
                 exc.span = node.span
+            raise
+        except _Cut as cut:
+            if not cut.args and depth <= self._room * 3 // 4:
+                cut.args = (node, ctx, frame, dict(self._chain),
+                            self._base + depth - 1)
             raise
         finally:
             self._depth = depth - 1

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import flucid
 
@@ -79,3 +80,21 @@ def test_evaluation_errors_get_their_position_from_eval():
                 getattr(node.func, "id", None) == "EvaluationError":
             assert len(node.args) == 1 and not node.keywords, \
                 "evaluator.py:%d passes more than a message" % node.lineno
+
+
+def test_no_module_changes_the_recursion_limit():
+    # the limit is process-global: the caller owns it
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert "setrecursionlimit" not in path.read_text(), \
+            "%s changes the recursion limit" % path.relative_to(PACKAGE)
+
+
+def test_evaluation_runs_within_the_callers_recursion_limit():
+    from flucid.evaluator import evaluate
+
+    limit = sys.getrecursionlimit()
+    seen = set()
+    src = "N @.d 3000 where N = 42 fby.d (N + 1); end"
+    assert evaluate(src, trace=lambda line: seen.add(
+        sys.getrecursionlimit())) == 3042
+    assert seen == {limit}

@@ -191,6 +191,51 @@ def test_a_failure_on_a_resumed_stack_reaches_its_handler():
     assert repr(run(failing, max_depth=8000)) == repr(run(src))
 
 
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)     # the interpreter's default
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("src, value", [
+    ("f(1000) where f(n) = if n < 1 then 0 else 1 + f(n - 1) fi; end", 1000),
+    (" + ".join(["1"] * 5000), 5000),
+    ("-" * 5001 + "1", -1),
+], ids=["recursion", "flat-sum", "unary-chain"])
+def test_nesting_through_no_demand_resumes(default_recursion_limit, src,
+                                           value):
+    # calls, operators and formals nest without a demand between them;
+    # they resume on fresh stacks as demands do
+    assert run(src) == value
+    assert sys.getrecursionlimit() == 1000
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_caller_deep_in_its_stack_gets_a_positioned_error(
+        default_recursion_limit):
+    src = "N @.d 400 where N = 42 fby.d (N + 1); end"
+    analysis = analyze(parse(src))
+
+    def nested(frames):
+        return nested(frames - 1) if frames > 0 else evaluate(analysis)
+    with pytest.raises(FlucidError) as err:
+        nested(900 - _stack_depth())
+    assert str(err.value).startswith("demand depth exceeded")
+    span = err.value.span
+    assert span is not None and 0 <= span.offset < span.end <= len(src)
+    assert evaluate(analysis) == 442
+
+
 def test_distinct_contexts_are_distinct_demands():
     lines = []
     src = "(y @.d 1) + (y @.d 2) where y = #d; end"
@@ -209,14 +254,16 @@ def test_unbounded_scan_is_an_error():
     ("c where c = c + 1; end", {}, "cyclic definition: c -> c"),
     ("N @.d 1000 where N = 42 fby.d (N + 1); end", {"max_depth": 200},
      "demand depth exceeded"),
+    ("f(0) where f(n) = 1 + f(n + 1); end", {"max_depth": 2000},
+     "^demand depth exceeded max_depth=2000: .*unbounded.* recursion"),
     ("N @.d 1.5 where N = 42 fby.d (N + 1); end", {},
      "stream index must be an integer"),
     ("last.d N where N = 1 fby.d (N + 1); end", {"max_scan": 100},
      "did not end"),
     ('1 + "a"', {}, "'\\+' is not defined on string"),
     ('1 wvr.d "a"', {}, "must be a truth value"),
-], ids=["if-string", "cycle", "depth", "real-index", "endless-last",
-        "int-plus-string", "wvr-string-guard"])
+], ids=["if-string", "cycle", "depth", "endless-recursion", "real-index",
+        "endless-last", "int-plus-string", "wvr-string-guard"])
 def test_evaluation_errors_carry_a_position(src, kw, message):
     with pytest.raises(EvaluationError, match=message) as err:
         run(src, **kw)
@@ -445,11 +492,11 @@ def _outcome(text, stack_budget):
 @given(_trees)
 def test_evaluate_on_random_trees_raises_only_positioned_errors(tree):
     # any other exception, the stack unwinding signal or a RecursionError
-    # included, fails the test; a small stack budget makes random
-    # programs resume their demands on fresh stacks, which must change
-    # no outcome
+    # included, fails the test; a stack budget of 4 cuts random programs
+    # at operators, conditionals and formals as well as at demands, and
+    # resuming them on fresh stacks must change no outcome
     text = pretty_print(tree)
-    assert _outcome(text, 60) == _outcome(text, evaluator._STACK_BUDGET)
+    assert _outcome(text, 4) == _outcome(text, evaluator._STACK_BUDGET)
 
 
 # ---------------------------------------------------------------------------
