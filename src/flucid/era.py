@@ -36,6 +36,7 @@ from .values import (
     Observation,
     ObservationSequence,
     PLUS_INF,
+    TagSet,
     ValidationError,
 )
 
@@ -200,9 +201,14 @@ def psi_inverse_set(fsm: StateMachine,
 
 
 def resolve_property(fsm: StateMachine, prop: Any) -> Property:
-    """Map an observation's property value onto a step predicate."""
+    """Map an observation's property value onto a step predicate.  A tag
+    set allows exactly its tags as events."""
     if isinstance(prop, Property):
         return prop
+    if isinstance(prop, TagSet):
+        tags = prop.tags or ()
+        return Property(name="|".join(str(t) for t in tags),
+                        allow_events=frozenset(tags))
     if prop is ANY_PROPERTY or prop == "$":
         return ANYTHING
     if isinstance(prop, str):

@@ -27,9 +27,10 @@ Forensic values (observations, sequences, statements) flow through the
 same machinery, and a call applying a claim-evaluator function to an
 evidential statement is dispatched to the embedded reconstruction
 engine: the transition function declared alongside it is tabulated into
-a finite state machine, and the claim is either checked by
-reconstruction or, when the program declares explicit hypothesis chains,
-validated hop by hop against the tabulated transitions.
+a finite state machine by evaluating it at every event and state, and
+the claim is either checked by reconstruction or, when the program
+declares explicit hypothesis chains, validated hop by hop against the
+tabulated transitions.
 """
 
 from __future__ import annotations
@@ -406,9 +407,7 @@ class Evaluator:
         if defn.kind == "dim":
             return self._dim_tags(node.name)
         if defn.kind == "func":
-            return FunctionHandle(name=defn.unique,
-                                  dim_params=defn.dim_params,
-                                  params=defn.params, payload=defn)
+            return FunctionHandle(name=defn.unique, params=defn.params)
         raise EvaluationError(
             "%s '%s' is used outside its function" % (defn.kind, defn.source))
 
@@ -844,10 +843,12 @@ class Evaluator:
                 horizon_warning=False,
                 horizon=max((len(c) for c in validated), default=0),
                 route="declared")
-        return era.check_claim(fsm, _era_statement(fsm, es),
-                               horizon=self.horizon)
+        return era.check_claim(fsm, es, horizon=self.horizon)
 
     def _machine(self, claim_defn, dim_values, ctx, frame):
+        """The machine of the first candidate that _tabulate reads: a
+        function other than the claim's, with two formals and dimension
+        formals.  When none tabulates, the error says why each failed."""
         candidates = sorted(
             (d for d in self.env.values()
              if d.kind == "func" and len(d.params) == 2 and d.dim_params
@@ -858,14 +859,12 @@ class Evaluator:
             key = (cand.unique, tuple(repr(v) for v in dim_values))
             if key in self._machines:
                 return self._machines[key]
-            fsm = _tabulate_static(cand, self.env)
-            if fsm is None:
-                try:
-                    fsm = self._tabulate_dynamic(cand, dim_values, frame)
-                except (EvaluationError, ValidationError,
-                        era.ReconstructionError) as exc:
-                    errors.append("%s: %s" % (cand.source, exc))
-                    fsm = None
+            try:
+                fsm = self._tabulate(cand, dim_values, frame)
+            except (EvaluationError, ValidationError,
+                    era.ReconstructionError) as exc:
+                errors.append("%s: %s" % (cand.source, exc))
+                continue
             if fsm is not None:
                 self._machines[key] = fsm
                 return fsm
@@ -874,56 +873,83 @@ class Evaluator:
             "no transition function could be tabulated into a state "
             "machine (%s)" % detail)
 
-    def _tabulate_dynamic(self, cand, dim_values, frame):
-        """Interpret a two-argument transition function over every
-        (event, cell pair) and read the successor pair off its result
-        stream.  A result equal to the current pair is the function's
-        'nothing happens' fallback, not a declared transition."""
+    def _tabulate(self, cand, dim_values, frame):
+        """Evaluate a two-argument transition function at every (event,
+        state) and read the successor state off its result.  As in any
+        `if` chain, the first guard that holds decides; an end marker, or
+        a result equal to the state, is no transition.
+
+        The body picks the encoding of its states.  When it names
+        (label, counter) pairs, those are the states: each is passed as a
+        value, and the result at d = 0 must be one of them.  Otherwise a
+        state is a pair of cells, passed as a two-element stream, and the
+        successor is read off the result's first two elements."""
         body = cand.node.body
         events = _event_literals(body, cand.params[0])
         if not events:
             return None
-        cells = list(dict.fromkeys(itertools.chain(
-            *(ts.tags for ts in dim_values
-              if isinstance(ts, TagSet) and ts.tags),
-            (lit for lit in _string_literals(body) if lit not in events))))
-        if not cells:
-            return None
+        labelled = {pair: _label_state(*pair) for pair in _named_pairs(body)}
+        if labelled:
+            states = labelled
+        else:
+            cells = list(dict.fromkeys(itertools.chain(
+                *(ts.tags for ts in dim_values
+                  if isinstance(ts, TagSet) and ts.tags),
+                (lit for lit in _string_literals(body) if lit not in events))))
+            states = {pair: _pair_state(pair)
+                      for pair in itertools.product(cells, repeat=2)}
         dim_bindings = {p: Thunk.of_value(v)
                         for p, v in zip(cand.dim_params, dim_values)}
         dims = tuple(repr(v) for v in dim_values)      # as _machine keys
+        at0 = SimpleContext({DEFAULT_DIMENSION: 0})
+        at1 = SimpleContext({DEFAULT_DIMENSION: 1})
         edges = {}
         for event in events:
-            for pair in itertools.product(cells, repeat=2):
-                stream = N.AngleTuple(
-                    N.Ident(DEFAULT_DIMENSION),
-                    (N.StringLit(pair[0]), N.StringLit(pair[1])))
+            for pair, source in states.items():
                 bindings = dict(dim_bindings)
                 bindings[cand.params[0]] = Thunk.of_value(event)
-                bindings[cand.params[1]] = Thunk(expr=stream, frame=_ROOT)
+                bindings[cand.params[1]] = Thunk.of_value(pair) if labelled \
+                    else Thunk(expr=N.AngleTuple(
+                        N.Ident(DEFAULT_DIMENSION),
+                        (N.StringLit(pair[0]), N.StringLit(pair[1]))),
+                        frame=_ROOT)
                 call_frame = self._frame(
                     (cand.unique, dims, event, pair), frame, bindings)
-                fst = self.eval(cand.node.body,
-                                SimpleContext({DEFAULT_DIMENSION: 0}),
-                                call_frame)
-                snd = self.eval(cand.node.body,
-                                SimpleContext({DEFAULT_DIMENSION: 1}),
-                                call_frame)
-                if _is_sentinel(fst) or _is_sentinel(snd):
-                    continue
-                source, target = _pair_state(pair), _pair_state((fst, snd))
+                fst = self.eval(body, at0, call_frame)
+                if labelled:
+                    if _is_sentinel(fst):
+                        continue
+                    target = labelled.get(fst)
+                    if target is None:
+                        raise EvaluationError(
+                            "event %s in state %s gives %s, which is not one "
+                            "of the (label, counter) pairs the function names"
+                            % (_show(event), source, _show(fst)))
+                else:
+                    snd = self.eval(body, at1, call_frame)
+                    if _is_sentinel(fst) or _is_sentinel(snd):
+                        continue
+                    target = _pair_state((fst, snd))
                 if target != source:
                     edges[(event, source)] = target
         if not edges:
             return None
-        states = tuple(_pair_state(p)
-                       for p in itertools.product(cells, repeat=2))
-        properties = {
-            cell: era.Property(name=cell,
-                               states=frozenset({_pair_state((cell, cell))}))
-            for cell in cells}
-        return era.StateMachine(states=states, events=tuple(events),
-                                psi=edges, properties=properties)
+        if labelled:
+            by_label: Dict[str, set] = {}
+            for state in labelled.values():
+                by_label.setdefault("(" + state.split(",", 1)[1],
+                                    set()).add(state)
+            properties = {
+                label: era.Property(name=label, states=frozenset(members))
+                for label, members in by_label.items()}
+        else:
+            properties = {
+                cell: era.Property(
+                    name=cell, states=frozenset({_pair_state((cell, cell))}))
+                for cell in cells}
+        return era.StateMachine(
+            states=tuple(dict.fromkeys(states.values())),
+            events=tuple(events), psi=edges, properties=properties)
 
     def _declared_chains(self, defn):
         expr = _static_expr(defn.node.body, self.env)
@@ -1180,6 +1206,15 @@ def _string_literals(body: N.Node) -> List[str]:
         n.value for n in N.walk(body) if isinstance(n, N.StringLit)))
 
 
+def _named_pairs(body: N.Node) -> List[Tuple[str, int]]:
+    """(label, counter) pair literals, in the order the body names them."""
+    return list(dict.fromkeys(
+        (n.items[0].value, n.items[1].value) for n in N.walk(body)
+        if isinstance(n, N.TupleLit) and len(n.items) == 2
+        and isinstance(n.items[0], N.StringLit)
+        and isinstance(n.items[1], N.IntLit)))
+
+
 def _static_expr(node: N.Node, env) -> N.Node:
     """The expression a node stands for, seen through `where` wrappers
     and plain variables, without evaluating anything."""
@@ -1193,83 +1228,6 @@ def _static_expr(node: N.Node, env) -> N.Node:
             node = env[node.name].node.expr
         else:
             return node
-
-
-def _tabulate_static(cand, env) -> Optional[era.StateMachine]:
-    """Read a transition function written as a guard chain over
-    (label, counter) state pairs without evaluating it.  As in any
-    `if ... else if` chain, the first guard on an (event, state) pair
-    decides it."""
-    event_param, state_param = cand.params
-    edges: List[Tuple[str, str, str]] = []
-    node = _static_expr(cand.node.body, env)
-    while isinstance(node, N.IfExpr):
-        match = _static_guard(node.cond, event_param, state_param)
-        if match is None:
-            return None
-        event, source = match
-        target = _static_target(node.then_branch)
-        if target is None:
-            return None
-        edges.append((event, source, target))
-        node = node.else_branch
-    if not isinstance(node, N.SentinelLit) or not edges:
-        return None
-
-    events = list(dict.fromkeys(e for e, _, _ in edges))
-    states = list(dict.fromkeys(
-        itertools.chain(*((s, t) for _, s, t in edges))))
-    first: Dict[Tuple[str, str], str] = {}
-    for e, s, t in edges:
-        first.setdefault((e, s), t)
-    psi = {(e, s): t for (e, s), t in first.items() if t != s}
-    labels: Dict[str, set] = {}
-    for state in states:
-        label = "(" + state.split(",", 1)[1]
-        labels.setdefault(label, set()).add(state)
-    properties = {label: era.Property(name=label,
-                                      states=frozenset(members))
-                  for label, members in labels.items()}
-    return era.StateMachine(states=tuple(states), events=tuple(events),
-                            psi=psi, properties=properties)
-
-
-def _static_guard(cond, event_param, state_param):
-    if not (isinstance(cond, N.BinOp) and cond.op == "&&"):
-        return None
-    event = None
-    state = None
-    for side in (cond.left, cond.right):
-        if not (isinstance(side, N.BinOp) and side.op == "=="):
-            return None
-        a, b = side.left, side.right
-        if isinstance(b, N.Ident):
-            a, b = b, a
-        if not isinstance(a, N.Ident):
-            return None
-        if a.name == event_param and isinstance(b, N.StringLit):
-            event = b.value
-        elif a.name == state_param:
-            state = _static_pair(b)
-        else:
-            return None
-    if event is None or state is None:
-        return None
-    return event, state
-
-
-def _static_pair(node) -> Optional[str]:
-    if isinstance(node, N.TupleLit) and len(node.items) == 2 and \
-            isinstance(node.items[0], N.StringLit) and \
-            isinstance(node.items[1], N.IntLit):
-        return _label_state(node.items[0].value, node.items[1].value)
-    return None
-
-
-def _static_target(node) -> Optional[str]:
-    if isinstance(node, N.StreamBin) and node.op == "fby":
-        return _static_pair(node.left)
-    return _static_pair(node)
 
 
 def _validate_hypothesis(fsm: era.StateMachine,
@@ -1317,26 +1275,6 @@ def _hypothesis_state(fsm: era.StateMachine, value) -> Optional[str]:
     else:
         return None
     return name if name in fsm.states else None
-
-
-def _era_statement(fsm: era.StateMachine,
-                   es: EvidentialStatement) -> EvidentialStatement:
-    """Rework observation properties into the engine's vocabulary: a
-    tag set is an event filter, everything else resolves by name."""
-    sequences = []
-    for os in es.sequences:
-        obs = []
-        for o in os.observations:
-            if isinstance(o.property, TagSet):
-                tags = o.property.tags or ()
-                prop = era.Property(
-                    name="|".join(str(t) for t in tags),
-                    allow_events=frozenset(tags))
-                o = Observation(property=prop, min=o.min, max=o.max,
-                                w=o.w, t=o.t, description=o.description)
-            obs.append(o)
-        sequences.append(ObservationSequence(tuple(obs), name=os.name))
-    return EvidentialStatement(tuple(sequences), name=es.name)
 
 
 # --- module-level convenience --------------------------------------------------

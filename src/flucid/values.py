@@ -373,7 +373,13 @@ class EvidentialStatement:
         return set(self.sequences) == set(other.sequences)
 
     def __hash__(self) -> int:
-        return hash(("EvidentialStatement", frozenset(self.sequences)))
+        # kept: a demand context that holds the statement is hashed at
+        # every warehouse probe
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(("EvidentialStatement", frozenset(self.sequences)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         label = self.name or "es"
@@ -382,12 +388,10 @@ class EvidentialStatement:
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """Opaque callable value; payload is interpreted by the evaluator."""
+    """A function used as a value: its unique name in the analysis."""
 
     name: str
-    dim_params: Tuple[str, ...] = ()
     params: Tuple[str, ...] = ()
-    payload: Any = None
 
     def __repr__(self) -> str:
         return "<function %s/%d>" % (self.name, len(self.params))

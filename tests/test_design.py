@@ -98,3 +98,12 @@ def test_evaluation_runs_within_the_callers_recursion_limit():
     assert evaluate(src, trace=lambda line: seen.add(
         sys.getrecursionlimit())) == 3042
     assert seen == {limit}
+
+
+def test_transition_functions_are_read_only_by_evaluation():
+    # a guard's meaning is what _e_IfExpr gives it; a second, syntactic
+    # reader of guard chains would disagree on every other spelling
+    path = PACKAGE / "evaluator.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "IfExpr"), \
+            "evaluator.py:%d matches on N.IfExpr" % node.lineno

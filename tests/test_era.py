@@ -5,6 +5,7 @@ against the brute-force oracle in oracles.py.
 """
 
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -15,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from flucid import (
     ANY_PROPERTY,
     EvidentialStatement,
+    FlucidError,
     ObservationSequence,
     PLUS_INF,
+    TagSet,
     ValidationError,
     make_observation,
     no_observation,
@@ -744,6 +747,18 @@ def test_blackmail_without_theory_has_more(blackmail):
     assert set(result.backtraces) > {PATH_INPLACE, PATH_DISK_EDITOR}
 
 
+@pytest.mark.parametrize("event, path", [
+    ("d(u,t2)", PATH_DISK_EDITOR), ("(u,t2)", PATH_INPLACE)])
+def test_a_tag_set_property_allows_its_tags_as_events(blackmail, event, path):
+    final = load_es(fixture_text("blackmail.es")).sequences[0]
+    write = ObservationSequence((
+        no_observation(), make_observation(TagSet(tags=(event,)), 1, 0),
+        no_observation()))
+    result = check_claim(blackmail, EvidentialStatement((final, write)))
+    assert result.consistent and path in result.backtraces
+    assert all(event in dict(bt) for bt in result.backtraces)
+
+
 def test_blackmail_es_parse_shape():
     es = load_es(fixture_text("blackmail.es"))
     assert [s.name for s in es.sequences] == \
@@ -840,3 +855,68 @@ def test_load_es_rejects_a_second_statement_line():
 def test_load_fsm_rejects_nameless_property():
     with pytest.raises(ValidationError, match="property  {"):
         load_fsm("property  { states: a; }")
+
+
+# Each fixture with the fixtures it is checked against.
+CLAIMS = {"acme.fsm": ["acme.es", "acme_alice.es"],
+          "blackmail.fsm": ["blackmail.es"],
+          "acme.es": ["acme.fsm"], "acme_alice.es": ["acme.fsm"],
+          "blackmail.es": ["blackmail.fsm"]}
+TOKEN = re.compile(r"->|[(){},;:=#$]|[^\s(){},;:=#$]+|\s+")
+# tokens of the two formats that a replacement may bring in
+SYNTAX = ["", "->", "(", ")", "{", "}", ",", ";", "=", "$", "#", "\n",
+          "-1", "0", "INF+", "infinitum", "\\0(", "property", "states:",
+          "allow-events:", "observation", "sequence", "statement"]
+
+
+@st.composite
+def fixture_mutants(draw):
+    """(fixture name, text) with one token or one line deleted,
+    repeated, replaced or moved."""
+    name = draw(st.sampled_from(sorted(CLAIMS)))
+    text = fixture_text(name)
+    parts = (text.splitlines(keepends=True) if draw(st.booleans())
+             else TOKEN.findall(text))
+    i = draw(st.integers(0, len(parts) - 1))
+    other = draw(st.sampled_from(parts + SYNTAX))
+    how = draw(st.sampled_from(["delete", "repeat", "replace", "move"]))
+    if how == "delete":
+        del parts[i]
+    elif how == "repeat":
+        parts.insert(i, parts[i])
+    elif how == "replace":
+        parts[i] = other
+    else:
+        parts.insert(draw(st.integers(0, len(parts))), parts.pop(i))
+    return name, "".join(parts)
+
+
+def _load(name, text):
+    """The fixture loaded, or None; a loader's error that names a line
+    names one inside the text."""
+    try:
+        return (load_fsm if name.endswith(".fsm") else load_es)(text)
+    except FlucidError as err:
+        line = re.match(r"line (\d+): ", str(err))
+        if line:
+            assert 1 <= int(line.group(1)) <= len(text.splitlines()), err
+        return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fixture_mutants())
+def test_loaders_and_claims_on_mutated_fixtures_raise_only_flucid_errors(
+        mutant):
+    # any exception other than a FlucidError fails the test
+    name, text = mutant
+    loaded = _load(name, text)
+    if loaded is None:
+        return
+    for partner in CLAIMS[name]:
+        other = _load(partner, fixture_text(partner))
+        fsm, es = (loaded, other) if name.endswith(".fsm") else (other, loaded)
+        for horizon in range(9):
+            try:
+                check_claim(fsm, es, horizon=horizon)
+            except FlucidError:
+                pass

@@ -71,6 +71,14 @@ def test_condition_sentinel_propagates():
                "where X = d<1>; end") is EOD
 
 
+def test_a_function_bound_to_a_variable_is_called():
+    assert run("g(3) where g = f; f(x) = x + 1; end") == 4
+
+
+def test_a_function_passed_as_an_argument_is_called():
+    assert run("h(f) where f(x) = x * 2; h(k) = k(21); end") == 42
+
+
 def test_cycle_is_reported_with_its_members():
     with pytest.raises(EvaluationError) as err:
         run("x where x = y; y = x; end")
@@ -795,14 +803,41 @@ def test_blackmail_case_two_explanations():
     }
 
 
-def test_blackmail_machine_is_read_statically():
-    analysis = analyze(parse(_case("blackmail.ipl")))
-    ev = Evaluator(analysis)
+def test_blackmail_machine_matches_its_fixture():
+    ev = Evaluator(analyze(parse(_case("blackmail.ipl"))))
     ev.run()
     fsm = next(iter(ev._machines.values()))
-    assert set(fsm.events) == {"(u)", "(u,t2)", "d(u,t2)"}
-    assert len(fsm.psi) == 4
-    assert "(0,o1,o2)" in fsm.states and "(2,u,t2)" in fsm.states
+    with open(os.path.join(HERE, "fixtures", "blackmail.fsm")) as fh:
+        fixture = era.load_fsm(fh.read())
+    assert fsm.states == fixture.states
+    assert fsm.events == fixture.events
+    assert fsm.psi == fixture.psi
+    assert {label: prop.states for label, prop in fsm.properties.items()} \
+        == {"(o1,o2)": {"(0,o1,o2)"}, "(u,o2)": {"(1,u,o2)"},
+            "(u,t2)": {"(2,u,t2)", "(1,u,t2)"}}
+
+
+FIRST_GUARD = 'if (c == "(u)" && s == ("(o1,o2)", 0))'
+
+
+@pytest.mark.parametrize("guard", [
+    'if (s == ("(o1,o2)", 0) and c == "(u)")',
+    'if (if c == "(u)" then s == ("(o1,o2)", 0) else false fi)',
+])
+def test_a_respelled_guard_tabulates_the_same_machine(guard):
+    src = _case("blackmail.ipl")
+    assert FIRST_GUARD in src
+    result = run(src.replace(FIRST_GUARD, guard))
+    assert result.backtraces == run(src).backtraces
+
+
+def test_a_result_outside_the_named_pairs_is_reported():
+    src = _case("blackmail.ipl").replace(
+        'then ("(u,t2)", 2) fby', 'then ("(u,t2)", 2 + 5) fby')
+    with pytest.raises(EvaluationError) as err:
+        run(src)
+    assert 'trans: event "(u,t2)" in state (1,u,o2) gives ("(u,t2)", 7), ' \
+        'which is not one of the (label, counter) pairs' in str(err.value)
 
 
 def _blackmail_with_guard(target, first):

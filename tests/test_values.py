@@ -212,6 +212,20 @@ class TestHierarchy:
         assert [s.name for s in e1] == ["os1", "os2"]
         assert [s.name for s in e2] == ["os2", "os1"]
 
+    def test_statement_hashes_its_sequences_once(self):
+        # a demand context holding the statement is hashed at every
+        # warehouse probe
+        hashed = []
+
+        class Prop:
+            def __hash__(self):
+                hashed.append(self)
+                return 7
+
+        es = EvidentialStatement((ObservationSequence((Observation(Prop()),)),))
+        assert hash(es) == hash(es)
+        assert len(hashed) == 1
+
 
 class TestSourceForm:
     def test_observation(self):
