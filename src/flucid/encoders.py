@@ -20,6 +20,7 @@ import hashlib
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -351,6 +352,8 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     obs: List[str] = []
     epochs: List[Optional[int]] = []
     for pos, record in enumerate(lines, 1):
+        if not isinstance(record, Mapping):
+            raise EncodeError("record %d is not a mapping" % pos)
         pairs: List[str] = []
         weight = 1.0
         when: Optional[int] = None

@@ -38,6 +38,7 @@ from .values import (
     PLUS_INF,
     TagSet,
     ValidationError,
+    check_duration,
 )
 
 WILDCARD = "*"
@@ -329,10 +330,18 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     with more possibly left, and counts in witnesses every window of the
     lengths it searched.  route="exact" is the executable spec's hook:
     set algebra over fixed-length variants, exponential in the horizon.
-    horizon and max_backtraces are non-negative integers.
+    horizon and max_backtraces are non-negative integers, and every
+    observation's duration must be one make_observation accepts.
     """
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
+    for i, os in enumerate(es.sequences, 1):
+        for j, o in enumerate(os.observations, 1):
+            try:
+                check_duration(o.min, o.max)
+            except ValidationError as exc:
+                raise ValidationError("sequence %s, observation %d: %s" % (
+                    os.name or i, j, exc), exc.fieldname) from None
     all_triples = [_triples(fsm, os) for os in es.sequences]
     if horizon is None:
         horizon = default_horizon(fsm, es)

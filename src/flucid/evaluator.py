@@ -24,13 +24,13 @@ Python stack resumes on a fresh one (see Evaluator.run), so evaluation
 runs within the interpreter's recursion limit and never changes it.
 
 Forensic values (observations, sequences, statements) flow through the
-same machinery, and a call applying a claim-evaluator function to an
-evidential statement is dispatched to the embedded reconstruction
-engine: the transition function declared alongside it is tabulated into
+same machinery.  A call applying a claim function to an evidential
+statement evaluates its body like any other call, then settles the
+claim: the transition function declared alongside it is tabulated into
 a finite state machine by evaluating it at every event and state, and
-the claim is either checked by reconstruction or, when the program
-declares explicit hypothesis chains, validated hop by hop against the
-tabulated transitions.
+when the body's value is a list of hypotheses (annotated `pby` chains)
+each is validated hop by hop against the tabulated transitions;
+otherwise the claim is checked by reconstruction.
 """
 
 from __future__ import annotations
@@ -799,10 +799,9 @@ class Evaluator:
             raise EvaluationError(
                 "'%s' takes [%d](%d) arguments" % (
                     defn.source, len(defn.dim_params), len(defn.params)))
+        argv = None
         if len(defn.params) == 1 and defn.dim_params:
             argv = self.eval(arg_nodes[0], ctx, frame)
-            if isinstance(argv, (EvidentialStatement, ObservationSequence)):
-                return self._claim(defn, dim_nodes, argv, ctx, frame)
             bindings = {defn.params[0]: Thunk.of_value(argv)}
         else:
             bindings = {p: Thunk(expr=a, frame=frame)
@@ -810,8 +809,11 @@ class Evaluator:
         for p, a in zip(defn.dim_params, dim_nodes):
             bindings[p] = Thunk(expr=a, frame=frame)
         site = (defn.unique, id(arg_nodes), id(dim_nodes), ctx)
-        return self.eval(defn.node.body, ctx,
-                         self._frame(site, frame, bindings))
+        value = self.eval(defn.node.body, ctx,
+                          self._frame(site, frame, bindings))
+        if isinstance(argv, (EvidentialStatement, ObservationSequence)):
+            return self._claim(defn, dim_nodes, argv, value, ctx, frame)
+        return value
 
     def _frame(self, site, parent: Frame, bindings) -> Frame:
         """The frame a call site makes under parent, the same one each
@@ -821,18 +823,19 @@ class Evaluator:
 
     # claim evaluation
 
-    def _claim(self, defn, dim_nodes, claim_value, ctx, frame):
+    def _claim(self, defn, dim_nodes, claim_value, body_value, ctx, frame):
+        """Settle a claim against the machine its transition function
+        tabulates.  When the claim function's body evaluates to a list of
+        hypotheses, each is validated hop by hop against the machine;
+        any other value leaves the claim to reconstruction."""
         es = self._statement_value(claim_value, None)
         dim_values = tuple(self.eval(d, ctx, frame) for d in dim_nodes)
         fsm = self._machine(defn, dim_values, ctx, frame)
-        chains = self._declared_chains(defn)
-        if chains is not None:
-            validated = []
-            for chain in chains:
-                hyp = self._hypothesis(chain, ctx, frame)
-                steps = _validate_hypothesis(fsm, hyp)
-                if steps is not None:
-                    validated.append(steps)
+        if isinstance(body_value, tuple) and body_value and all(
+                isinstance(h, Hypothesis) for h in body_value):
+            validated = [steps for steps in (
+                _validate_hypothesis(fsm, h) for h in body_value)
+                if steps is not None]
             return era.ClaimResult(
                 consistent=bool(validated),
                 explanations=tuple(
@@ -951,31 +954,15 @@ class Evaluator:
             states=tuple(dict.fromkeys(states.values())),
             events=tuple(events), psi=edges, properties=properties)
 
-    def _declared_chains(self, defn):
-        expr = _static_expr(defn.node.body, self.env)
-        if not isinstance(expr, N.BracketLit) or not expr.entries:
-            return None
-        chains = []
-        for entry in expr.entries:
-            if entry.key is not None:
-                return None
-            item = _static_expr(entry.value, self.env)
-            if not (isinstance(item, N.StreamBin) and item.op == "pby"
-                    and item.annotation is not None):
-                return None
-            chains.append(item)
-        return chains
-
     def _hypothesis(self, node, ctx, frame) -> Hypothesis:
-        items: List[Tuple[Any, Optional[str]]] = []
-        cursor: N.Node = node
-        while (isinstance(cursor, N.StreamBin) and cursor.op == "pby"
-               and cursor.annotation is not None):
-            items.append((self.eval(cursor.left, ctx, frame),
-                          _annotation_event(cursor.annotation)))
-            cursor = cursor.right
-        items.append((self.eval(cursor, ctx, frame), None))
-        return Hypothesis(tuple(items))
+        """An annotated hop: its left value with the annotation's event,
+        followed by the run its right operand evaluates to, or by that
+        value alone when it is not a hypothesis (the oldest element)."""
+        head = (self.eval(node.left, ctx, frame),
+                _annotation_event(node.annotation))
+        rest = self.eval(node.right, ctx, frame)
+        tail = rest.items if isinstance(rest, Hypothesis) else ((rest, None),)
+        return Hypothesis((head,) + tail)
 
     # -- forensic operators ------------------------------------------------------
 
@@ -1213,21 +1200,6 @@ def _named_pairs(body: N.Node) -> List[Tuple[str, int]]:
         if isinstance(n, N.TupleLit) and len(n.items) == 2
         and isinstance(n.items[0], N.StringLit)
         and isinstance(n.items[1], N.IntLit)))
-
-
-def _static_expr(node: N.Node, env) -> N.Node:
-    """The expression a node stands for, seen through `where` wrappers
-    and plain variables, without evaluating anything."""
-    seen = set()
-    while True:
-        if isinstance(node, N.WhereExpr):
-            node = node.body
-        elif isinstance(node, N.Ident) and node.name in env and \
-                env[node.name].kind == "var" and node.name not in seen:
-            seen.add(node.name)
-            node = env[node.name].node.expr
-        else:
-            return node
 
 
 def _validate_hypothesis(fsm: era.StateMachine,

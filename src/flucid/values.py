@@ -402,6 +402,20 @@ class FunctionHandle:
 # ---------------------------------------------------------------------------
 
 
+def check_duration(min: Any, max: Any) -> None:
+    """An observation's duration: min a non-negative integer, max a
+    non-negative integer or INF+."""
+    if isinstance(min, bool) or not isinstance(min, int):
+        raise ValidationError("min must be an integer", "min")
+    if min < 0:
+        raise ValidationError("min must be non-negative", "min")
+    if max is not PLUS_INF:
+        if isinstance(max, bool) or not isinstance(max, int):
+            raise ValidationError("max must be an integer or INF+", "max")
+        if max < 0:
+            raise ValidationError("max must be non-negative", "max")
+
+
 def make_observation(property: Any, min: Any = None, max: Any = None,
                      w: Any = None, t: Any = None,
                      description: Optional[str] = None) -> Observation:
@@ -412,15 +426,7 @@ def make_observation(property: Any, min: Any = None, max: Any = None,
         max = 0
     if w is None:
         w = 1.0
-    if isinstance(min, bool) or not isinstance(min, int):
-        raise ValidationError("min must be an integer", "min")
-    if min < 0:
-        raise ValidationError("min must be non-negative", "min")
-    if max is not PLUS_INF:
-        if isinstance(max, bool) or not isinstance(max, int):
-            raise ValidationError("max must be an integer or INF+", "max")
-        if max < 0:
-            raise ValidationError("max must be non-negative", "max")
+    check_duration(min, max)
     if not isinstance(w, (int, float)) or isinstance(w, bool):
         raise ValidationError("w must be a real number", "w")
     if not (0.0 <= float(w) <= 1.0):

@@ -100,10 +100,13 @@ def test_evaluation_runs_within_the_callers_recursion_limit():
     assert seen == {limit}
 
 
-def test_transition_functions_are_read_only_by_evaluation():
-    # a guard's meaning is what _e_IfExpr gives it; a second, syntactic
-    # reader of guard chains would disagree on every other spelling
+def test_programs_are_read_only_by_evaluation():
+    # a guard's meaning is what _e_IfExpr gives it, and a claim's
+    # hypotheses are what its body evaluates to; a second, syntactic
+    # reader of guard chains, `where` bodies or hop chains would
+    # disagree on every other spelling
     path = PACKAGE / "evaluator.py"
+    banned = {"IfExpr", "WhereExpr", "StreamBin"}
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        assert not (isinstance(node, ast.Attribute) and node.attr == "IfExpr"), \
-            "evaluator.py:%d matches on N.IfExpr" % node.lineno
+        assert not (isinstance(node, ast.Attribute) and node.attr in banned), \
+            "evaluator.py:%d matches on N.%s" % (node.lineno, node.attr)

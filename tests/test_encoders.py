@@ -261,6 +261,13 @@ def test_rejects_values_with_no_string_literal(field, value, why):
         encode_log(records, "log", "test", PRESETS["dhcp"])
 
 
+@pytest.mark.parametrize("record", [None, 5, "ipaddr", ["ipaddr", "1.2.3.4"]])
+def test_rejects_a_record_that_is_not_a_mapping(record):
+    records = [{"ipaddr": "10.0.0.1"}, record]
+    with pytest.raises(EncodeError, match="record 2 is not a mapping"):
+        encode_log(records, "log", "test", PRESETS["dhcp"])
+
+
 def test_rejects_multiline_source_and_unknown_zone():
     with pytest.raises(EncodeError, match="spans lines"):
         encode_log([], "log", "a\nlog = 1;")

@@ -17,6 +17,7 @@ from flucid import (
     ANY_PROPERTY,
     EvidentialStatement,
     FlucidError,
+    Observation,
     ObservationSequence,
     PLUS_INF,
     TagSet,
@@ -920,3 +921,62 @@ def test_loaders_and_claims_on_mutated_fixtures_raise_only_flucid_errors(
                 check_claim(fsm, es, horizon=horizon)
             except FlucidError:
                 pass
+
+
+@pytest.mark.parametrize("mn, mx, message", [
+    (-1, 0, "min must be non-negative"),
+    (1, -1, "max must be non-negative"),
+    (1.5, 0, "min must be an integer"),
+    (1, "x", r"max must be an integer or INF\+"),
+    (PLUS_INF, 0, "min must be an integer"),
+    (True, 0, "min must be an integer"),
+])
+def test_check_claim_validates_durations(mn, mx, message):
+    # the observation is built directly, so only check_claim can reject
+    # a duration make_observation would not accept
+    fsm = load_fsm(fixture_text("acme.fsm"))
+    es = EvidentialStatement((
+        ObservationSequence((no_observation(),), name="os_ok"),
+        ObservationSequence((no_observation(),
+                             Observation("initially_empty", mn, mx)),
+                            name="os_bad")))
+    with pytest.raises(ValidationError, match="^sequence os_bad, "
+                       "observation 2: %s$" % message):
+        check_claim(fsm, es, horizon=4)
+
+
+MACHINES = {name: load_fsm(fixture_text(name))
+            for name in ("acme.fsm", "blackmail.fsm")}
+
+
+@st.composite
+def raw_claims(draw):
+    """(machine, statement, horizon): a statement of observations built
+    directly, with any property and any duration."""
+    fsm = MACHINES[draw(st.sampled_from(sorted(MACHINES)))]
+    props = st.one_of(
+        st.sampled_from(list(fsm.states) + sorted(fsm.properties)
+                        + ["$", ANY_PROPERTY, "nowhere", ""]),
+        st.sampled_from([0, 2.5, None, ("a", 1), TagSet(tags=fsm.events[:2])]))
+    valid = st.tuples(st.integers(0, 3),
+                      st.one_of(st.integers(0, 2), st.just(PLUS_INF)))
+    invalid = st.tuples(
+        st.sampled_from([-1, 1.5, "x", True, None, PLUS_INF, 1]),
+        st.sampled_from([-1, 1.5, "x", False, None, 0]))
+    observations = st.builds(lambda p, d: Observation(p, *d), props,
+                             st.one_of(valid, valid, invalid))
+    sequences = st.builds(ObservationSequence,
+                          st.lists(observations, max_size=4).map(tuple))
+    es = EvidentialStatement(tuple(draw(st.lists(sequences, max_size=3))))
+    return fsm, es, draw(st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_claims())
+def test_check_claim_on_raw_statements_raises_only_flucid_errors(claim):
+    # any exception other than a FlucidError fails the test
+    fsm, es, horizon = claim
+    try:
+        check_claim(fsm, es, horizon=horizon)
+    except FlucidError:
+        pass

@@ -817,6 +817,26 @@ def test_blackmail_machine_matches_its_fixture():
             "(u,t2)": {"(2,u,t2)", "(1,u,t2)"}}
 
 
+CHAIN_B = ('B = o_final pby [es.#, I:"d(u,t2)"] ("(u,o2)", 1) '
+           'pby [es.#, I:"(u)"] ("(o1,o2)", 0);')
+
+
+@pytest.mark.parametrize("spelled, respelled", [
+    ("backtraces = [ A, B ];",
+     "backtraces = if true then [ A, B ] else [ A, B ] fi;"),
+    (CHAIN_B, 'B = o_final pby [es.#, I:"d(u,t2)"] T; '
+              'T = ("(u,o2)", 1) pby [es.#, I:"(u)"] ("(o1,o2)", 0);'),
+])
+def test_a_respelled_claim_declares_the_same_hypotheses(spelled, respelled):
+    # the declared hypotheses are whatever the claim function's body
+    # evaluates to, however it is spelled
+    src = _case("blackmail.ipl")
+    assert spelled in src
+    result = run(src.replace(spelled, respelled))
+    assert result.route == "declared" and len(result.backtraces) == 2
+    assert result.backtraces == run(src).backtraces
+
+
 FIRST_GUARD = 'if (c == "(u)" && s == ("(o1,o2)", 0))'
 
 
