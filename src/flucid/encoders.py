@@ -99,6 +99,8 @@ _TS_EPOCH = re.compile(r"^-?\d{1,18}$")
 def _resolve_zone(name: Optional[str]):
     if name is None:
         name = "UTC"
+    if not isinstance(name, str):
+        raise EncodeError("a time zone is named by a string, not %r" % (name,))
     offset = _ZONE_OFFSETS.get(name.upper() if len(name) <= 4 else name)
     if offset is not None:
         return timezone(timedelta(hours=offset), name)
@@ -180,7 +182,7 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     if _TS_EPOCH.match(raw):
         return _render(int(raw), zone), int(raw)
 
-    raise EncodeError("unrecognized timestamp: %r" % s)
+    raise EncodeError("unrecognized timestamp: %r" % (s,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +350,10 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
                     KEYWORDS)
     if "\n" in source:
         raise EncodeError("the source %r spans lines" % source)
+    for what, value in (("now", now), ("reference_year", reference_year)):
+        if value is not None and (type(value) is bool or
+                                  not isinstance(value, int)):
+            raise EncodeError("%s must be an integer, not %r" % (what, value))
     _resolve_zone(tz)               # an unknown zone fails with no field too
     obs: List[str] = []
     epochs: List[Optional[int]] = []

@@ -69,15 +69,11 @@ class Property:
     states: Optional[FrozenSet[Any]] = None
     allow_events: Optional[FrozenSet[Any]] = None
     deny_events: FrozenSet[Any] = frozenset()
-    anything: bool = False
 
     def constrains_events(self) -> bool:
-        return not self.anything and (
-            self.allow_events is not None or bool(self.deny_events))
+        return self.allow_events is not None or bool(self.deny_events)
 
     def step_ok(self, event: Any, state: Any) -> bool:
-        if self.anything:
-            return True
         if self.states is not None and state not in self.states:
             return False
         if event == WILDCARD:
@@ -89,7 +85,7 @@ class Property:
         return True
 
 
-ANYTHING = Property(name="$", anything=True)
+ANYTHING = Property(name="$")
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +332,14 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
     for i, os in enumerate(es.sequences, 1):
+        if not isinstance(os, ObservationSequence):
+            raise ValidationError("sequence %d is %r, not an observation "
+                                  "sequence" % (i, os), "es")
         for j, o in enumerate(os.observations, 1):
+            if not isinstance(o, Observation):
+                raise ValidationError(
+                    "sequence %s, item %d is %r, not an observation"
+                    % (os.name or i, j, o), "es")
             try:
                 check_duration(o.min, o.max)
             except ValidationError as exc:

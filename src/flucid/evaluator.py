@@ -12,12 +12,16 @@ a formal occurrence evaluates its argument expression at the context of
 the occurrence, not of the call.
 
 The stream filters (`wvr`, `upon`, `asa`, `ala` and their n- and
-r-forms) arrive as their semantics.rewrite_to_core templates, which
-analyze expands, so every element a filter yields is a demand that the
-warehouse keeps.  The other stream operators are evaluated directly by
-index arithmetic.  Word operators share their symbolic twins' code:
-`neg` and `not` run that of `-` and `!`, and the truth-value and
-bitwise words that of the binary operators.  Errors are raised with a
+r-forms), `last`, `prelast` and the truth-value words (`and`, `or`,
+`xor` and their n-forms) arrive as their semantics.rewrite_to_core
+templates, which analyze expands: every element a filter yields is a
+demand that the warehouse keeps, a stream scanned for its end is
+bounded by the demand depth like any other runaway, and a program
+means what its core rewrite means.  `first`, `next`, `prev`, `second`,
+`fby` and `pby`, which the case programs and the benchmark run, are
+evaluated directly by index arithmetic.  `neg` and `not` run the code
+of `-` and `!` and the bitwise words that of the binary operators, so
+that their errors name the word as written.  Errors are raised with a
 message only; `eval` gives each FlucidError the position of the
 innermost source node it passes through.  Nesting too deep for one
 Python stack resumes on a fresh one (see Evaluator.run), so evaluation
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import calculus, dstme, era
-from .semantics import Analysis, analyze
+from .semantics import Analysis, Definition, analyze
 from .syntax import nodes as N
 from .syntax import parse
 from .values import (
@@ -151,16 +155,9 @@ def _truthy(v: Any) -> bool:
         "a condition must be a truth value, got %s" % kind_of(v))
 
 
-# The truth-value operators: the left value that decides the result on
-# its own (none for xor, which always reads its right operand), whether
-# the result is negated, and its type (&& and || give a bool, the word
-# forms 0 or 1).
-_LOGIC = {
-    "&&": (False, False, bool), "||": (True, False, bool),
-    "and": (False, False, int), "or": (True, False, int),
-    "nand": (False, True, int), "nor": (True, True, int),
-    "xor": (None, False, int), "nxor": (None, True, int),
-}
+# The truth-value operators, with the left value that decides each on
+# its own; the word forms arrive as their core templates over these.
+_LOGIC = {"&&": False, "||": True}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
 _BITWISE = {"band": operator.and_, "bor": operator.or_, "bxor": operator.xor}
@@ -187,14 +184,12 @@ class Evaluator:
                  threshold: float = DEFAULT_THRESHOLD,
                  horizon: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None,
-                 max_scan: int = 10000,
                  max_depth: int = MAX_DEPTH):
         self.analysis = analysis
         self.env = analysis.env
         self.threshold = threshold
         self.horizon = horizon
         self.trace = trace
-        self.max_scan = max_scan
         self.max_depth = max_depth
         self.warehouse: Dict[Any, Any] = {}
         self._chain: Dict[Any, None] = {}      # keys being computed, in order
@@ -552,29 +547,17 @@ class Evaluator:
 
     def _e_BinOp(self, node, ctx, frame):
         op = node.op
-        if op in _LOGIC:
-            return self._logic(op, node.left, node.right, ctx, frame)
         a = self.eval(node.left, ctx, frame)
         if _is_sentinel(a):
             return a
+        if op in _LOGIC and _truthy(a) is _LOGIC[op]:
+            return _LOGIC[op]
         b = self.eval(node.right, ctx, frame)
         if _is_sentinel(b):
             return b
+        if op in _LOGIC:
+            return _truthy(b)
         return self._scalar_op(op, a, b)
-
-    def _logic(self, op, x, y, ctx, frame):
-        decider, negate, result = _LOGIC[op]
-        a = self.eval(x, ctx, frame)
-        if _is_sentinel(a):
-            return a
-        if decider is not None and _truthy(a) is decider:
-            return result(decider != negate)
-        b = self.eval(y, ctx, frame)
-        if _is_sentinel(b):
-            return b
-        if decider is None:
-            return result((_truthy(a) != _truthy(b)) != negate)
-        return result(_truthy(b) != negate)
 
     def _scalar_op(self, op, a, b):
         if op == "==":
@@ -666,22 +649,6 @@ class Evaluator:
                 "a stream index must be an integer, got %s" % kind_of(v))
         return v
 
-    def _scan(self, operand, ctx, frame, dim) -> List[Any]:
-        """Everything up to the first end marker, for bounded operators.
-
-        A begin marker can appear as an element (prev X starts with one)
-        and is kept as a value; only the end marker terminates.
-        """
-        out: List[Any] = []
-        for i in range(self.max_scan):
-            v = self._elem(operand, ctx, frame, dim, i)
-            if v is EOD:
-                return out
-            out.append(v)
-        raise EvaluationError(
-            "stream did not end within %d elements; bounded input is "
-            "required here" % self.max_scan)
-
     def _e_StreamUnary(self, node, ctx, frame):
         op = node.op
         dim = node.dim or DEFAULT_DIMENSION
@@ -703,12 +670,6 @@ class Evaluator:
             return self._elem(x, ctx, frame, dim, cur + 1)
         if op == "prev":
             return self._elem(x, ctx, frame, dim, cur - 1)
-        if op == "last":
-            xs = self._scan(x, ctx, frame, dim)
-            return xs[-1] if xs else EOD
-        if op == "prelast":
-            xs = self._scan(x, ctx, frame, dim)
-            return xs[-2] if len(xs) >= 2 else BOD
         raise AssertionError(op)
 
     def _e_StreamBin(self, node, ctx, frame):
@@ -723,7 +684,7 @@ class Evaluator:
             return self._fby(x, y, ctx, frame, dim)
         if op == "pby":
             return self._pby(x, y, ctx, frame, dim)
-        if op in _LOGIC or op in _BITWISE:
+        if op in _BITWISE:
             return self._e_BinOp(node, ctx, frame)
         if op == "combine":
             return self._combine(self.eval(x, ctx, frame),
@@ -888,7 +849,7 @@ class Evaluator:
         state is a pair of cells, passed as a two-element stream, and the
         successor is read off the result's first two elements."""
         body = cand.node.body
-        events = _event_literals(body, cand.params[0])
+        events = _event_literals(body, self.env[cand.params[0]])
         if not events:
             return None
         labelled = {pair: _label_state(*pair) for pair in _named_pairs(body)}
@@ -1178,14 +1139,22 @@ def _label_state(label: str, counter: int) -> str:
     return "(%d,%s)" % (counter, inner)
 
 
-def _event_literals(body: N.Node, event_param: str) -> List[str]:
-    """String literals compared for equality against the event formal."""
-    found = (b.value for n in N.walk(body)
+def _event_literals(body: N.Node, formal: Definition) -> List[str]:
+    """String literals compared for equality against the event formal.
+    The events are read off these comparisons, so the formal may occur
+    nowhere else: an event another use tells apart would go unseen."""
+    found = {id(a): b.value for n in N.walk(body)
              if isinstance(n, N.BinOp) and n.op == "=="
              for a, b in ((n.left, n.right), (n.right, n.left))
-             if isinstance(a, N.Ident) and a.name == event_param
-             and isinstance(b, N.StringLit))
-    return list(dict.fromkeys(found))
+             if isinstance(a, N.Ident) and a.name == formal.unique
+             and isinstance(b, N.StringLit)}
+    for n in N.walk(body):
+        if isinstance(n, N.Ident) and n.name == formal.unique \
+                and id(n) not in found:
+            raise EvaluationError(
+                "the event formal '%s' at %d:%d must be one side of == with "
+                "a string literal" % (formal.source, n.span.line, n.span.col))
+    return list(dict.fromkeys(found.values()))
 
 
 def _string_literals(body: N.Node) -> List[str]:
@@ -1256,12 +1225,12 @@ def evaluate(program, *, context: Optional[SimpleContext] = None,
              threshold: float = DEFAULT_THRESHOLD,
              horizon: Optional[int] = None,
              trace: Optional[Callable[[str], None]] = None,
-             max_scan: int = 10000, max_depth: int = MAX_DEPTH) -> Any:
+             max_depth: int = MAX_DEPTH) -> Any:
     """Parse/analyze as needed, then evaluate the program's head."""
     if isinstance(program, str):
         program = parse(program)
     if isinstance(program, N.Node):
         program = analyze(program)
     ev = Evaluator(program, threshold=threshold, horizon=horizon,
-                   trace=trace, max_scan=max_scan, max_depth=max_depth)
+                   trace=trace, max_depth=max_depth)
     return ev.run(context)

@@ -14,10 +14,12 @@ visited before its body.
 
 rewrite_to_core() reduces the derived stream operators to context
 navigation, index queries, and conditionals, bottom-up in the same
-fold.  Its templates are the one implementation of the stream filters
-(wvr, upon, asa, ala and their n- and r-forms): analyze() expands the
-filters of a program that has any, so that the evaluator's warehouse
-keeps each element a filter yields.
+fold.  Its templates are the one implementation of the operators in
+EXPANDED (the stream filters, last, prelast and the truth-value words):
+analyze() expands those of a program that has any, so that a program
+means what its core rewrite means.  first, next, prev, second, fby and
+pby, which the case programs and the benchmark run, and neg and not,
+whose errors name them, stay for the evaluator.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class _Analyzer:
         self._counts: Dict[str, int] = {}
         self._placed: Dict[int, _Scope] = {}    # declaration id -> its scope
         self.scope = _Scope(None)
-        self.filters = False        # an unannotated stream filter was seen
+        self.expands = False        # an operator of EXPANDED was seen
         for name in BUILTINS:
             self.scope.names[name] = (name, "builtin")
 
@@ -241,12 +243,14 @@ class _Analyzer:
     def _k_HashExpr(self, node: N.HashExpr) -> list:
         return [] if isinstance(node.target, N.Ident) else N.children(node)
 
-    def _k_StreamBin(self, node: N.StreamBin) -> list:
-        # Hop annotations are provenance notes, consumed verbatim by the
-        # claim validator; their contents are not name-resolved.
-        if node.op in FILTERS and node.annotation is None:
-            self.filters = True
-        return [node.left, node.right]
+    def _k_stream_op(self, node) -> list:
+        # StreamUnary and StreamBin.  Hop annotations are provenance
+        # notes, consumed verbatim by the claim validator; their contents
+        # are not name-resolved.
+        if getattr(node, "annotation", None) is not None:
+            return [node.left, node.right]
+        self.expands |= node.op in EXPANDED
+        return N.children(node)
 
     def _k_Dot(self, node: N.Dot) -> list:
         # The member is a navigation step resolved against the value.
@@ -393,7 +397,8 @@ class _Analyzer:
         N.WhereExpr: _k_WhereExpr, N.FuncDecl: _k_FuncDecl,
         N.BracketEntry: _k_BracketEntry, N.AngleTuple: _k_AngleTuple,
         N.BoxExpr: _k_BoxExpr, N.HashExpr: _k_HashExpr,
-        N.StreamBin: _k_StreamBin, N.Dot: _k_Dot,
+        N.StreamUnary: _k_stream_op, N.StreamBin: _k_stream_op,
+        N.Dot: _k_Dot,
     }
     _LEAVE = {
         N.Ident: _l_Ident, N.HashExpr: _l_HashExpr,
@@ -415,17 +420,17 @@ def analyze(tree: N.Node) -> Analysis:
 
     Deterministic and idempotent: analyzing an already-renamed tree is
     the identity.  Raises FlucidSemanticError when any record was
-    produced.  A program with a stream filter comes back with its
-    filters expanded to their core templates.
+    produced.  A program with an operator of EXPANDED comes back with
+    those operators expanded to their core templates.
     """
     while True:
         analyzer = _Analyzer()
         renamed = N.fold(tree, analyzer.leave, analyzer.kids)
         if analyzer.records:
             raise FlucidSemanticError(analyzer.records)
-        if not analyzer.filters:
+        if not analyzer.expands:
             return Analysis(renamed, analyzer.env)
-        tree = _rewrite(renamed, FILTERS)
+        tree = _rewrite(renamed, EXPANDED)
 
 
 # --- reduction of derived operators to the core ------------------------------
@@ -441,9 +446,11 @@ REWRITTEN_BIN = frozenset("""
     fby pby wvr rwvr nwvr nrwvr asa nasa ala nala
     upon rupon nupon nrupon and or xor nand nor nxor
 """.split())
-# The stream filters, which analyze() expands for evaluation.
-FILTERS = frozenset("wvr rwvr nwvr nrwvr asa nasa ala nala "
-                    "upon rupon nupon nrupon".split())
+# The operators analyze() expands for evaluation.
+EXPANDED = frozenset("""
+    wvr rwvr nwvr nrwvr asa nasa ala nala upon rupon nupon nrupon
+    last prelast and or xor nand nor nxor
+""".split())
 
 
 class _Names:

@@ -1,6 +1,7 @@
 """Design guards: properties of the package's source, not of its output."""
 
 import ast
+import inspect
 import pathlib
 import sys
 
@@ -110,3 +111,18 @@ def test_programs_are_read_only_by_evaluation():
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         assert not (isinstance(node, ast.Attribute) and node.attr in banned), \
             "evaluator.py:%d matches on N.%s" % (node.lineno, node.attr)
+
+
+def test_expanded_operators_have_one_implementation():
+    # an operator analyze expands means its core template; evaluator.py
+    # neither names it nor keeps a bound of its own for it
+    from flucid.evaluator import Evaluator, evaluate
+    from flucid.semantics import EXPANDED
+
+    path = PACKAGE / "evaluator.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        assert not (isinstance(node, ast.Constant) and
+                    node.value in EXPANDED), \
+            "evaluator.py:%d names %r" % (node.lineno, node.value)
+    for entry in (Evaluator, evaluate):
+        assert "max_scan" not in inspect.signature(entry).parameters

@@ -30,6 +30,7 @@ from flucid.evaluator import evaluate
 from flucid.semantics import analyze
 from flucid.syntax import parse, pretty_print
 from flucid.syntax.lexer import KEYWORDS
+from flucid.values import FlucidError
 
 
 def observations(text):
@@ -213,6 +214,23 @@ def test_epoch_beyond_the_calendar_is_malformed():
     assert [(o.w, o.t) for o in observations(text)] == [(0.5, None)] * 2
 
 
+def test_a_timestamp_of_another_type_is_malformed():
+    text = encode_log([{"ts": (1, 2)}, {"ts": [3]}], "log", "test",
+                      PRESETS["switchlog"])
+    assert [(o.w, o.t) for o in observations(text)] == [(0.5, None)] * 2
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"tz": 5}, "time zone is named by a string"),
+    ({"now": "x"}, "now must be an integer"),
+    ({"reference_year": "x"}, "reference_year must be an integer"),
+])
+def test_rejects_arguments_of_the_wrong_type(kw, message):
+    with pytest.raises(EncodeError, match=message):
+        encode_log([{"ts": "Jan  2 03:04:05"}], "log", "test",
+                   PRESETS["switchlog"], **kw)
+
+
 def test_zero_records_and_empty_records():
     assert len(observations(encode_log([], "log", "test"))) == 1
     text = encode_log([{}, {"other": 1}], "log", "test")
@@ -393,3 +411,41 @@ def test_round_trip_adversarial_records(recs, naming):
     assert sorted(analysis.env) == sorted(
         [name] + ["%s_o_%d" % (name, k) for k in range(1, n + 1)])
     assert len(observations(text)) == n
+
+
+# ---------------------------------------------------------------------------
+# Every call returns or raises a FlucidError
+# ---------------------------------------------------------------------------
+
+PRESET_FIELDS = sorted({f.field for schema in PRESETS.values()
+                        for f in schema.fields})
+json_like = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=8), st.sampled_from(TRICKY)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+keys = st.one_of(st.sampled_from(PRESET_FIELDS), st.text(max_size=4),
+                 st.integers(-2, 2), st.none(), st.tuples(st.integers(0, 2)))
+WRONG = [5, 1.5, True, "x", b"UTC", ("UTC",), [2020]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.lists(st.dictionaries(keys, json_like, max_size=6),
+                        max_size=4),
+       preset=st.sampled_from(sorted(PRESETS)),
+       tz=st.sampled_from([None, "UTC", "EST", "Asia/Tokyo", "Nowhere/Else"]
+                          + WRONG),
+       now=st.one_of(st.none(), st.integers(-10 ** 12, 10 ** 12),
+                     st.sampled_from(WRONG)),
+       reference_year=st.one_of(st.none(), st.integers(-5, 10 ** 4),
+                                st.sampled_from(WRONG)))
+def test_encode_log_returns_or_raises_a_flucid_error(records, preset, tz, now,
+                                                     reference_year):
+    # any other exception fails the test
+    try:
+        encode_log(records, "log", "gate", PRESETS[preset], tz=tz, now=now,
+                   reference_year=reference_year)
+    except FlucidError:
+        pass

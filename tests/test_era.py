@@ -101,8 +101,8 @@ def test_property_step_semantics():
 def test_resolve_property_forms():
     fsm, _ = toy_machine()
     assert resolve_property(fsm, ANYTHING) is ANYTHING
-    assert resolve_property(fsm, "$").anything
-    assert resolve_property(fsm, ANY_PROPERTY).anything
+    assert resolve_property(fsm, "$") == ANYTHING
+    assert resolve_property(fsm, ANY_PROPERTY) == ANYTHING
     assert resolve_property(fsm, 0).states == frozenset([0])
     with pytest.raises(ReconstructionError):
         resolve_property(fsm, "no_such_thing")
@@ -945,6 +945,18 @@ def test_check_claim_validates_durations(mn, mx, message):
         check_claim(fsm, es, horizon=4)
 
 
+@pytest.mark.parametrize("es, message", [
+    (EvidentialStatement(("x",)),
+     "^sequence 1 is 'x', not an observation sequence$"),
+    (EvidentialStatement((ObservationSequence(("y",), name="os_y"),)),
+     "^sequence os_y, item 1 is 'y', not an observation$"),
+])
+def test_check_claim_validates_the_members_of_its_statement(es, message):
+    fsm = load_fsm(fixture_text("acme.fsm"))
+    with pytest.raises(ValidationError, match=message):
+        check_claim(fsm, es, horizon=3)
+
+
 MACHINES = {name: load_fsm(fixture_text(name))
             for name in ("acme.fsm", "blackmail.fsm")}
 
@@ -952,7 +964,8 @@ MACHINES = {name: load_fsm(fixture_text(name))
 @st.composite
 def raw_claims(draw):
     """(machine, statement, horizon): a statement of observations built
-    directly, with any property and any duration."""
+    directly, with any property and any duration, and members and items
+    of other kinds among them."""
     fsm = MACHINES[draw(st.sampled_from(sorted(MACHINES)))]
     props = st.one_of(
         st.sampled_from(list(fsm.states) + sorted(fsm.properties)
@@ -965,9 +978,12 @@ def raw_claims(draw):
         st.sampled_from([-1, 1.5, "x", False, None, 0]))
     observations = st.builds(lambda p, d: Observation(p, *d), props,
                              st.one_of(valid, valid, invalid))
-    sequences = st.builds(ObservationSequence,
-                          st.lists(observations, max_size=4).map(tuple))
-    es = EvidentialStatement(tuple(draw(st.lists(sequences, max_size=3))))
+    strays = st.sampled_from(["x", 0, None, ("p", 1), no_observation(),
+                              ObservationSequence(())])
+    sequences = st.builds(ObservationSequence, st.lists(
+        st.one_of(observations, observations, strays), max_size=4).map(tuple))
+    es = EvidentialStatement(tuple(draw(st.lists(
+        st.one_of(sequences, sequences, strays), max_size=3))))
     return fsm, es, draw(st.integers(0, 8))
 
 

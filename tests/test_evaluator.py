@@ -252,11 +252,6 @@ def test_distinct_contexts_are_distinct_demands():
     assert len(demands) == 2
 
 
-def test_unbounded_scan_is_an_error():
-    with pytest.raises(EvaluationError, match="did not end"):
-        run("last.d N where N = 1 fby.d (N + 1); end", max_scan=100)
-
-
 @pytest.mark.parametrize("src, kw, message", [
     ('if "a" then 1 else 2 fi', {}, "must be a truth value"),
     ("c where c = c + 1; end", {}, "cyclic definition: c -> c"),
@@ -266,8 +261,8 @@ def test_unbounded_scan_is_an_error():
      "^demand depth exceeded max_depth=2000: .*unbounded.* recursion"),
     ("N @.d 1.5 where N = 42 fby.d (N + 1); end", {},
      "stream index must be an integer"),
-    ("last.d N where N = 1 fby.d (N + 1); end", {"max_scan": 100},
-     "did not end"),
+    ("last.d N where N = 1 fby.d (N + 1); end", {"max_depth": 300},
+     "demand depth exceeded"),
     ('1 + "a"', {}, "'\\+' is not defined on string"),
     ('1 wvr.d "a"', {}, "must be a truth value"),
 ], ids=["if-string", "cycle", "depth", "endless-recursion", "real-index",
@@ -466,9 +461,10 @@ _REWRITE_SPOTS = [
 
 @pytest.mark.parametrize("expr", _REWRITE_SPOTS)
 def test_direct_matches_core_rewrite(expr):
-    # analyze expands the filters and runs the other operators directly;
-    # the full rewrite must agree, below zero included, where a filter's
-    # position counter must not recurse without end
+    # analyze expands the filters, last and prelast, and runs fby, pby,
+    # first, second, next, prev, neg and not directly; the full rewrite
+    # must agree, below zero included, where a filter's position counter
+    # must not recurse without end
     src = ("%s where X = d<3, 1, 4, 1, 5>; "
            "Y = d<true, false, true, true, false>; end" % expr)
     tree = parse(src)
@@ -480,13 +476,50 @@ def test_direct_matches_core_rewrite(expr):
         assert direct == rewritten or direct is rewritten, (expr, i)
 
 
+_WORDS = ["X and Y", "X or Y", "X xor Y", "X nand Y", "X nor Y",
+          "X nxor Y"]
+_ELEMENTS = st.one_of(st.integers(-2, 2).map(str),
+                      st.sampled_from(["true", "false", "eod", "bod"]))
+
+
+def _value_or_error(program, ctx):
+    try:
+        return repr(evaluate(program, context=ctx, max_depth=3000))
+    except FlucidError as err:
+        return type(err).__name__
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=st.sampled_from(_REWRITE_SPOTS + _WORDS),
+       xs=st.lists(_ELEMENTS, min_size=1, max_size=5),
+       ys=st.lists(_ELEMENTS, min_size=1, max_size=5))
+def test_evaluation_agrees_with_the_core_rewrite_on_any_elements(expr, xs,
+                                                                 ys):
+    # markers and non-truth values inside the operands included: an
+    # operator analyze expands means its template by construction, and
+    # one evaluated directly must mean the same
+    tree = parse("%s where X = d<%s>; Y = d<%s>; end"
+                 % (expr, ", ".join(xs), ", ".join(ys)))
+    core = rewrite_to_core(tree)
+    for i in range(-2, 9):
+        ctx = SimpleContext({"d": i})
+        assert _value_or_error(tree, ctx) == _value_or_error(core, ctx), i
+
+
+@pytest.mark.parametrize("op, value", [("last", 10499), ("prelast", 10498)])
+def test_last_reads_a_long_finite_stream(op, value):
+    # the end of a stream is found by demand, with no bound of its own
+    assert run("%s.d N where N = if #.d < 10500 then #.d else eod fi; end"
+               % op) == value
+
+
 # every evaluation returns or raises a FlucidError with a position
 
 def _outcome(text, stack_budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "_STACK_BUDGET", stack_budget)
         try:
-            return repr(evaluate(text, max_depth=300, max_scan=30))
+            return repr(evaluate(text, max_depth=300))
         except FlucidError as err:
             spans = ([r.span for r in getattr(err, "records", ())]
                      or [err.span])
@@ -858,6 +891,18 @@ def test_a_result_outside_the_named_pairs_is_reported():
         run(src)
     assert 'trans: event "(u,t2)" in state (1,u,o2) gives ("(u,t2)", 7), ' \
         'which is not one of the (label, counter) pairs' in str(err.value)
+
+
+def test_an_event_formal_read_otherwise_is_reported():
+    # events are read off the formal's == comparisons with a string, so a
+    # guard that tells an event apart another way would drop its edge
+    guard = 'if (c == "d(u,t2)" && s == ("(u,o2)", 1))'
+    src = _case("blackmail.ipl")
+    assert guard in src
+    with pytest.raises(EvaluationError, match="trans: the event formal 'c' "
+                       "at 47:15 must be one side of == with a string"):
+        run(src.replace(guard,
+                        'if (c \\in {"d(u,t2)"}) && s == ("(u,o2)", 1)'))
 
 
 def _blackmail_with_guard(target, first):
