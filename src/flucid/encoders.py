@@ -96,6 +96,12 @@ _TS_COMPACT = re.compile(r"^(\d{4})(\d{2})(\d{2})(\d{2})(\d{2})$")
 _TS_EPOCH = re.compile(r"^-?\d{1,18}$")
 
 
+def _check_int(what: str, value: Optional[int]) -> None:
+    if value is not None and (type(value) is bool or
+                              not isinstance(value, int)):
+        raise EncodeError("%s must be an integer, not %r" % (what, value))
+
+
 def _resolve_zone(name: Optional[str]):
     if name is None:
         name = "UTC"
@@ -137,6 +143,7 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
     Zoneless forms are interpreted in tz (UTC when None); the canonical
     text is always rendered there.
     """
+    _check_int("reference_year", reference_year)
     zone = _resolve_zone(tz)
     if isinstance(s, int) and not isinstance(s, bool):
         return _render(s, zone), s
@@ -220,7 +227,8 @@ _SCHEMA_PARTIAL = re.compile(r"^partial\s+([0-9]+\.?[0-9]*|\.[0-9]+)$")
 
 
 def _check_name(word: str, what: str, reserved=frozenset()) -> None:
-    if not _IDENT.fullmatch(word) or word in reserved:
+    if not isinstance(word, str) or not _IDENT.fullmatch(word) \
+            or word in reserved:
         raise EncodeError("%r is not usable as %s" % (word, what))
 
 
@@ -348,12 +356,12 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     for spec in schema.fields:
         _check_name(spec.dimension, "the dimension of field %r" % spec.field,
                     KEYWORDS)
+    if not isinstance(source, str):
+        raise EncodeError("the source must be a string, not %r" % (source,))
     if "\n" in source:
         raise EncodeError("the source %r spans lines" % source)
-    for what, value in (("now", now), ("reference_year", reference_year)):
-        if value is not None and (type(value) is bool or
-                                  not isinstance(value, int)):
-            raise EncodeError("%s must be an integer, not %r" % (what, value))
+    _check_int("now", now)
+    _check_int("reference_year", reference_year)
     _resolve_zone(tz)               # an unknown zone fails with no field too
     obs: List[str] = []
     epochs: List[Optional[int]] = []

@@ -39,6 +39,7 @@ from .values import (
     TagSet,
     ValidationError,
     check_duration,
+    check_type,
 )
 
 WILDCARD = "*"
@@ -329,6 +330,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     horizon and max_backtraces are non-negative integers, and every
     observation's duration must be one make_observation accepts.
     """
+    check_type(fsm, StateMachine, "check_claim takes a StateMachine")
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
     for i, os in enumerate(es.sequences, 1):
@@ -699,6 +701,7 @@ def load_fsm(text: str) -> StateMachine:
     only in the states the file lists it for, a listed self-loop
     included, and a pair the file leaves out cannot occur.
     """
+    check_type(text, str, "load_fsm takes text")
     transitions: Dict[Tuple[str, str], str] = {}
     states: Dict[str, None] = {}     # insertion-ordered sets
     events: Dict[str, None] = {}
@@ -798,6 +801,7 @@ def load_es(text: str) -> EvidentialStatement:
     Properties stay symbolic; they resolve against a machine at check time.
     max accepts an integer or `infinitum` / `INF+`.
     """
+    check_type(text, str, "load_es takes text")
     from .values import make_observation, no_observation, zero_observation
 
     observations: Dict[str, Observation] = {}

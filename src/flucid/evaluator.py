@@ -62,6 +62,7 @@ from .values import (
     ContextSet,
     TagSet,
     ValidationError,
+    check_type,
     is_forensic,
     kind_of,
     make_observation,
@@ -302,7 +303,7 @@ class Evaluator:
         try:
             return self._dispatch[type(node)](self, node, ctx, frame)
         except FlucidError as exc:
-            # synthesized nodes carry Span(0, 0, 0, 0): no position
+            # synthesized nodes carry Span(), an empty range: no position
             if exc.span is None and node.span.end:
                 exc.span = node.span
             raise
@@ -1227,6 +1228,8 @@ def evaluate(program, *, context: Optional[SimpleContext] = None,
              trace: Optional[Callable[[str], None]] = None,
              max_depth: int = MAX_DEPTH) -> Any:
     """Parse/analyze as needed, then evaluate the program's head."""
+    check_type(program, (str, N.Node, Analysis),
+               "evaluate takes text, a syntax tree or an Analysis")
     if isinstance(program, str):
         program = parse(program)
     if isinstance(program, N.Node):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .values import FlucidError, ValidationError
+from .values import FlucidError, ValidationError, check_type
 from .syntax import nodes as N
 from .syntax.lexer import Span
 
@@ -423,6 +423,7 @@ def analyze(tree: N.Node) -> Analysis:
     produced.  A program with an operator of EXPANDED comes back with
     those operators expanded to their core templates.
     """
+    check_type(tree, N.Node, "analyze takes a syntax tree")
     while True:
         analyzer = _Analyzer()
         renamed = N.fold(tree, analyzer.leave, analyzer.kids)
@@ -527,6 +528,7 @@ def rewrite_to_core(tree: N.Node) -> N.Node:
     predicates, and plain arithmetic.  Deterministic, and the identity
     on trees that are already core.
     """
+    check_type(tree, N.Node, "rewrite_to_core takes a syntax tree")
     return _rewrite(tree, REWRITTEN_UNARY | REWRITTEN_BIN)
 
 

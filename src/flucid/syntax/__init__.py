@@ -1,14 +1,14 @@
 """Concrete syntax: lexer, parser, position-annotated trees, pretty-printer.
 
 parse(pretty_print(t)) is structurally t (spans aside); parse accepts
-either raw text or the TokenStream of tokenize.  A stream keeps its
-tokens as parallel lists of kind, value and offsets, which the parser
-reads by index; a Token is built only when the stream is indexed.
-Tree nodes and errors carry Spans whose line and column are derived
-from the source's newline offsets when read.
+raw text or the TokenStream of tokenize, whose parallel lists of kind,
+value and offsets the parser reads by index.  Tokens (TokenStream.span),
+nodes and errors carry one kind of Span, its line and column derived
+from the source's newline offsets when read; Span() is the empty range
+of a node that no source text spelled.
 """
 
-from .lexer import LexicalError, Span, Token, TokenStream, tokenize
+from .lexer import LexicalError, Span, TokenStream, tokenize
 from .nodes import (
     AngleTuple,
     AtExpr,
@@ -59,6 +59,6 @@ __all__ = [
     "Ident", "IfExpr", "IntLit", "LexicalError", "MemberAssign", "Node",
     "NoObsLit", "ObsDecl", "OsDecl", "RangeLit", "RealLit", "Select",
     "SentinelLit", "Span", "StreamBin", "StreamUnary", "StringLit",
-    "Subscript", "Token", "TokenStream", "TupleLit", "UnaryOp", "VarDecl",
+    "Subscript", "TokenStream", "TupleLit", "UnaryOp", "VarDecl",
     "WhereExpr", "ZeroObs", "parse", "pretty_print", "tokenize",
 ]

@@ -1,10 +1,10 @@
 """Tokenizer for the case-specification language.
 
-tokenize returns a TokenStream: parallel lists of kind, value, start and
-end offset, and the offsets of the source's newlines; no Token or Span
-is kept per token.  A span's line and column are derived from the
-newline offsets when read.  Every lexical error carries the span of the
-offending text.  Notable lexemes:
+tokenize returns a TokenStream, the one token representation: parallel
+lists of kind, value, start and end offset, and the source's newline
+offsets.  TokenStream.span builds a Span on request, whose line and
+column are derived when read.  Every lexical error carries the span of
+the offending text.  Notable lexemes:
 
   - hyphenated identifiers (flow-start, port-state): a hyphen is absorbed
     only directly between identifier characters when a letter or
@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
-from operator import attrgetter, itemgetter
-from typing import Any, List, NamedTuple, Tuple
+from operator import itemgetter
+from typing import Any, List, Tuple
 
-from ..values import FlucidError
+from ..values import FlucidError, check_type
 
 
 class LexicalError(FlucidError):
@@ -44,27 +43,21 @@ class LexicalError(FlucidError):
         self.span = span
 
 
-class Span(NamedTuple):
-    line: int
-    col: int
-    offset: int
-    end: int
-
-    def merge(self, other: "Span") -> "Span":
-        if other.offset < self.offset:
-            return other.merge(self)
-        return Span(self.line, self.col, self.offset, max(self.end, other.end))
-
-
-class _SourceSpan(Span):
-    """A Span held as (offset, end, the newline offsets of its source):
-    line and col are derived when read, and it equals and hashes as the
-    Span of the same four fields."""
+class Span(tuple):
+    """A source range held as (offset, end, the newline offsets of its
+    source): line and col are derived when read.  Span() is the empty
+    range of a node that no source text spelled."""
 
     __slots__ = ()
     offset = property(itemgetter(0))
     end = property(itemgetter(1))
     line = property(lambda self: bisect_left(self[2], self[0]) + 1)
+
+    def __new__(cls, offset: int = 0, end: int = 0, newlines=()) -> Span:
+        return _new(cls, (offset, end, newlines))
+
+    def __getnewargs__(self) -> Tuple[Any, ...]:    # for copy and pickle
+        return tuple(self)
 
     @property
     def col(self) -> int:
@@ -72,40 +65,21 @@ class _SourceSpan(Span):
         return self[0] - (self[2][line - 1] if line else -1)
 
     def merge(self, other: Span) -> Span:
-        if other.offset < self[0]:
+        if other[0] < self[0]:
             return other.merge(self)
-        return _new(_SourceSpan, (self[0], max(self[1], other.end), self[2]))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Span) and _fields(self) == _fields(other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(_fields(self))
+        return _new(Span, (self[0], max(self[1], other[1]), self[2]))
 
     def __repr__(self) -> str:
-        return "Span(line=%r, col=%r, offset=%r, end=%r)" % _fields(self)
+        return "Span(line=%r, col=%r, offset=%r, end=%r)" % (
+            self.line, self.col, self[0], self[1])
 
 
-_fields = attrgetter("line", "col", "offset", "end")
 _new = tuple.__new__
 
 
-class Token(NamedTuple):
-    kind: str               # IDENT INT REAL STRING KW SYM EOF
-    value: Any
-    span: Span
-
-    @property
-    def raw(self) -> str:
-        return str(self.value)
-
-
-class TokenStream(Sequence):
-    """tokenize's result, a read-only sequence of Token views: indexing
-    builds a Token, slicing gives a stream over the same source."""
+class TokenStream:
+    """tokenize's result: parallel lists of each token's kind, value,
+    start and end offset, and the offsets of the source's newlines."""
 
     __slots__ = ("kinds", "values", "starts", "ends", "newlines")
 
@@ -115,33 +89,12 @@ class TokenStream(Sequence):
         self.starts, self.ends = starts, ends
         self.newlines = newlines
 
-    @classmethod
-    def of(cls, tokens: Sequence[Token]) -> "TokenStream":
-        """tokens as a stream that ends with an EOF token."""
-        if isinstance(tokens, cls) and tokens.kinds[-1:] == ["EOF"]:
-            return tokens
-        spans = [t.span for t in tokens]
-        end = spans[-1].end if spans else 0
-        first = spans[0] if spans else None
-        newlines = first[2] if type(first) is _SourceSpan else ()
-        return cls([t.kind for t in tokens] + ["EOF"],
-                   [t.value for t in tokens] + [""],
-                   [s.offset for s in spans] + [end],
-                   [s.end for s in spans] + [end], newlines)
-
     def span(self, first: int, last: int) -> Span:
         """From the start of token first to the end of token last."""
-        return _new(_SourceSpan, (self.starts[first], self.ends[last],
-                                  self.newlines))
+        return _new(Span, (self.starts[first], self.ends[last], self.newlines))
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TokenStream(self.kinds[i], self.values[i], self.starts[i],
-                               self.ends[i], self.newlines)
-        return Token(self.kinds[i], self.values[i], self.span(i, i))
 
 
 KEYWORDS = frozenset("""
@@ -196,6 +149,7 @@ def _is_ident_start(c: str) -> bool:
 
 def tokenize(text: str) -> TokenStream:
     """Scan text into a token stream ending with an EOF token."""
+    check_type(text, str, "tokenize takes text")
     # one flat list of (kind, value, start, end) runs, split at the end
     flat: List[Any] = []
     add = flat.extend
@@ -219,7 +173,7 @@ def tokenize(text: str) -> TokenStream:
                 value = int(text[start:pos])
             except ValueError:
                 raise LexicalError("integer literal too long",
-                                   _new(_SourceSpan, (start, pos, newlines)))
+                                   _new(Span, (start, pos, newlines)))
         elif kind == "STRING":
             value = text[start + 1:pos - 1]
             if "\\" in value:
@@ -247,7 +201,7 @@ def _odd_lexeme(text: str, start: int,
     pattern leaves to code; raises LexicalError for the errors."""
 
     def error(message: str, end: int) -> LexicalError:
-        return LexicalError(message, _new(_SourceSpan, (start, end, newlines)))
+        return LexicalError(message, _new(Span, (start, end, newlines)))
 
     c = text[start]
     if text.startswith("/*", start):

@@ -4,8 +4,8 @@ Every node carries a source span, a keyword-only field of Node that is
 excluded from equality, so that the pretty-print round trip can compare
 trees structurally.  Expression and declaration kinds mirror the
 concrete grammar one to one; bracket, brace, and parenthesis literals
-stay generic here and receive their forensic meaning (observation,
-sequence, statement, context) from the semantic analyzer.
+stay generic here, and the evaluator gives them their forensic meaning
+(observation, sequence, statement, context) when it evaluates them.
 
 Every tree walker goes through the three functions at the end: children()
 lists a node's child nodes, walk() visits a tree in pre-order, and fold()
@@ -26,7 +26,7 @@ from .lexer import Span
 
 @dataclass(eq=True)
 class Node:
-    span: Span = field(default=Span(0, 0, 0, 0), compare=False, repr=False,
+    span: Span = field(default=Span(), compare=False, repr=False,
                        kw_only=True)
 
 

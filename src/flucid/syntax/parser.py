@@ -38,8 +38,8 @@ constructs recurse.  MAX_NESTING bounds that recursion, so that deep
 input raises FlucidSyntaxError rather than RecursionError.  Syntax errors
 carry the offending span and the expected-token set.
 
-The parser reads the lists of tokenize's stream by index and builds no
-Token; spans are built for nodes and errors only, from token offsets.
+The parser reads the lists of tokenize's stream by index; spans are
+built for nodes and errors only, from token offsets.
 An atom before a closer (, ) ] ; } :) skips the operand and postfix steps.
 """
 
@@ -48,8 +48,8 @@ from __future__ import annotations
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from ..values import FlucidError
-from .lexer import CONTEXT_OPS, Span, Token, TokenStream, tokenize
+from ..values import FlucidError, check_type
+from .lexer import CONTEXT_OPS, Span, TokenStream, tokenize
 from . import nodes as N
 
 WHERE, CTX, STREAM, AT, LOGICAL, REL, ADD, MUL, UNARY, POSTFIX, ATOM = range(11)
@@ -602,13 +602,13 @@ def _ident_names(exprs: Sequence[N.Node]) -> Optional[Tuple[str, ...]]:
     return tuple(names)
 
 
-def parse(source: Union[str, Sequence[Token]]) -> N.Node:
+def parse(source: Union[str, TokenStream]) -> N.Node:
     """Parse a whole program (one expression, usually with a where).
 
-    source is text or tokens; the stream of tokenize is read as it is.
+    source is text or the stream that tokenize made of it.
     """
-    p = _Parser(tokenize(source) if isinstance(source, str)
-                else TokenStream.of(source))
+    check_type(source, (str, TokenStream), "parse takes text or a TokenStream")
+    p = _Parser(tokenize(source) if isinstance(source, str) else source)
     tree = p.expr()
     if p.at_sym(";"):
         p.advance()

@@ -28,6 +28,14 @@ class ValidationError(FlucidError):
         self.fieldname = fieldname
 
 
+def check_type(value: Any, types: Union[type, Tuple[type, ...]],
+               what: str) -> None:
+    """Reject an entry point's argument of the wrong type; what says what
+    the entry point takes, as in "tokenize takes text"."""
+    if not isinstance(value, types):
+        raise ValidationError("%s, not %s" % (what, type(value).__name__))
+
+
 # ---------------------------------------------------------------------------
 # Sentinels
 # ---------------------------------------------------------------------------

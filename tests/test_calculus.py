@@ -62,6 +62,20 @@ class TestMembership:
         es = EvidentialStatement((os12,))
         assert membership("in", os12, es)
 
+    def test_statement_inside_statement(self):
+        # each sequence of the left is an ordered subsequence of some
+        # sequence of the right
+        o1, o2, o3 = (make_observation(p) for p in "abc")
+        a = EvidentialStatement((ObservationSequence((o1, o3)),
+                                 ObservationSequence((o2,))))
+        b = EvidentialStatement((ObservationSequence((o1, o2, o3)),))
+        assert membership("isSubContext", a, b)
+        assert not membership("isSubContext", b, a)
+        assert not membership("in", ObservationSequence((o3, o1)), b)
+        assert not membership("in", a, ObservationSequence((o1, o2, o3)))
+        assert membership("in", o2, a)
+        assert not membership("in", make_observation("z"), a)
+
     def test_kind_mismatch(self):
         with pytest.raises(ContextTypeError):
             membership("in", sc(d=1), TagSet(tags=(1,)))
@@ -138,6 +152,29 @@ class TestOverride:
         merged = override(o1, o2)
         assert merged.property == sc(d=5, e=2)
         assert (merged.min, merged.w) == (2, 0.5)
+
+    def test_sequences_override_position_by_position(self):
+        a = ObservationSequence((make_observation(sc(d=1, e=2)),
+                                 make_observation("p"),
+                                 make_observation("q")), name="a")
+        b = ObservationSequence((make_observation(sc(d=5), 2, 0, 0.5),
+                                 make_observation("r")), name="b")
+        r = override(a, b)
+        assert r == ObservationSequence(
+            (make_observation(sc(d=5, e=2), 2, 0, 0.5),
+             make_observation("r"), make_observation("q")), name="b")
+        assert override(b, a).observations[0].property == sc(d=1, e=2)
+        assert override(a, ObservationSequence((make_observation("z"),))
+                        ).name == "a"
+
+    def test_statements_override_sequences_by_name(self):
+        def seq(prop, name=None):
+            return ObservationSequence((make_observation(prop),), name=name)
+        s1, s1_new, s2 = seq("x", "s1"), seq("y", "s1"), seq("w", "s2")
+        anon = seq("u")
+        r = override(EvidentialStatement((s1, anon), name="E"),
+                     EvidentialStatement((s1_new, s2, anon)))
+        assert r.sequences == (s1_new, anon, s2) and r.name == "E"
 
     @given(contexts, contexts)
     def test_idempotent(self, a, b):
@@ -249,6 +286,26 @@ class TestFilter:
         o = make_observation(sc(d=1, e=2), 1, 0, 0.7)
         f = ctx_filter("hiding", o, {"e"})
         assert f.property == sc(d=1) and f.w == 0.7
+
+    def test_observations_keep_all_but_their_property(self):
+        plain = make_observation("p")
+        assert ctx_filter("projection", plain, {"d"}) is plain
+        o = make_observation(ContextSet([sc(d=1, e=2), sc(e=3)]), 1, 0, 0.7, 9)
+        assert ctx_filter("hiding", o, {"e"}) == make_observation(
+            ContextSet([sc(d=1)]), 1, 0, 0.7, 9)
+
+    def test_sequences_and_statements_filter_each_observation(self):
+        seq = ObservationSequence((make_observation(sc(d=1, e=2)),
+                                   make_observation("p")), name="s")
+        r = ctx_filter("projection", seq, {"e"})
+        assert r == ObservationSequence((make_observation(sc(e=2)),
+                                         make_observation("p")), name="s")
+        other = ObservationSequence((make_observation(sc(d=3)),))
+        r = ctx_filter("hiding", EvidentialStatement((seq, other), name="E"),
+                       TagSet(tags=(2,)))
+        assert r.name == "E" and r.sequences == (
+            ObservationSequence((make_observation(sc(d=1)),
+                                 make_observation("p")), name="s"), other)
 
     def test_bad_selector(self):
         with pytest.raises(ContextTypeError):

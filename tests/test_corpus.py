@@ -21,7 +21,8 @@ def _read(path):
 
 @pytest.mark.parametrize("path", ALL, ids=lambda p: p.stem)
 def test_parses(path):
-    parse(_read(path))
+    text = _read(path)
+    assert parse(text) == parse(tokenize(text))
 
 
 @pytest.mark.parametrize("path", ALL, ids=lambda p: p.stem)
@@ -64,8 +65,10 @@ def test_front_end_digest():
         text = path.read_text(encoding="utf-8")
         rows = [path.relative_to(tests).as_posix()]
         try:
-            rows += [(t.kind, t.value, *_position(t.span))
-                     for t in tokenize(text)]
+            toks = tokenize(text)
+            rows += [(kind, value, *_position(toks.span(i, i)))
+                     for i, (kind, value) in enumerate(zip(toks.kinds,
+                                                           toks.values))]
             rows += [(type(n).__name__, *_position(n.span))
                      for n in walk(parse(text))]
         except FlucidError as err:

@@ -5,6 +5,8 @@ import inspect
 import pathlib
 import sys
 
+import pytest
+
 import flucid
 
 PACKAGE = pathlib.Path(flucid.__file__).parent
@@ -52,24 +54,30 @@ def test_encoder_writes_text_without_the_front_end():
             "encoders.py imports %s" % name
 
 
-def test_parse_reads_the_token_lists(monkeypatch):
-    # a Token is a view built on indexing a stream; parsing builds none
-    from flucid.encoders import PRESETS, encode_log
-    from flucid.syntax import lexer, parse, parser
+def test_one_token_representation_and_one_span_class():
+    # a stream is its parallel lists, read by index; every source range,
+    # of a token, a node or an error, is a lexer.Span
+    from collections.abc import Sequence
 
-    records = [{"ts": 1_600_000_000 + k, "ipaddr": "10.0.0.%d" % k,
-                "mac": "aa:bb:cc:dd:ee:%02x" % k, "hostname": "host-%d" % k}
-               for k in range(50)]
-    sources = [(pathlib.Path(__file__).parent / "cases" / "acme.ipl")
-               .read_text(encoding="utf-8"),
-               encode_log(records, "log", "test", PRESETS["dhcp"], tz="UTC")]
+    from flucid import syntax
+    from flucid.syntax import (FlucidSyntaxError, LexicalError, Span,
+                               TokenStream, parse, tokenize)
+    from flucid.syntax.nodes import walk
 
-    def no_token(*args, **kwargs):
-        raise AssertionError("a Token was built")
-    monkeypatch.setattr(lexer, "Token", no_token)
-    monkeypatch.setattr(parser, "Token", no_token)
-    for text in sources:
-        parse(text)
+    assert not hasattr(syntax, "Token") and "Token" not in syntax.__all__
+    assert not issubclass(TokenStream, Sequence)
+    spans = []
+    for path in sorted((pathlib.Path(__file__).parent / "cases").iterdir()):
+        text = path.read_text(encoding="utf-8")
+        toks = tokenize(text)
+        spans += [toks.span(i, i) for i in range(len(toks))]
+        spans += [node.span for node in walk(parse(toks))]
+    for bad, error in (("x = \x00 1", LexicalError),
+                       ("x = (1 +", FlucidSyntaxError)):
+        with pytest.raises(error) as err:
+            parse(bad)
+        spans.append(err.value.span)
+    assert len(spans) > 1000 and {type(span) for span in spans} == {Span}
 
 
 def test_evaluation_errors_get_their_position_from_eval():

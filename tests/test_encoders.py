@@ -138,6 +138,14 @@ def test_timestamp_rejects(raw, tz):
         normalize_timestamp(raw, tz=tz)
 
 
+@pytest.mark.parametrize("year", ["x", True, 2020.0, [2020]])
+def test_timestamp_rejects_a_reference_year_that_is_not_an_integer(year):
+    for raw in ("Jan  2 03:04:05", 1577934245):
+        with pytest.raises(EncodeError, match="reference_year must be an "
+                                              "integer"):
+            normalize_timestamp(raw, reference_year=year)
+
+
 # ---------------------------------------------------------------------------
 # Schemas
 # ---------------------------------------------------------------------------
@@ -440,12 +448,15 @@ WRONG = [5, 1.5, True, "x", b"UTC", ("UTC",), [2020]]
        now=st.one_of(st.none(), st.integers(-10 ** 12, 10 ** 12),
                      st.sampled_from(WRONG)),
        reference_year=st.one_of(st.none(), st.integers(-5, 10 ** 4),
-                                st.sampled_from(WRONG)))
+                                st.sampled_from(WRONG)),
+       name=st.sampled_from(["log"] + WRONG),
+       source=st.sampled_from(["gate"] + WRONG))
 def test_encode_log_returns_or_raises_a_flucid_error(records, preset, tz, now,
-                                                     reference_year):
+                                                     reference_year, name,
+                                                     source):
     # any other exception fails the test
     try:
-        encode_log(records, "log", "gate", PRESETS[preset], tz=tz, now=now,
+        encode_log(records, name, source, PRESETS[preset], tz=tz, now=now,
                    reference_year=reference_year)
     except FlucidError:
         pass

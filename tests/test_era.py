@@ -478,6 +478,13 @@ def test_check_claim_rejects_empty_statement():
         check_claim(fsm, EvidentialStatement([]))
 
 
+@pytest.mark.parametrize("fsm", [None, 5, "a s -> t"])
+def test_check_claim_rejects_a_machine_of_the_wrong_type(fsm):
+    es = EvidentialStatement([ObservationSequence([no_observation()])])
+    with pytest.raises(ValidationError, match="takes a StateMachine"):
+        check_claim(fsm, es)
+
+
 @pytest.mark.parametrize("limits", [
     {"horizon": "5"}, {"horizon": -1}, {"horizon": 2.0}, {"horizon": True},
     {"max_backtraces": "64"}, {"max_backtraces": -1},

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from flucid import era, evaluator
 from flucid.evaluator import MAX_DEPTH, EvaluationError, Evaluator, evaluate
 from flucid.semantics import analyze, rewrite_to_core
-from flucid.syntax import parse, pretty_print
+from flucid.syntax import parse, pretty_print, tokenize
 from flucid.values import (
     BOD,
     EOD,
@@ -538,6 +538,15 @@ def test_evaluate_on_random_trees_raises_only_positioned_errors(tree):
     # resuming them on fresh stacks must change no outcome
     text = pretty_print(tree)
     assert _outcome(text, 4) == _outcome(text, evaluator._STACK_BUDGET)
+
+
+@pytest.mark.parametrize("entry", [tokenize, parse, analyze, rewrite_to_core,
+                                   evaluate, era.load_fsm, era.load_es],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [None, 5, b"x", [1]], ids=repr)
+def test_entry_points_reject_an_argument_of_the_wrong_type(entry, value):
+    with pytest.raises(FlucidError, match=type(value).__name__):
+        entry(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Lexer, parser, and pretty-printer behavior."""
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -34,7 +36,6 @@ from flucid.syntax import (
     StreamUnary,
     StringLit,
     Subscript,
-    Token,
     TokenStream,
     TupleLit,
     UnaryOp,
@@ -55,7 +56,8 @@ from flucid.values import FlucidError, ValidationError
 
 
 def kinds(text):
-    return [(t.kind, t.value) for t in tokenize(text)[:-1]]
+    toks = tokenize(text)
+    return list(zip(toks.kinds, toks.values))[:-1]
 
 
 def test_tokenize_stream_op():
@@ -77,45 +79,36 @@ def test_tokenize_stray_nul_is_lexical_error():
 
 def test_tokenize_spans_track_lines():
     toks = tokenize("a\n  bb")
-    assert (toks[0].span.line, toks[0].span.col) == (1, 1)
-    assert (toks[1].span.line, toks[1].span.col) == (2, 3)
-    assert toks[1].span.offset == 4 and toks[1].span.end == 6
+    assert (toks.span(0, 0).line, toks.span(0, 0).col) == (1, 1)
+    assert (toks.span(1, 1).line, toks.span(1, 1).col) == (2, 3)
+    assert toks.span(1, 1).offset == 4 and toks.span(1, 1).end == 6
 
 
-def test_token_stream_is_a_sequence_of_token_views():
+def _fields(span):
+    return span.line, span.col, span.offset, span.end
+
+
+def test_spans_are_lazy_immutable_source_ranges():
     text = "f(x,\n  1)"
     toks = tokenize(text)
     assert isinstance(toks, TokenStream) and len(toks) == 7
-    views = list(toks)
-    assert views == [toks[i] for i in range(len(toks))]
-    assert toks[4] == Token("INT", 1, Span(2, 3, 7, 8)) == toks[-3]
-    assert toks[-1] == Token("EOF", "", Span(2, 5, 9, 9))
-    with pytest.raises(IndexError):
-        toks[7]
-    assert isinstance(toks[1:3], TokenStream)
-    assert list(toks[1:3]) == views[1:3]
-    assert list(toks[::-1]) == views[::-1]
-    assert parse(toks[:-1]) == parse(text)
-    assert parse(toks[:-1]).span == parse(text).span == Span(1, 1, 0, 9)
-    assert toks[4].raw == "1"
-
-
-def test_token_views_are_immutable_hashable_values():
-    toks = tokenize("a\n  bb")
-    tok, built = toks[1], Token("IDENT", "bb", Span(2, 3, 4, 6))
-    assert tok == built and not tok != built
-    assert hash(tok) == hash(built) and len({tok, built}) == 1
-    assert tok.span == built.span and hash(tok.span) == hash(built.span)
-    assert tok.span != Span(2, 4, 4, 6) and tok != toks[0]
-    assert repr(tok.span) == repr(built.span)
+    assert (toks.kinds[4], toks.values[4]) == ("INT", 1)
+    assert _fields(toks.span(4, 4)) == (2, 3, 7, 8)
+    assert (toks.kinds[-1], toks.values[-1]) == ("EOF", "")
+    assert _fields(toks.span(6, 6)) == (2, 5, 9, 9)
+    whole = toks.span(0, 5)
+    assert _fields(whole) == _fields(parse(text).span) == (1, 1, 0, 9)
+    assert toks.span(0, 0).merge(toks.span(5, 5)) == whole
+    assert toks.span(5, 5).merge(toks.span(0, 0)) == whole
+    assert toks.span(4, 4) == tokenize(text).span(4, 4)
+    assert toks.span(4, 4) != toks.span(5, 5)
+    assert repr(toks.span(4, 4)) == "Span(line=2, col=3, offset=7, end=8)"
     with pytest.raises(AttributeError):
-        tok.span.line = 3
-    with pytest.raises(AttributeError):
-        tok.kind = "KW"
-    whole = Span(1, 1, 0, 6)
-    assert toks[0].span.merge(tok.span) == whole
-    assert tok.span.merge(toks[0].span) == built.span.merge(toks[0].span)
-    assert built.span.merge(toks[0].span) == whole
+        toks.span(4, 4).line = 3
+    tree = pickle.loads(pickle.dumps(parse(text)))
+    assert tree.span == copy.copy(whole) == whole
+    assert _fields(Span()) == (1, 1, 0, 0) and Span() == Span(0, 0, ())
+    assert IntLit(1).span == Span()
 
 
 def test_tokenize_hyphenated_identifier():
@@ -361,6 +354,14 @@ def test_parse_angle_tuple_requires_adjacency():
     assert tree.dim == Ident("d") and len(tree.items) == 3
     rel = parse("d < 1")
     assert isinstance(rel, BinOp) and rel.op == "<"
+    # a touching < that no > closes backtracks to the comparison
+    for text, op in (("x<y", "<"), ("x<y && y>z", "&&"), ("f(x)<3", "<")):
+        tree = parse(text)
+        assert isinstance(tree, BinOp) and tree.op == op
+        assert parse(pretty_print(tree)) == tree
+    assert parse("x<y && y>z").left == parse("x < y")
+    assert parse("f(x)<3") == BinOp("<", Call(Ident("f"), (Ident("x"),)),
+                                     IntLit(3))
 
 
 def test_parse_subscript_vs_context_literal():
@@ -386,12 +387,13 @@ def test_parse_trailing_semicolon_optional():
     assert parse("x;") == parse("x")
 
 
-def test_parse_token_list_without_eof():
-    assert parse(tokenize("x + 1")[:-1]) == parse("x + 1")
+def test_parse_takes_text_or_its_token_stream():
+    assert parse(tokenize("x + 1")) == parse("x + 1")
     with pytest.raises(FlucidSyntaxError):
-        parse(tokenize("x +")[:-1])
-    with pytest.raises(FlucidSyntaxError):
-        parse([])
+        parse(tokenize("x +"))
+    for source in (None, 5, [], [1, 2], b"x", tokenize("x").kinds):
+        with pytest.raises(ValidationError, match=type(source).__name__):
+            parse(source)
 
 
 def test_parse_junk_after_program():
@@ -590,8 +592,9 @@ def _assert_position(text, span):
 @given(_SOUP)
 def test_random_text_raises_only_flucid_errors(text):
     try:
-        for tok in tokenize(text):
-            _assert_position(text, tok.span)
+        toks = tokenize(text)
+        for i in range(len(toks)):
+            _assert_position(text, toks.span(i, i))
     except LexicalError as err:
         _assert_position(text, err.span)
     try:
