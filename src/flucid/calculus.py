@@ -1,7 +1,7 @@
 """Set-like operators over contexts, tag sets, and forensic values.
 
-Four entry points cover the whole operator family: membership, set_like
-(difference / intersection / union), override, and filter (projection /
+One entry point per operator covers the whole family: membership,
+difference, intersection, union, override, and filter (projection /
 hiding).  Each dispatches on the kinds of its operands; a kind pairing
 with no defined overload raises ContextTypeError.
 
@@ -23,6 +23,7 @@ from .values import (
     ObservationSequence,
     SimpleContext,
     TagSet,
+    ValidationError,
     is_forensic,
     kind_of,
 )
@@ -49,7 +50,7 @@ def _fail(op: str, a: Any, b: Any) -> None:
 def membership(op: str, a: Any, b: Any) -> bool:
     """Subset-flavoured comparison; `in` and `isSubContext` coincide."""
     if op not in ("in", "isSubContext"):
-        raise ValueError("unknown membership operator %r" % op)
+        raise ValidationError("unknown membership operator %r" % (op,))
     if isinstance(a, SimpleContext) and isinstance(b, SimpleContext):
         # the empty simple context is a sub-context of any simple context
         return all(pair in b.pairs for pair in a.pairs)
@@ -102,25 +103,15 @@ def _is_subsequence(small: Sequence[Any], big: Sequence[Any]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# set_like: difference / intersection / union
+# difference / intersection / union
 # ---------------------------------------------------------------------------
 
 
-def set_like(op: str, a: Any, b: Any) -> Any:
-    if op == "difference":
-        return _difference(a, b)
-    if op == "intersection":
-        return _intersection(a, b)
-    if op == "union":
-        return union(a, b)
-    raise ValueError("unknown set operator %r" % op)
-
-
-def _difference(a: Any, b: Any) -> Any:
+def difference(a: Any, b: Any) -> Any:
     if isinstance(a, SimpleContext) and isinstance(b, SimpleContext):
         return SimpleContext(p for p in a.pairs if p not in b.pairs)
     if isinstance(a, ContextSet) and isinstance(b, ContextSet):
-        return _pairwise_set(_difference, a, b)
+        return _pairwise_set(difference, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
         return TagSet(ordering=a.ordering,
@@ -130,11 +121,11 @@ def _difference(a: Any, b: Any) -> Any:
     _fail("difference", a, b)
 
 
-def _intersection(a: Any, b: Any) -> Any:
+def intersection(a: Any, b: Any) -> Any:
     if isinstance(a, SimpleContext) and isinstance(b, SimpleContext):
         return SimpleContext(p for p in a.pairs if p in b.pairs)
     if isinstance(a, ContextSet) and isinstance(b, ContextSet):
-        return _pairwise_set(_intersection, a, b)
+        return _pairwise_set(intersection, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
         return TagSet(ordering=a.ordering,
@@ -307,7 +298,7 @@ def _forensic_override(a: Any, b: Any) -> Any:
 def filter(mode: str, c: Any, sel: Any) -> Any:        # noqa: A001
     """Keep (projection) or remove (hiding) micro contexts matched by sel."""
     if mode not in ("projection", "hiding"):
-        raise ValueError("unknown filter mode %r" % mode)
+        raise ValidationError("unknown filter mode %r" % (mode,))
     keep = mode == "projection"
     if isinstance(sel, TagSet):
         match = lambda d, t: _tag_in(t, sel)           # noqa: E731

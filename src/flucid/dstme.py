@@ -2,7 +2,7 @@
 Dempster's combination rule, and the bel/pl credibility of forensic values
 computed with them.
 
-A MassAssignment is a basic belief assignment m : 2^Q -> [0,1] over a
+A _MassAssignment is a basic belief assignment m : 2^Q -> [0,1] over a
 finite frame Q with m(empty) = 0 and total mass 1.  Belief of A sums the
 masses of subsets of A; plausibility sums the masses of sets meeting A.
 Each observation's weight w is a simple support function (mass w on its
@@ -39,7 +39,7 @@ class CombinationUndefinedError(FlucidError):
     """Dempster's rule with total conflict (K = 1) has no result."""
 
 
-class MassAssignment:
+class _MassAssignment:
     """Immutable basic belief assignment over a finite frame."""
 
     __slots__ = ("frame", "masses")
@@ -76,29 +76,30 @@ class MassAssignment:
         parts = ", ".join("%s:%g" % (set(s) or "{}", m)
                           for s, m in sorted(self.masses.items(),
                                              key=lambda kv: sorted(map(str, kv[0]))))
-        return "MassAssignment(%s)" % parts
+        return "_MassAssignment(%s)" % parts
 
 
-def _check_subset(m: MassAssignment, a: Iterable[Any]) -> FrozenSet[Any]:
+def _check_subset(m: _MassAssignment, a: Iterable[Any]) -> FrozenSet[Any]:
     s = frozenset(a)
     if not s <= m.frame:
         raise DomainError("queried set %s outside frame" % sorted(map(str, s)))
     return s
 
 
-def belief(m: MassAssignment, a: Iterable[Any]) -> float:
+def _belief(m: _MassAssignment, a: Iterable[Any]) -> float:
     """Total mass committed to subsets of a."""
     s = _check_subset(m, a)
     return sum(mass for focal, mass in m.masses.items() if focal <= s)
 
 
-def plausibility(m: MassAssignment, a: Iterable[Any]) -> float:
+def _plausibility(m: _MassAssignment, a: Iterable[Any]) -> float:
     """Total mass not contradicting a (mass of sets intersecting a)."""
     s = _check_subset(m, a)
     return sum(mass for focal, mass in m.masses.items() if focal & s)
 
 
-def dempster_combine(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
+def _dempster_combine(m1: _MassAssignment,
+                      m2: _MassAssignment) -> _MassAssignment:
     """Join two independent assignments; undefined under total conflict."""
     if m1.frame != m2.frame:
         raise DomainError("combination requires identical frames")
@@ -115,7 +116,7 @@ def dempster_combine(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
         raise CombinationUndefinedError(
             "total conflict between the assignments (K = 1)")
     scale = 1.0 / (1.0 - conflict)
-    return MassAssignment(m1.frame, {a: m * scale for a, m in joint.items()})
+    return _MassAssignment(m1.frame, {a: m * scale for a, m in joint.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def credibility(kind: str, f: Any) -> float:
     empty statement has bel 0 and pl 1.
     """
     if kind not in ("bel", "pl"):
-        raise ValueError("unknown credibility kind %r" % kind)
+        raise ValidationError("unknown credibility kind %r" % (kind,))
     if isinstance(f, (SimpleContext, ContextSet)):
         return 1.0
     if isinstance(f, Observation):
@@ -155,7 +156,7 @@ def credibility(kind: str, f: Any) -> float:
         claims = _statement_claims(f)
         if not claims:
             return 0.0 if kind == "bel" else 1.0
-        query = belief if kind == "bel" else plausibility
+        query = _belief if kind == "bel" else _plausibility
         return query(_statement_assignment(claims), claims)
     raise DomainError("credibility is not defined on %s" % kind_of(f))
 
@@ -170,10 +171,10 @@ def _observation_credibility(o: Observation) -> float:
 
 def _fuse(weights: Iterable[float]) -> float:
     """Belief in a claim after combining one simple support per weight."""
-    m = functools.reduce(dempster_combine, (
-        MassAssignment(_CLAIM_FRAME, {_CLAIM: w, _CLAIM_FRAME: 1.0 - w})
+    m = functools.reduce(_dempster_combine, (
+        _MassAssignment(_CLAIM_FRAME, {_CLAIM: w, _CLAIM_FRAME: 1.0 - w})
         for w in weights))
-    return belief(m, _CLAIM)
+    return _belief(m, _CLAIM)
 
 
 def _sequence_credibility(os: ObservationSequence) -> float:
@@ -195,10 +196,10 @@ def _statement_claims(es: EvidentialStatement) -> Dict[str, float]:
     return {key: _fuse(ws) for key, ws in claims.items()}
 
 
-def _statement_assignment(claims: Dict[str, float]) -> MassAssignment:
+def _statement_assignment(claims: Dict[str, float]) -> _MassAssignment:
     frame = frozenset(claims) | {_CONTRARY}
     total = math.fsum(claims.values())
     scale = 1.0 / max(total, 1.0)
     masses = {frozenset([c]): w * scale for c, w in claims.items()}
     masses[frame] = 1.0 - min(total, 1.0)
-    return MassAssignment(frame, masses)
+    return _MassAssignment(frame, masses)

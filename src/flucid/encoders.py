@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .values import FlucidError, ValidationError, to_source
+from .values import FlucidError, ValidationError, check_type, to_source
 
 DEFAULT_PARTIAL_W = 0.5
 
@@ -48,7 +48,7 @@ _MAC_PACKED = re.compile(r"^[0-9a-fA-F]{12}$|^([0-9a-fA-F]{4}\.){2}"
                          r"[0-9a-fA-F]{4}$")
 
 
-def normalize_mac(s: str) -> str:
+def _normalize_mac(s: str) -> str:
     """Canonical hardware address: lowercase, colon-separated, six
     zero-padded octets.  Accepts raw 12-hex, colon or dash separated
     (leading zeros optional), and four-hex dotted triplet forms."""
@@ -64,7 +64,7 @@ def normalize_mac(s: str) -> str:
     return ":".join(o.lower().zfill(2) for o in octets)
 
 
-def normalize_hostname(s: str) -> str:
+def _normalize_hostname(s: str) -> str:
     """Lowercase, trailing-dot-free host name."""
     raw = s.strip().rstrip(".").lower()
     if not re.fullmatch(r"[a-z0-9._-]+", raw):
@@ -117,12 +117,8 @@ def _resolve_zone(name: Optional[str]):
         raise EncodeError("unknown time zone: %r" % name)
 
 
-def render_timestamp(epoch: int, tz: Optional[str] = None) -> str:
-    """Canonical human form for an epoch second in the given zone."""
-    return _render(epoch, _resolve_zone(tz))
-
-
 def _render(epoch: int, zone) -> str:
+    """Canonical human form for an epoch second in the given zone."""
     try:
         dt = datetime.fromtimestamp(epoch, zone)
     except (ValueError, OverflowError, OSError):
@@ -198,7 +194,7 @@ def normalize_timestamp(s: Any, reference_year: Optional[int] = None,
 
 
 @dataclass(frozen=True)
-class FieldSpec:
+class _FieldSpec:
     field: str
     dimension: str
     type: str
@@ -211,8 +207,8 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class Schema:
-    fields: Tuple[FieldSpec, ...]
+class _Schema:
+    fields: Tuple[_FieldSpec, ...]
     partial_w: float = DEFAULT_PARTIAL_W
 
     def __post_init__(self) -> None:
@@ -232,10 +228,11 @@ def _check_name(word: str, what: str, reserved=frozenset()) -> None:
         raise EncodeError("%r is not usable as %s" % (word, what))
 
 
-def parse_schema(text: str) -> Schema:
+def parse_schema(text: str) -> _Schema:
     """Line-oriented schema: `field <name> -> dimension <name> type
     <text|int|real|mac|timestamp|hostname>`, optional `partial <w>`."""
-    fields: List[FieldSpec] = []
+    check_type(text, str, "parse_schema takes text")
+    fields: List[_FieldSpec] = []
     partial = DEFAULT_PARTIAL_W
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("//")[0].split("#")[0].strip()
@@ -245,7 +242,7 @@ def parse_schema(text: str) -> Schema:
             if field_line:
                 if any(f.field == field_line[1] for f in fields):
                     raise EncodeError("field %r declared twice" % field_line[1])
-                fields.append(FieldSpec(*field_line.groups()))
+                fields.append(_FieldSpec(*field_line.groups()))
             elif partial_line:
                 partial = float(partial_line[1])
             elif body:
@@ -254,10 +251,10 @@ def parse_schema(text: str) -> Schema:
             raise EncodeError("schema line %d: %s" % (lineno, exc)) from None
     if not fields:
         raise EncodeError("schema declares no fields")
-    return Schema(tuple(fields), partial)
+    return _Schema(tuple(fields), partial)
 
 
-PRESETS: Dict[str, Schema] = {
+PRESETS: Dict[str, _Schema] = {
     "arp": parse_schema(
         "field ipaddr -> dimension ipaddr type text\n"
         "field mac -> dimension mac type mac\n"),
@@ -287,13 +284,19 @@ PRESETS: Dict[str, Schema] = {
 }
 
 
-def load_schema(name_or_path: str) -> Schema:
+def load_schema(name_or_path: str) -> _Schema:
     """A preset name, or a path to a schema file."""
+    check_type(name_or_path, (str, os.PathLike), "a schema is named by text")
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]
     if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return parse_schema(fh.read())
+        try:
+            with open(name_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise EncodeError("cannot read schema file %r: %s"
+                              % (name_or_path, exc)) from None
+        return parse_schema(text)
     raise EncodeError(
         "no schema preset or file named %r (presets: %s)"
         % (name_or_path, ", ".join(sorted(PRESETS))))
@@ -304,7 +307,7 @@ def load_schema(name_or_path: str) -> Schema:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_field(spec: FieldSpec, value: Any,
+def _normalize_field(spec: _FieldSpec, value: Any,
                      reference_year: Optional[int], tz: Optional[str]):
     """(tag value, epoch-or-None, ok?) for one field of one record; a
     value that refuses to normalize comes back raw and not ok."""
@@ -312,9 +315,9 @@ def _normalize_field(spec: FieldSpec, value: Any,
         return str(value), None, True
     try:
         if spec.type == "mac":
-            return normalize_mac(str(value)), None, True
+            return _normalize_mac(str(value)), None, True
         if spec.type == "hostname":
-            return normalize_hostname(str(value)), None, True
+            return _normalize_hostname(str(value)), None, True
         if spec.type == "int":
             number = int(str(value).strip(), 0)
             str(number)     # raises when the decimal literal would be too long
@@ -332,7 +335,7 @@ def _normalize_field(spec: FieldSpec, value: Any,
 
 
 def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
-               schema: Schema = PRESETS["arp"], *,
+               schema: _Schema = PRESETS["arp"], *,
                reference_year: Optional[int] = None,
                tz: Optional[str] = None,
                now: Optional[int] = None) -> str:
@@ -352,6 +355,8 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     prints back unchanged and analyzes.
     """
     from .syntax.lexer import KEYWORDS     # loaded on first use
+    check_type(lines, Iterable, "encode_log takes an iterable of records")
+    check_type(schema, _Schema, "encode_log takes a schema from load_schema")
     _check_name(name, "a sequence name", KEYWORDS)
     for spec in schema.fields:
         _check_name(spec.dimension, "the dimension of field %r" % spec.field,
@@ -362,7 +367,7 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
         raise EncodeError("the source %r spans lines" % source)
     _check_int("now", now)
     _check_int("reference_year", reference_year)
-    _resolve_zone(tz)               # an unknown zone fails with no field too
+    zone = _resolve_zone(tz)        # an unknown zone fails with no field too
     obs: List[str] = []
     epochs: List[Optional[int]] = []
     for pos, record in enumerate(lines, 1):
@@ -397,7 +402,7 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
     if not obs:
         obs.append("  observation %s_o_1 = $;" % name)
     members = ", ".join("%s_o_%d" % (name, k) for k in range(1, len(obs) + 1))
-    stamp = "" if now is None else "%s (%d) " % (render_timestamp(now, tz), now)
+    stamp = "" if now is None else "%s (%d) " % (_render(now, zone), now)
     header = ["  // encoded %sfrom %s" % (stamp, source)]
     if None not in epochs and any(a > b for a, b in zip(epochs, epochs[1:])):
         header.append("  // warning: timestamps are not non-decreasing")
@@ -407,18 +412,23 @@ def encode_log(lines: Iterable[Dict[str, Any]], name: str, source: str,
 
 
 def encode_to_files(lines: Iterable[Dict[str, Any]], case: str,
-                    source: str, schema: Schema, out_dir: str = ".",
+                    source: str, schema: _Schema, out_dir: str = ".",
                     **kw) -> Tuple[str, str]:
     """Write `<case>.<source>.ctx` plus its checksum sidecar; returns
     both paths."""
+    check_type(case, str, "encode_to_files takes a case tag")
+    check_type(out_dir, (str, os.PathLike), "out_dir is a directory path")
     if not _IDENT.fullmatch(case):
         raise EncodeError("%r is not usable as a case tag" % case)
     text = encode_log(lines, source, "%s/%s" % (case, source), schema, **kw)
     ctx_path = os.path.join(out_dir, "%s.%s.ctx" % (case, source))
-    with open(ctx_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     sha_path = ctx_path + ".sha256"
-    with open(sha_path, "w", encoding="utf-8") as fh:
-        fh.write("%s  %s\n" % (digest, os.path.basename(ctx_path)))
+    try:
+        with open(ctx_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(sha_path, "w", encoding="utf-8") as fh:
+            fh.write("%s  %s\n" % (digest, os.path.basename(ctx_path)))
+    except OSError as exc:
+        raise EncodeError("cannot write %r: %s" % (exc.filename, exc)) from None
     return ctx_path, sha_path

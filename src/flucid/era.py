@@ -102,6 +102,9 @@ class StateMachine:
     properties: Mapping[str, Property] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_type(self.states, (tuple, list), "a machine's states: a tuple")
+        check_type(self.events, (tuple, list), "a machine's events: a tuple")
+        check_type(self.psi, Mapping, "a machine's psi: a mapping")
         states, events = set(self.states), set(self.events)
         for (e, s), q in self.psi.items():
             if e not in events or s not in states or q not in states:
@@ -180,6 +183,7 @@ class ClaimResult:
 
 def invert_transition(fsm: StateMachine) -> Dict[Any, FrozenSet[Step]]:
     """Predecessor table: (e, q) lands in result[q'] iff psi(e, q) = q'."""
+    check_type(fsm, StateMachine, "invert_transition takes a StateMachine")
     table: Dict[Any, Set[Step]] = {s: set() for s in fsm.states}
     for (e, q), q2 in fsm.psi.items():
         table[q2].add((e, q))
@@ -189,8 +193,14 @@ def invert_transition(fsm: StateMachine) -> Dict[Any, FrozenSet[Step]]:
 def psi_inverse_set(fsm: StateMachine,
                     computations: Iterable[Computation]) -> Set[Computation]:
     """Extend every non-empty computation one fired step to the left."""
+    check_type(fsm, StateMachine, "psi_inverse_set takes a StateMachine")
     inverse = invert_transition(fsm)
-    return {(stp,) + c for c in computations if c for stp in inverse[c[0][1]]}
+    try:
+        return {(stp,) + c for c in computations if c
+                for stp in inverse.get(c[0][1], ())}
+    except TypeError:
+        raise ValidationError("computations are tuples of (event, state) "
+                              "steps, not %r" % (computations,)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +211,7 @@ def psi_inverse_set(fsm: StateMachine,
 def resolve_property(fsm: StateMachine, prop: Any) -> Property:
     """Map an observation's property value onto a step predicate.  A tag
     set allows exactly its tags as events."""
+    check_type(fsm, StateMachine, "resolve_property takes a StateMachine")
     if isinstance(prop, Property):
         return prop
     if isinstance(prop, TagSet):
@@ -229,7 +240,12 @@ def _triples(fsm: StateMachine,
 def meaning_fixed_length(fsm: StateMachine,
                          os: Sequence[Tuple[Property, int]]) -> MPR:
     """All windows explained by a fixed-length observation sequence."""
-    lens = tuple(int(d) for _, d in os)
+    check_type(fsm, StateMachine, "meaning_fixed_length takes a StateMachine")
+    try:
+        lens = tuple(int(d) for _, d in os)
+    except (TypeError, ValueError):
+        raise ValidationError("os is a sequence of (Property, length) "
+                              "pairs, not %r" % (os,), "os") from None
     if any(d < 0 for d in lens):
         raise ValidationError("segment lengths must be non-negative", "os")
     total = sum(lens)
@@ -262,6 +278,8 @@ def expand_generic(os: ObservationSequence, horizon: int) -> Tuple[ObservationSe
     Each observation's duration ranges over min..min+max, with an
     unbounded max truncated at the horizon.
     """
+    check_type(os, ObservationSequence, "expand_generic takes a sequence")
+    check_type(horizon, int, "expand_generic takes an integer horizon")
     minsum = sum(o.min for o in os.observations)
     if horizon < minsum:
         raise ValidationError(
@@ -277,7 +295,7 @@ def expand_generic(os: ObservationSequence, horizon: int) -> Tuple[ObservationSe
                  for combo in itertools.product(*per_obs))
 
 
-def dedupe_wildcard_twins(runs: Iterable[Computation]) -> Set[Computation]:
+def _dedupe_wildcard_twins(runs: Iterable[Computation]) -> Set[Computation]:
     """Drop a concrete-final-event run whose wildcard twin is also present."""
     pool = set(runs)
     out = set()
@@ -292,6 +310,8 @@ def dedupe_wildcard_twins(runs: Iterable[Computation]) -> Set[Computation]:
 
 def comb(x: MPR, y: MPR) -> MSPR:
     """Combine two maps of partitioned runs into a proper MSPR."""
+    check_type(x, MPR, "comb takes an MPR")
+    check_type(y, MPR, "comb takes an MPR")
     if x.total() != y.total():
         return EMPTY_MSPR
     common = x.computations & y.computations
@@ -305,7 +325,7 @@ def comb(x: MPR, y: MPR) -> MSPR:
 # ---------------------------------------------------------------------------
 
 
-def default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
+def _default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
     """Window bound: the longest account's sum of min + capped max."""
     n = len(fsm.states)
     return max([1] + [sum(o.min + (n if o.max is PLUS_INF else min(o.max, n))
@@ -349,7 +369,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
                     os.name or i, j, exc), exc.fieldname) from None
     all_triples = [_triples(fsm, os) for os in es.sequences]
     if horizon is None:
-        horizon = default_horizon(fsm, es)
+        horizon = _default_horizon(fsm, es)
     for name, limit in (("horizon", horizon), ("max_backtraces", max_backtraces)):
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
             raise ValidationError("%s must be a non-negative integer, not %r"
@@ -370,7 +390,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     return ClaimResult(
         consistent=consistent,
         explanations=tuple(msprs),
-        backtraces=tuple(dict.fromkeys(collapse_stutters(r) for r in runs)),
+        backtraces=tuple(dict.fromkeys(_collapse_stutters(r) for r in runs)),
         horizon_warning=bool(has_unbounded and not consistent),
         horizon=horizon,
         route=route,
@@ -380,7 +400,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     )
 
 
-def collapse_stutters(run: Computation) -> Computation:
+def _collapse_stutters(run: Computation) -> Computation:
     return tuple(stp for i, stp in enumerate(run) if i == 0 or run[i - 1] != stp)
 
 
@@ -440,7 +460,7 @@ def _check_exact(fsm: StateMachine, es: EvidentialStatement,
                 mprs.append(m)
                 pool.update(m.computations)
         # one account's meaning keeps only the most general final step
-        keep = dedupe_wildcard_twins(pool)
+        keep = _dedupe_wildcard_twins(pool)
         mprs = [MPR(m.lens, m.computations & keep) for m in mprs
                 if m.computations & keep]
         if not mprs:

@@ -19,11 +19,13 @@ demand that the warehouse keeps, a stream scanned for its end is
 bounded by the demand depth like any other runaway, and a program
 means what its core rewrite means.  `first`, `next`, `prev`, `second`,
 `fby` and `pby`, which the case programs and the benchmark run, are
-evaluated directly by index arithmetic.  `neg` and `not` run the code
-of `-` and `!` and the bitwise words that of the binary operators, so
-that their errors name the word as written.  Errors are raised with a
-message only; `eval` gives each FlucidError the position of the
-innermost source node it passes through.  Nesting too deep for one
+evaluated directly by index arithmetic; `fby` is core even to
+rewrite_to_core, since over a forensic left value it prepends that
+value's observations to the sequence on its right.  `neg` and `not` run
+the code of `-` and `!` and the bitwise words that of the binary
+operators, so that their errors name the word as written.  Errors are
+raised with a message only; `eval` gives each FlucidError the position
+of the innermost source node it passes through.  Nesting too deep for one
 Python stack resumes on a fresh one (see Evaluator.run), so evaluation
 runs within the interpreter's recursion limit and never changes it.
 
@@ -91,13 +93,13 @@ class EvaluationError(FlucidError):
 
 
 @dataclass(frozen=True)
-class Hypothesis:
+class _Hypothesis:
     """A declared run: elements newest first, each with the event that
     produced it from its (older) successor in the tuple."""
     items: Tuple[Tuple[Any, Optional[str]], ...]
 
 
-class Thunk:
+class _Thunk:
     """Lazy binding of a formal: an argument expression closed over the
     caller's frame, or an already-computed value."""
 
@@ -110,21 +112,21 @@ class Thunk:
         self.has_value = has_value
 
     @staticmethod
-    def of_value(value) -> "Thunk":
-        return Thunk(value=value, has_value=True)
+    def of_value(value) -> "_Thunk":
+        return _Thunk(value=value, has_value=True)
 
 
-class Frame:
+class _Frame:
     __slots__ = ("id", "parent", "bindings")      # id: per Evaluator
 
-    def __init__(self, id: int, parent: Optional["Frame"],
-                 bindings: Dict[str, Thunk]):
+    def __init__(self, id: int, parent: Optional["_Frame"],
+                 bindings: Dict[str, _Thunk]):
         self.id = id
         self.parent = parent
         self.bindings = bindings
 
-    def lookup(self, name: str) -> Optional[Thunk]:
-        frame: Optional[Frame] = self
+    def lookup(self, name: str) -> Optional[_Thunk]:
+        frame: Optional[_Frame] = self
         while frame is not None:
             hit = frame.bindings.get(name)
             if hit is not None:
@@ -133,7 +135,7 @@ class Frame:
         return None
 
 
-_ROOT = Frame(0, None, {})
+_ROOT = _Frame(0, None, {})
 
 
 class _Miss:
@@ -162,6 +164,9 @@ _LOGIC = {"&&": False, "||": True}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
 _BITWISE = {"band": operator.and_, "bor": operator.or_, "bxor": operator.xor}
+_CTX_OPS = {"difference": calculus.difference,
+            "intersection": calculus.intersection,
+            "union": calculus.union, "override": calculus.override}
 
 # Nesting on one Python stack, in evaluations; past it, run resumes on a
 # fresh stack.  An evaluation nests at most about four interpreter frames,
@@ -186,6 +191,7 @@ class Evaluator:
                  horizon: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None,
                  max_depth: int = MAX_DEPTH):
+        check_type(analysis, Analysis, "Evaluator takes an Analysis")
         self.analysis = analysis
         self.env = analysis.env
         self.threshold = threshold
@@ -199,7 +205,7 @@ class Evaluator:
         self._base = self._depth = self._room = 0   # see run
         self._dims: Dict[str, TagSet] = {}
         self._machines: Dict[Any, era.StateMachine] = {}
-        self._frames: Dict[Any, Frame] = {}     # (site, parent id) -> frame
+        self._frames: Dict[Any, _Frame] = {}    # (site, parent id) -> frame
 
     # -- entry points ------------------------------------------------------
 
@@ -242,7 +248,7 @@ class Evaluator:
 
     # -- demands -----------------------------------------------------------
 
-    def demand(self, name: str, ctx: SimpleContext, frame: Frame) -> Any:
+    def demand(self, name: str, ctx: SimpleContext, frame: _Frame) -> Any:
         key = (name, ctx, frame.id)
         hit = self.warehouse.get(key, _MISS)
         if hit is not _MISS:
@@ -267,7 +273,7 @@ class Evaluator:
                        % (name, _show(ctx), _show(value)))
         return value
 
-    def _define(self, name: str, ctx: SimpleContext, frame: Frame) -> Any:
+    def _define(self, name: str, ctx: SimpleContext, frame: _Frame) -> Any:
         defn = self.env[name]
         node = defn.node
         if defn.kind == "var":
@@ -284,7 +290,7 @@ class Evaluator:
 
     # -- generic dispatch ----------------------------------------------------
 
-    def eval(self, node: N.Node, ctx: SimpleContext, frame: Frame) -> Any:
+    def eval(self, node: N.Node, ctx: SimpleContext, frame: _Frame) -> Any:
         if self._settled and id(node) in self._settled:
             got = self._settled[id(node)][1].get((ctx, frame.id), _MISS)
             if got is not _MISS:
@@ -621,11 +627,7 @@ class Evaluator:
                     not isinstance(a, (tuple, frozenset, set)):
                 return a in b
             return calculus.membership(op, a, b)
-        if op in ("difference", "intersection", "union"):
-            return calculus.set_like(op, a, b)
-        if op == "override":
-            return calculus.override(a, b)
-        raise AssertionError(op)
+        return _CTX_OPS[op](a, b)
 
     def _selector(self, node, ctx, frame):
         # {d, e} selects the dimensions themselves, not their tag sets
@@ -764,12 +766,12 @@ class Evaluator:
         argv = None
         if len(defn.params) == 1 and defn.dim_params:
             argv = self.eval(arg_nodes[0], ctx, frame)
-            bindings = {defn.params[0]: Thunk.of_value(argv)}
+            bindings = {defn.params[0]: _Thunk.of_value(argv)}
         else:
-            bindings = {p: Thunk(expr=a, frame=frame)
+            bindings = {p: _Thunk(expr=a, frame=frame)
                         for p, a in zip(defn.params, arg_nodes)}
         for p, a in zip(defn.dim_params, dim_nodes):
-            bindings[p] = Thunk(expr=a, frame=frame)
+            bindings[p] = _Thunk(expr=a, frame=frame)
         site = (defn.unique, id(arg_nodes), id(dim_nodes), ctx)
         value = self.eval(defn.node.body, ctx,
                           self._frame(site, frame, bindings))
@@ -777,10 +779,10 @@ class Evaluator:
             return self._claim(defn, dim_nodes, argv, value, ctx, frame)
         return value
 
-    def _frame(self, site, parent: Frame, bindings) -> Frame:
+    def _frame(self, site, parent: _Frame, bindings) -> _Frame:
         """The frame a call site makes under parent, the same one each
         time, so that a retry (see run) finds the demands stored in it."""
-        return self._frames.setdefault((site, parent.id), Frame(
+        return self._frames.setdefault((site, parent.id), _Frame(
             len(self._frames) + 1, parent, bindings))
 
     # claim evaluation
@@ -794,7 +796,7 @@ class Evaluator:
         dim_values = tuple(self.eval(d, ctx, frame) for d in dim_nodes)
         fsm = self._machine(defn, dim_values, ctx, frame)
         if isinstance(body_value, tuple) and body_value and all(
-                isinstance(h, Hypothesis) for h in body_value):
+                isinstance(h, _Hypothesis) for h in body_value):
             validated = [steps for steps in (
                 _validate_hypothesis(fsm, h) for h in body_value)
                 if steps is not None]
@@ -863,7 +865,7 @@ class Evaluator:
                 (lit for lit in _string_literals(body) if lit not in events))))
             states = {pair: _pair_state(pair)
                       for pair in itertools.product(cells, repeat=2)}
-        dim_bindings = {p: Thunk.of_value(v)
+        dim_bindings = {p: _Thunk.of_value(v)
                         for p, v in zip(cand.dim_params, dim_values)}
         dims = tuple(repr(v) for v in dim_values)      # as _machine keys
         at0 = SimpleContext({DEFAULT_DIMENSION: 0})
@@ -872,9 +874,9 @@ class Evaluator:
         for event in events:
             for pair, source in states.items():
                 bindings = dict(dim_bindings)
-                bindings[cand.params[0]] = Thunk.of_value(event)
-                bindings[cand.params[1]] = Thunk.of_value(pair) if labelled \
-                    else Thunk(expr=N.AngleTuple(
+                bindings[cand.params[0]] = _Thunk.of_value(event)
+                bindings[cand.params[1]] = _Thunk.of_value(pair) if labelled \
+                    else _Thunk(expr=N.AngleTuple(
                         N.Ident(DEFAULT_DIMENSION),
                         (N.StringLit(pair[0]), N.StringLit(pair[1]))),
                         frame=_ROOT)
@@ -916,15 +918,15 @@ class Evaluator:
             states=tuple(dict.fromkeys(states.values())),
             events=tuple(events), psi=edges, properties=properties)
 
-    def _hypothesis(self, node, ctx, frame) -> Hypothesis:
+    def _hypothesis(self, node, ctx, frame) -> _Hypothesis:
         """An annotated hop: its left value with the annotation's event,
         followed by the run its right operand evaluates to, or by that
         value alone when it is not a hypothesis (the oldest element)."""
         head = (self.eval(node.left, ctx, frame),
                 _annotation_event(node.annotation))
         rest = self.eval(node.right, ctx, frame)
-        tail = rest.items if isinstance(rest, Hypothesis) else ((rest, None),)
-        return Hypothesis((head,) + tail)
+        tail = rest.items if isinstance(rest, _Hypothesis) else ((rest, None),)
+        return _Hypothesis((head,) + tail)
 
     # -- forensic operators ------------------------------------------------------
 
@@ -1173,7 +1175,7 @@ def _named_pairs(body: N.Node) -> List[Tuple[str, int]]:
 
 
 def _validate_hypothesis(fsm: era.StateMachine,
-                         hyp: Hypothesis) -> Optional[era.Computation]:
+                         hyp: _Hypothesis) -> Optional[era.Computation]:
     """Check a declared run against the tabulated transitions.
 
     Items are newest first; each item's event links its (older)

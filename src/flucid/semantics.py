@@ -438,13 +438,13 @@ def analyze(tree: N.Node) -> Analysis:
 
 DEFAULT_DIMENSION = "d"
 
-# Derived operators the rewriter eliminates.  Bitwise words, the
-# forensic operators, and the four undefined n-ops stay as they are;
-# iseod/isbod are themselves core.
+# Derived operators the rewriter eliminates.  fby, the bitwise words,
+# the forensic operators, and the four undefined n-ops stay as they
+# are; iseod/isbod are themselves core.
 REWRITTEN_UNARY = frozenset(
     ["first", "next", "prev", "second", "prelast", "last", "neg", "not"])
 REWRITTEN_BIN = frozenset("""
-    fby pby wvr rwvr nwvr nrwvr asa nasa ala nala
+    pby wvr rwvr nwvr nrwvr asa nasa ala nala
     upon rupon nupon nrupon and or xor nand nor nxor
 """.split())
 # The operators analyze() expands for evaluation.
@@ -472,16 +472,8 @@ class _Names:
                 return name
 
 
-def _ident(name: str) -> N.Ident:
-    return N.Ident(name)
-
-
-def _int(value: int) -> N.IntLit:
-    return N.IntLit(value)
-
-
 def _hash(dim: str) -> N.HashExpr:
-    return N.HashExpr(_ident(dim))
+    return N.HashExpr(N.Ident(dim))
 
 
 def _at(expr: N.Node, index: N.Node, dim: str) -> N.AtExpr:
@@ -496,28 +488,16 @@ def _sub(a: N.Node, b: N.Node) -> N.BinOp:
     return N.BinOp("-", a, b)
 
 
-def _eq(a: N.Node, b: N.Node) -> N.BinOp:
-    return N.BinOp("==", a, b)
-
-
 def _iseod(expr: N.Node) -> N.StreamUnary:
     return N.StreamUnary("iseod", expr)
-
-
-def _if(cond: N.Node, then_branch: N.Node, else_branch: N.Node) -> N.IfExpr:
-    return N.IfExpr(cond, then_branch, else_branch)
 
 
 def _where(body: N.Node, decls) -> N.WhereExpr:
     return N.WhereExpr(body, tuple(decls))
 
 
-def _var(name: str, expr: N.Node) -> N.VarDecl:
-    return N.VarDecl(name, expr)
-
-
 def _truth_table(cond: N.Node) -> N.IfExpr:
-    return _if(cond, _int(1), _int(0))
+    return N.IfExpr(cond, N.IntLit(1), N.IntLit(0))
 
 
 def rewrite_to_core(tree: N.Node) -> N.Node:
@@ -525,8 +505,10 @@ def rewrite_to_core(tree: N.Node) -> N.Node:
 
     The result evaluates identically but uses only navigation (@),
     index queries (#), conditionals, where clauses, the end-of-stream
-    predicates, and plain arithmetic.  Deterministic, and the identity
-    on trees that are already core.
+    predicates, plain arithmetic, and fby: over a forensic left operand
+    fby prepends its observations to the sequence on its right, which
+    no index template can do.  Deterministic, and the identity on trees
+    that are already core.
     """
     check_type(tree, N.Node, "rewrite_to_core takes a syntax tree")
     return _rewrite(tree, REWRITTEN_UNARY | REWRITTEN_BIN)
@@ -556,11 +538,11 @@ def _expand_unary(node: N.StreamUnary, names: _Names):
     dim = node.dim or DEFAULT_DIMENSION
     x = node.operand
     if node.op == "first":
-        return _at(x, _int(0), dim)
+        return _at(x, N.IntLit(0), dim)
     if node.op == "next":
-        return _at(x, _add(_hash(dim), _int(1)), dim)
+        return _at(x, _add(_hash(dim), N.IntLit(1)), dim)
     if node.op == "prev":
-        return _at(x, _sub(_hash(dim), _int(1)), dim)
+        return _at(x, _sub(_hash(dim), N.IntLit(1)), dim)
     if node.op == "neg":
         return N.UnaryOp("-", x, span=node.span)
     if node.op == "not":
@@ -572,18 +554,18 @@ def _expand_unary(node: N.StreamUnary, names: _Names):
         xn = names.fresh("x")
         body = N.StreamUnary(
             "first",
-            N.StreamUnary("next", _reverse(_ident(xn), dim, names), dim),
+            N.StreamUnary("next", _reverse(N.Ident(xn), dim, names), dim),
             dim)
-        return _rw(_where(body, [_var(xn, x)]), names)
+        return _rw(_where(body, [N.VarDecl(xn, x)]), names)
     if node.op == "last":
         xn = names.fresh("x")
         body = N.StreamUnary(
             "first",
-            N.StreamBin("wvr", _ident(xn),
-                        _iseod(N.StreamUnary("next", _ident(xn), dim)),
+            N.StreamBin("wvr", N.Ident(xn),
+                        _iseod(N.StreamUnary("next", N.Ident(xn), dim)),
                         dim),
             dim)
-        return _rw(_where(body, [_var(xn, x)]), names)
+        return _rw(_where(body, [N.VarDecl(xn, x)]), names)
     raise AssertionError(node.op)
 
 
@@ -591,18 +573,15 @@ def _expand_bin(node: N.StreamBin, names: _Names):
     dim = node.dim or DEFAULT_DIMENSION
     op, x, y = node.op, node.left, node.right
 
-    if op == "fby":
-        return _if(_eq(_hash(dim), _int(0)), x,
-                   _at(y, _sub(_hash(dim), _int(1)), dim))
     if op == "pby":
         yn = names.fresh("y")
-        body = _if(
-            _iseod(_ident(yn)),
-            _if(_iseod(N.StreamUnary("prev", _ident(yn), dim)),
-                N.SentinelLit("eod"),
-                N.StreamUnary("first", x, dim)),
-            _ident(yn))
-        return _rw(_where(body, [_var(yn, y)]), names)
+        body = N.IfExpr(
+            _iseod(N.Ident(yn)),
+            N.IfExpr(_iseod(N.StreamUnary("prev", N.Ident(yn), dim)),
+                     N.SentinelLit("eod"),
+                     N.StreamUnary("first", x, dim)),
+            N.Ident(yn))
+        return _rw(_where(body, [N.VarDecl(yn, y)]), names)
 
     if op in ("wvr", "nwvr"):
         return _rw(_filter_template(x, y, dim, names, op == "nwvr"), names)
@@ -627,31 +606,32 @@ def _filter_template(x, y, dim, names: _Names, negate: bool) -> N.Node:
     """X wvr Y: X at the indices where Y holds, packed left."""
     xn, yn = names.fresh("x"), names.fresh("y")
     un, tn = names.fresh("u"), names.fresh("t")
-    cond = N.UnaryOp("!", _ident(yn)) if negate else _ident(yn)
-    u = _var(un, _if(cond, _hash(dim),
-                     N.StreamUnary("next", _ident(un), dim)))
-    t = _var(tn, N.StreamBin(
-        "fby", _ident(un),
-        _at(_ident(un), _add(_ident(tn), _int(1)), dim), dim))
-    return _where(_from_zero(_at(_ident(xn), _ident(tn), dim), dim),
-                  [_var(xn, x), _var(yn, y), u, t])
+    cond = N.UnaryOp("!", N.Ident(yn)) if negate else N.Ident(yn)
+    u = N.VarDecl(un, N.IfExpr(cond, _hash(dim),
+                               N.StreamUnary("next", N.Ident(un), dim)))
+    t = N.VarDecl(tn, N.StreamBin(
+        "fby", N.Ident(un),
+        _at(N.Ident(un), _add(N.Ident(tn), N.IntLit(1)), dim), dim))
+    return _where(_from_zero(_at(N.Ident(xn), N.Ident(tn), dim), dim),
+                  [N.VarDecl(xn, x), N.VarDecl(yn, y), u, t])
 
 
 def _advance_template(x, y, dim, names: _Names, negate: bool) -> N.Node:
     """X upon Y: X advances one step each time Y holds."""
     xn, yn, wn = names.fresh("x"), names.fresh("y"), names.fresh("w")
-    cond = N.UnaryOp("!", _ident(yn)) if negate else _ident(yn)
-    w = _var(wn, N.StreamBin(
-        "fby", _int(0),
-        _if(cond, _add(_ident(wn), _int(1)), _ident(wn)), dim))
-    return _where(_from_zero(_at(_ident(xn), _ident(wn), dim), dim),
-                  [_var(xn, x), _var(yn, y), w])
+    cond = N.UnaryOp("!", N.Ident(yn)) if negate else N.Ident(yn)
+    w = N.VarDecl(wn, N.StreamBin(
+        "fby", N.IntLit(0),
+        N.IfExpr(cond, _add(N.Ident(wn), N.IntLit(1)), N.Ident(wn)), dim))
+    return _where(_from_zero(_at(N.Ident(xn), N.Ident(wn), dim), dim),
+                  [N.VarDecl(xn, x), N.VarDecl(yn, y), w])
 
 
 def _from_zero(body: N.Node, dim: str) -> N.IfExpr:
     """body at the natural indices, bod below them: a filter's position
     counter, read below zero, would recurse without end."""
-    return _if(N.BinOp("<", _hash(dim), _int(0)), N.SentinelLit("bod"), body)
+    return N.IfExpr(N.BinOp("<", _hash(dim), N.IntLit(0)),
+                    N.SentinelLit("bod"), body)
 
 
 def _reversed_template(x, y, dim, names: _Names, op: str) -> N.Node:
@@ -661,10 +641,11 @@ def _reversed_template(x, y, dim, names: _Names, op: str) -> N.Node:
                "rupon": "upon", "nrupon": "nupon"}[op]
     xn, yn, zn = names.fresh("x"), names.fresh("y"), names.fresh("z")
     inner = N.StreamBin(forward,
-                        _reverse(_ident(xn), dim, names),
-                        _reverse(_ident(yn), dim, names), dim)
-    body = _if(_iseod(_ident(zn)), N.SentinelLit("bod"), _ident(zn))
-    return _where(body, [_var(xn, x), _var(yn, y), _var(zn, inner)])
+                        _reverse(N.Ident(xn), dim, names),
+                        _reverse(N.Ident(yn), dim, names), dim)
+    body = N.IfExpr(_iseod(N.Ident(zn)), N.SentinelLit("bod"), N.Ident(zn))
+    return _where(body, [N.VarDecl(xn, x), N.VarDecl(yn, y),
+                         N.VarDecl(zn, inner)])
 
 
 def _reverse(source: N.Node, dim: str, names: _Names) -> N.Node:
@@ -673,11 +654,11 @@ def _reverse(source: N.Node, dim: str, names: _Names) -> N.Node:
     streams, which is what makes reverse operators demand bounded
     input."""
     sn, nn = names.fresh("s"), names.fresh("n")
-    n = _var(nn, _if(_iseod(_ident(sn)), _hash(dim),
-                     N.StreamUnary("next", _ident(nn), dim)))
-    body = _at(_ident(sn),
-               _sub(_sub(_ident(nn), _int(1)), _hash(dim)), dim)
-    return _where(body, [_var(sn, source), n])
+    n = N.VarDecl(nn, N.IfExpr(_iseod(N.Ident(sn)), _hash(dim),
+                               N.StreamUnary("next", N.Ident(nn), dim)))
+    body = _at(N.Ident(sn),
+               _sub(_sub(N.Ident(nn), N.IntLit(1)), _hash(dim)), dim)
+    return _where(body, [N.VarDecl(sn, source), n])
 
 
 def _logic_template(x, y, names: _Names, op: str) -> N.Node:
@@ -686,16 +667,16 @@ def _logic_template(x, y, names: _Names, op: str) -> N.Node:
     if op == "or":
         return _truth_table(N.BinOp("||", x, y))
     if op == "nand":
-        return _if(N.BinOp("&&", x, y), _int(0), _int(1))
+        return N.IfExpr(N.BinOp("&&", x, y), N.IntLit(0), N.IntLit(1))
     if op == "nor":
-        return _if(N.BinOp("||", x, y), _int(0), _int(1))
+        return N.IfExpr(N.BinOp("||", x, y), N.IntLit(0), N.IntLit(1))
     xn, yn = names.fresh("x"), names.fresh("y")
     one_true = N.BinOp(
         "||",
-        N.BinOp("&&", _ident(xn), N.UnaryOp("!", _ident(yn))),
-        N.BinOp("&&", N.UnaryOp("!", _ident(xn)), _ident(yn)))
+        N.BinOp("&&", N.Ident(xn), N.UnaryOp("!", N.Ident(yn))),
+        N.BinOp("&&", N.UnaryOp("!", N.Ident(xn)), N.Ident(yn)))
     if op == "xor":
         body = _truth_table(one_true)
     else:
-        body = _if(one_true, _int(0), _int(1))
-    return _where(body, [_var(xn, x), _var(yn, y)])
+        body = N.IfExpr(one_true, N.IntLit(0), N.IntLit(1))
+    return _where(body, [N.VarDecl(xn, x), N.VarDecl(yn, y)])

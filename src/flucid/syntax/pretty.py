@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..values import to_source
+from ..values import ValidationError, to_source
 from . import nodes as N
 from .parser import (ADD, AT, ATOM, BINDING_POWER, CTX, POSTFIX, STREAM,
                      UNARY, WHERE)
@@ -40,8 +40,8 @@ def _w(kid: Text, min_prec: int) -> str:
     """A child's text, parenthesized when its tier is below min_prec."""
     text, prec = kid
     if prec is None:
-        raise ValueError("a declaration or bracket entry cannot be "
-                         "printed as an expression")
+        raise ValidationError("a declaration or bracket entry cannot be "
+                              "printed as an expression")
     return "(%s)" % text if prec < min_prec else text
 
 
@@ -75,11 +75,11 @@ def _r_stream_bin(n, k):
 
 def _r_where(n, k):
     if not n.decls:
-        raise ValueError("a where clause needs at least one declaration")
+        raise ValidationError("a where clause needs at least one declaration")
     lines = [_w(k[0], CTX), "where"]
     for decl, (text, _) in zip(n.decls, k[1:]):
         if _TIER.get(type(decl), ATOM) is not None:
-            raise ValueError("not a declaration: %s" % type(decl).__name__)
+            raise ValidationError("not a declaration: %s" % type(decl).__name__)
         lines.append("  " + text.replace("\n", "\n  "))
     lines.append("end")
     return "\n".join(lines)
@@ -179,7 +179,7 @@ _RENDERERS: Dict[type, Callable] = {
 def _render(node, kids: List[Text]) -> Text:
     fn = _RENDERERS.get(type(node))
     if fn is None:
-        raise ValueError("cannot print node of type %s" % type(node).__name__)
+        raise ValidationError("cannot print node of type %s" % type(node).__name__)
     if type(node) is N.BinOp:
         return fn(node, kids), BINDING_POWER[node.op]
     return fn(node, kids), _TIER.get(type(node), ATOM)

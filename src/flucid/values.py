@@ -53,6 +53,7 @@ class Sentinel:
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Sentinel":
+        check_type(name, str, "a sentinel is named by a string")
         existing = cls._interned.get(name)
         if existing is not None:
             return existing
@@ -147,23 +148,19 @@ class TagSet:
     """Declared tag collection of a dimension.
 
     Declaration order is preserved even for unordered sets: it provides the
-    implicit index used by the stream operators.  Infinite sets carry a
-    from/to/step generator instead of explicit tags.
+    implicit index used by the stream operators.  An infinite set without
+    tags is the naturals, the tags of an implicitly declared dimension.
     """
 
     ordering: str = "ordered"          # ordered | unordered
     cardinality: str = "finite"        # finite | infinite
-    periodicity: str = "nonperiodic"   # periodic | nonperiodic
     tags: Optional[Tuple[Any, ...]] = None
-    generator: Optional[Tuple[Any, Any, Any]] = None   # (from, to, step)
 
     def __post_init__(self):
         if self.ordering not in ("ordered", "unordered"):
             raise ValidationError("ordering must be ordered or unordered", "ordering")
         if self.cardinality not in ("finite", "infinite"):
             raise ValidationError("cardinality must be finite or infinite", "cardinality")
-        if self.periodicity not in ("periodic", "nonperiodic"):
-            raise ValidationError("periodicity must be periodic or nonperiodic", "periodicity")
         if self.cardinality == "finite":
             if self.tags is None:
                 raise ValidationError("finite tag set requires declared tags", "tags")
@@ -172,8 +169,6 @@ class TagSet:
                 if t in seen:
                     raise ValidationError("duplicate tag %r in tag set" % (t,), "tags")
                 seen.append(t)
-        elif self.tags is None and self.generator is None:
-            raise ValidationError("infinite tag set requires a generator", "generator")
 
     @staticmethod
     def from_range(frm: int, to: int, step: int = 1) -> "TagSet":
@@ -183,7 +178,7 @@ class TagSet:
     @staticmethod
     def naturals() -> "TagSet":
         """The open integer tag set used by implicitly declared dimensions."""
-        return TagSet(cardinality="infinite", tags=None, generator=(0, PLUS_INF, 1))
+        return TagSet(cardinality="infinite")
 
     def is_finite(self) -> bool:
         return self.cardinality == "finite"
@@ -191,12 +186,7 @@ class TagSet:
     def __contains__(self, tag: Any) -> bool:
         if self.tags is not None:
             return any(t == tag for t in self.tags)
-        frm, to, step = self.generator
-        if not isinstance(tag, int):
-            return False
-        if to is PLUS_INF:
-            return tag >= frm and (tag - frm) % step == 0
-        return frm <= tag <= to and (tag - frm) % step == 0
+        return isinstance(tag, int) and tag >= 0
 
     def __len__(self) -> int:
         if self.tags is None:
@@ -342,6 +332,8 @@ class ObservationSequence:
     name: str = ""
 
     def __post_init__(self):
+        check_type(self.observations, (tuple, list),
+                   "an observation sequence holds a tuple of observations")
         object.__setattr__(self, "observations", tuple(self.observations))
 
     def __len__(self) -> int:
@@ -367,6 +359,8 @@ class EvidentialStatement:
     name: str = ""
 
     def __post_init__(self):
+        check_type(self.sequences, (tuple, list),
+                   "an evidential statement holds a tuple of sequences")
         object.__setattr__(self, "sequences", tuple(self.sequences))
 
     def __len__(self) -> int:

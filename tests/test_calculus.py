@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flucid.calculus import (
-    ContextTypeError, filter as ctx_filter, membership, override, set_like,
-    union,
+    ContextTypeError, difference, filter as ctx_filter, intersection,
+    membership, override, union,
 )
 from flucid.values import (
     ContextSet, EvidentialStatement, Observation, ObservationSequence,
@@ -97,41 +97,41 @@ class TestMembership:
 
 class TestDifferenceIntersection:
     def test_intersection_common_micro(self):
-        assert set_like("intersection", sc(d=1, e=2), sc(d=1, f=3)) == sc(d=1)
+        assert intersection(sc(d=1, e=2), sc(d=1, f=3)) == sc(d=1)
 
     def test_difference(self):
-        assert set_like("difference", sc(d=1, e=2), sc(d=1)) == sc(e=2)
+        assert difference(sc(d=1, e=2), sc(d=1)) == sc(e=2)
 
     def test_tag_value_must_match(self):
-        assert set_like("intersection", sc(d=1), sc(d=2)) == SimpleContext()
+        assert intersection(sc(d=1), sc(d=2)) == SimpleContext()
 
     def test_context_set_pairwise_drops_empty(self):
         a = ContextSet([sc(d=1), sc(e=9)])
         b = ContextSet([sc(d=1, e=2)])
-        inter = set_like("intersection", a, b)
+        inter = intersection(a, b)
         assert inter == ContextSet([sc(d=1)])
 
     def test_all_empty_collapses_to_empty_set(self):
         a = ContextSet([sc(d=1)])
         b = ContextSet([sc(e=2)])
-        assert set_like("intersection", a, b) == ContextSet()
+        assert intersection(a, b) == ContextSet()
 
     def test_tag_sets(self):
         a, b = TagSet(tags=(1, 2, 3)), TagSet(tags=(2, 9))
-        assert set_like("difference", a, b).tags == (1, 3)
-        assert set_like("intersection", a, b).tags == (2,)
+        assert difference(a, b).tags == (1, 3)
+        assert intersection(a, b).tags == (2,)
 
     @given(contexts, contexts)
     def test_difference_is_subcontext_of_left(self, a, b):
-        assert membership("isSubContext", set_like("difference", a, b), a)
+        assert membership("isSubContext", difference(a, b), a)
 
     @given(contexts, contexts)
     def test_intersection_commutative(self, a, b):
-        assert set_like("intersection", a, b) == set_like("intersection", b, a)
+        assert intersection(a, b) == intersection(b, a)
 
     @given(contexts)
     def test_intersection_idempotent(self, c):
-        assert set_like("intersection", c, c) == c
+        assert intersection(c, c) == c
 
 
 class TestOverride:

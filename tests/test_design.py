@@ -33,6 +33,16 @@ def test_no_module_imports_threads():
                 "%s imports %s" % (path.relative_to(PACKAGE), name)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # the underscore marks what only its own module calls
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name in _imported_modules(path):
+            parts = name.split(".")
+            assert parts[0] != "flucid" or not any(
+                part.startswith("_") for part in parts[1:]), \
+                "%s imports %s" % (path.relative_to(PACKAGE), name)
+
+
 def test_front_end_does_not_import_the_reconstruction_engine():
     # era sits downstream of syntax and semantics in the pipeline
     front = [PACKAGE / "semantics.py"]

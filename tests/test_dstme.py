@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flucid.dstme import (
-    CombinationUndefinedError, DomainError, MassAssignment, belief,
-    credibility, dempster_combine, plausibility,
+    CombinationUndefinedError, DomainError, _belief, _dempster_combine,
+    _MassAssignment, _plausibility, credibility,
 )
 from flucid.evaluator import evaluate
 from flucid.values import (
@@ -42,7 +42,7 @@ COLOR_TABLE = {
 
 
 def color_assignment():
-    return MassAssignment(COLOR_FRAME, COLOR_MASSES)
+    return _MassAssignment(COLOR_FRAME, COLOR_MASSES)
 
 
 @st.composite
@@ -68,53 +68,53 @@ class TestMassAssignment:
 
     def test_empty_set_mass_must_be_zero(self):
         with pytest.raises(ValidationError):
-            MassAssignment((R,), {frozenset(): 0.5, frozenset([R]): 0.5})
+            _MassAssignment((R,), {frozenset(): 0.5, frozenset([R]): 0.5})
 
     def test_total_must_be_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            MassAssignment((R, Y), {frozenset([R]): 0.6})
+            _MassAssignment((R, Y), {frozenset([R]): 0.6})
 
     def test_focal_outside_frame(self):
         with pytest.raises(DomainError):
-            MassAssignment((R,), {frozenset([R, "blue"]): 1.0})
+            _MassAssignment((R,), {frozenset([R, "blue"]): 1.0})
 
 
 class TestBeliefPlausibility:
     def test_published_color_columns(self):
         m = color_assignment()
         for subset, (b, p) in COLOR_TABLE.items():
-            assert belief(m, subset) == pytest.approx(b, abs=1e-9)
-            assert plausibility(m, subset) == pytest.approx(p, abs=1e-9)
+            assert _belief(m, subset) == pytest.approx(b, abs=1e-9)
+            assert _plausibility(m, subset) == pytest.approx(p, abs=1e-9)
 
     def test_empty_and_frame(self):
         m = color_assignment()
-        assert belief(m, set()) == 0.0
-        assert belief(m, COLOR_FRAME) == pytest.approx(1.0)
-        assert plausibility(m, COLOR_FRAME) == pytest.approx(1.0)
+        assert _belief(m, set()) == 0.0
+        assert _belief(m, COLOR_FRAME) == pytest.approx(1.0)
+        assert _plausibility(m, COLOR_FRAME) == pytest.approx(1.0)
 
     def test_query_outside_frame(self):
         with pytest.raises(DomainError):
-            belief(color_assignment(), {"blue"})
+            _belief(color_assignment(), {"blue"})
         with pytest.raises(DomainError):
-            plausibility(color_assignment(), {"blue"})
+            _plausibility(color_assignment(), {"blue"})
 
     @given(assignments())
     def test_matches_powerset_oracle(self, fm):
         frame, masses = fm
-        m = MassAssignment(frame, masses)
+        m = _MassAssignment(frame, masses)
         for a in powerset(frame):
-            assert belief(m, a) == pytest.approx(bel_oracle(masses, a), abs=1e-9)
-            assert plausibility(m, a) == pytest.approx(pl_oracle(masses, a), abs=1e-9)
+            assert _belief(m, a) == pytest.approx(bel_oracle(masses, a), abs=1e-9)
+            assert _plausibility(m, a) == pytest.approx(pl_oracle(masses, a), abs=1e-9)
 
     @given(assignments())
     def test_duality_and_ordering(self, fm):
         frame, masses = fm
-        m = MassAssignment(frame, masses)
+        m = _MassAssignment(frame, masses)
         for a in powerset(frame):
-            b, p = belief(m, a), plausibility(m, a)
+            b, p = _belief(m, a), _plausibility(m, a)
             assert b >= -1e-9 and b <= p + 1e-9 and p <= 1 + 1e-9
             comp = frozenset(frame) - a
-            assert p == pytest.approx(1.0 - belief(m, comp), abs=1e-9)
+            assert p == pytest.approx(1.0 - _belief(m, comp), abs=1e-9)
 
 
 def witness(frame, claim, w):
@@ -122,22 +122,22 @@ def witness(frame, claim, w):
     masses = {frozenset([claim]): w}
     if w < 1.0:
         masses[fr] = 1.0 - w
-    return MassAssignment(fr, masses)
+    return _MassAssignment(fr, masses)
 
 
 class TestDempsterCombine:
     def test_two_corroborating_witnesses(self):
         m1 = witness(("limb", "other"), "limb", 0.9)
         m2 = witness(("limb", "other"), "limb", 0.9)
-        joint = dempster_combine(m1, m2)
-        assert belief(joint, {"limb"}) == pytest.approx(0.99, abs=1e-9)
-        assert plausibility(joint, {"limb"}) == pytest.approx(1.0, abs=1e-9)
+        joint = _dempster_combine(m1, m2)
+        assert _belief(joint, {"limb"}) == pytest.approx(0.99, abs=1e-9)
+        assert _plausibility(joint, {"limb"}) == pytest.approx(1.0, abs=1e-9)
 
     def test_contradicting_witnesses(self):
         frame = ("a", "b")
         m1 = witness(frame, "a", 0.9)
         m2 = witness(frame, "b", 0.9)
-        joint = dempster_combine(m1, m2)
+        joint = _dempster_combine(m1, m2)
         assert joint.mass({"a"}) == pytest.approx(9 / 19, abs=1e-9)
         assert joint.mass({"b"}) == pytest.approx(9 / 19, abs=1e-9)
         assert joint.mass(frame) == pytest.approx(1 / 19, abs=1e-9)
@@ -145,7 +145,7 @@ class TestDempsterCombine:
     def test_vacuous_is_neutral(self):
         m = color_assignment()
         frame = frozenset(COLOR_FRAME)
-        joint = dempster_combine(m, MassAssignment(frame, {frame: 1.0}))
+        joint = _dempster_combine(m, _MassAssignment(frame, {frame: 1.0}))
         for a in powerset(COLOR_FRAME):
             assert joint.mass(a) == pytest.approx(m.mass(a), abs=1e-9)
 
@@ -153,27 +153,27 @@ class TestDempsterCombine:
         m1 = witness(("a", "b"), "a", 1.0)
         m2 = witness(("a", "b"), "b", 1.0)
         with pytest.raises(CombinationUndefinedError):
-            dempster_combine(m1, m2)
+            _dempster_combine(m1, m2)
 
     def test_frame_mismatch(self):
         with pytest.raises(DomainError):
-            dempster_combine(witness(("a", "b"), "a", 0.5),
+            _dempster_combine(witness(("a", "b"), "a", 0.5),
                              witness(("a", "c"), "a", 0.5))
 
     @given(assignments(max_frame=3), assignments(max_frame=3))
     @settings(max_examples=60)
     def test_matches_oracle_and_commutes(self, fm1, fm2):
         frame = ("a", "b", "c")
-        m1 = MassAssignment(frame, _reframe(fm1, frame))
-        m2 = MassAssignment(frame, _reframe(fm2, frame))
+        m1 = _MassAssignment(frame, _reframe(fm1, frame))
+        m2 = _MassAssignment(frame, _reframe(fm2, frame))
         try:
-            j12 = dempster_combine(m1, m2)
+            j12 = _dempster_combine(m1, m2)
         except CombinationUndefinedError:
             with pytest.raises(ZeroDivisionError):
                 dempster_oracle(m1.masses, m2.masses)
             return
         expect = dempster_oracle(m1.masses, m2.masses)
-        j21 = dempster_combine(m2, m1)
+        j21 = _dempster_combine(m2, m1)
         for a in powerset(frame):
             assert j12.mass(a) == pytest.approx(expect.get(frozenset(a), 0.0), abs=1e-9)
             assert j12.mass(a) == pytest.approx(j21.mass(a), abs=1e-9)
@@ -181,8 +181,8 @@ class TestDempsterCombine:
     def test_associative_on_noncontradicting_triple(self):
         frame = ("a", "b")
         ws = [witness(frame, "a", w) for w in (0.3, 0.5, 0.7)]
-        left = dempster_combine(dempster_combine(ws[0], ws[1]), ws[2])
-        right = dempster_combine(ws[0], dempster_combine(ws[1], ws[2]))
+        left = _dempster_combine(_dempster_combine(ws[0], ws[1]), ws[2])
+        right = _dempster_combine(ws[0], _dempster_combine(ws[1], ws[2]))
         for a in powerset(frame):
             assert left.mass(a) == pytest.approx(right.mass(a), abs=1e-9)
 

@@ -17,12 +17,12 @@ from flucid import encoders
 from flucid.encoders import (
     PRESETS,
     EncodeError,
-    FieldSpec,
-    Schema,
+    _FieldSpec,
+    _normalize_hostname,
+    _normalize_mac,
+    _Schema,
     encode_log,
     encode_to_files,
-    normalize_hostname,
-    normalize_mac,
     normalize_timestamp,
     parse_schema,
 )
@@ -57,12 +57,12 @@ def assert_prints_back(text):
     "  aa:bb:cc:dd:ee:ff\n",
 ])
 def test_mac_forms(raw):
-    assert normalize_mac(raw) == "aa:bb:cc:dd:ee:ff"
+    assert _normalize_mac(raw) == "aa:bb:cc:dd:ee:ff"
 
 
 def test_mac_octets_are_zero_padded():
-    assert normalize_mac("a:b:c:d:e:f") == "0a:0b:0c:0d:0e:0f"
-    assert normalize_mac("0-1-2-3-4-5") == "00:01:02:03:04:05"
+    assert _normalize_mac("a:b:c:d:e:f") == "0a:0b:0c:0d:0e:0f"
+    assert _normalize_mac("0-1-2-3-4-5") == "00:01:02:03:04:05"
 
 
 @pytest.mark.parametrize("raw", [
@@ -71,17 +71,17 @@ def test_mac_octets_are_zero_padded():
 ])
 def test_mac_rejects(raw):
     with pytest.raises(EncodeError):
-        normalize_mac(raw)
+        _normalize_mac(raw)
 
 
 def test_hostname_is_lowercase_without_trailing_dot():
-    assert normalize_hostname(" Host-1.Corp.Example. ") == "host-1.corp.example"
+    assert _normalize_hostname(" Host-1.Corp.Example. ") == "host-1.corp.example"
 
 
 @pytest.mark.parametrize("raw", ["bad host!", "", ".", "a\n.", "ho$t"])
 def test_hostname_rejects(raw):
     with pytest.raises(EncodeError):
-        normalize_hostname(raw)
+        _normalize_hostname(raw)
 
 
 JAN2 = ("Thu Jan 2 03:04:05 2020", 1577934245)
@@ -156,7 +156,7 @@ def test_parse_schema_reads_fields_partial_and_comments():
                           "field ip -> dimension ipaddr type text  # note\n"
                           "\n"
                           "partial 0.25\n")
-    assert schema == Schema((FieldSpec("ip", "ipaddr", "text"),), 0.25)
+    assert schema == _Schema((_FieldSpec("ip", "ipaddr", "text"),), 0.25)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -181,6 +181,14 @@ def test_load_schema_presets_and_unknown_names():
     assert encoders.load_schema("dhcp") is PRESETS["dhcp"]
     with pytest.raises(EncodeError):
         encoders.load_schema("no-such-preset-or-file")
+
+
+def test_load_schema_reports_a_file_it_cannot_read(tmp_path):
+    latin = tmp_path / "latin.schema"
+    latin.write_bytes(b"field caf\xe9 -> dimension cafe type text\n")
+    for path in (tmp_path, latin):
+        with pytest.raises(EncodeError, match="cannot read schema file"):
+            encoders.load_schema(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +262,22 @@ def test_rejects_unusable_sequence_names(name):
 
 @pytest.mark.parametrize("dimension", ["where", "eod", "fby"])
 def test_rejects_reserved_dimensions(dimension):
-    schema = Schema((FieldSpec("f", dimension, "text"),))
+    schema = _Schema((_FieldSpec("f", dimension, "text"),))
     with pytest.raises(EncodeError, match="dimension of field 'f'"):
         encode_log([], "log", "test", schema)
 
 
 def test_field_spec_checks_its_dimension_and_type():
     with pytest.raises(EncodeError, match="dimension of field 'f'"):
-        FieldSpec("f", "bad dim", "text")
+        _FieldSpec("f", "bad dim", "text")
     with pytest.raises(EncodeError, match="unknown type"):
-        FieldSpec("f", "d", "blob")
+        _FieldSpec("f", "d", "blob")
 
 
 def test_schema_checks_partial_credibility():
     for w in (-0.1, 1.5, math.nan, True):
         with pytest.raises(EncodeError, match="partial credibility"):
-            Schema((FieldSpec("f", "d", "text"),), w)
+            _Schema((_FieldSpec("f", "d", "text"),), w)
 
 
 @pytest.mark.parametrize("field, value, why", [
@@ -332,8 +340,14 @@ def test_encode_to_files_checks_its_tags(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-ALL_TYPES = Schema(tuple(
-    FieldSpec("f%d" % i, dim, t) for i, (dim, t) in enumerate(zip(
+def test_encode_to_files_reports_a_directory_it_cannot_write(tmp_path):
+    with pytest.raises(EncodeError, match="cannot write"):
+        encode_to_files([], "case", "log", PRESETS["arp"],
+                        str(tmp_path / "missing"))
+
+
+ALL_TYPES = _Schema(tuple(
+    _FieldSpec("f%d" % i, dim, t) for i, (dim, t) in enumerate(zip(
         ("INF", "d_int", "d_real", "mac", "ts", "host", "ts2", "note"),
         ("text", "int", "real", "mac", "timestamp", "hostname", "timestamp",
          "text")))))
@@ -402,7 +416,7 @@ def namings(draw):
     """(sequence name, ALL_TYPES with its dimensions renamed)."""
     dims = draw(st.lists(identifiers, min_size=len(ALL_TYPES.fields),
                          max_size=len(ALL_TYPES.fields), unique=True))
-    schema = Schema(tuple(FieldSpec(f.field, dim, f.type)
+    schema = _Schema(tuple(_FieldSpec(f.field, dim, f.type)
                           for f, dim in zip(ALL_TYPES.fields, dims)))
     return draw(st.one_of(identifiers, st.sampled_from(dims))), schema
 

@@ -34,10 +34,10 @@ from flucid.era import (
     ReconstructionError,
     StateMachine,
     WILDCARD,
+    _collapse_stutters,
+    _dedupe_wildcard_twins,
     check_claim,
-    collapse_stutters,
     comb,
-    dedupe_wildcard_twins,
     expand_generic,
     invert_transition,
     load_es,
@@ -569,16 +569,16 @@ def test_exact_route_on_a_long_window_does_not_recurse():
 
 
 def test_backtraces_collapse_stutters():
-    assert collapse_stutters((("a", 0), ("a", 0), ("b", 1))) == \
+    assert _collapse_stutters((("a", 0), ("a", 0), ("b", 1))) == \
         (("a", 0), ("b", 1))
-    assert collapse_stutters(()) == ()
+    assert _collapse_stutters(()) == ()
 
 
 def test_dedupe_wildcard_twins():
     wild = (("a", 0), (WILDCARD, 1))
     concrete = (("a", 0), ("b", 1))
-    assert dedupe_wildcard_twins({wild, concrete}) == {wild}
-    assert dedupe_wildcard_twins({concrete}) == {concrete}
+    assert _dedupe_wildcard_twins({wild, concrete}) == {wild}
+    assert _dedupe_wildcard_twins({concrete}) == {concrete}
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,18 @@ def test_positional_operators_become_navigation():
     assert rw("second x") == parse("(x @.d (#d + 1)) @.d 0")
 
 
-def test_followed_by_becomes_conditional():
-    assert rw("x fby.d y") == parse(
-        "if #d == 0 then x else y @.d (#d - 1) fi")
-    assert rw("x fby.t y") == parse(
-        "if #t == 0 then x else y @.t (#t - 1) fi")
+def test_followed_by_stays_in_the_core():
+    from flucid.evaluator import evaluate
+
+    # over a forensic left value fby prepends to a sequence, which the
+    # index template `if #d == 0 then x else y @.d (#d - 1) fi` cannot
+    assert rw("x fby.d y") == parse("x fby.d y")
+    assert rw("first x fby.t next y") == parse(
+        "x @.d 0 fby.t y @.d (#d + 1)")
+    src = ('N where observation o = ([d:1], 1, 0); '
+           'N = o fby.d ([d:2], 1, 0); end')
+    assert repr(evaluate(rewrite_to_core(parse(src)))) == \
+        repr(evaluate(src)) == "os{ ([d:1], 1, 0, 1.0), ([d:2], 1, 0, 1.0) }"
 
 
 def test_word_negations_become_symbols():
@@ -215,7 +222,7 @@ def test_no_derived_operator_survives_rewriting():
     _remaining_ops(rw(SOUP), seen)
     assert not (seen & REWRITTEN_UNARY)
     assert not (seen & REWRITTEN_BIN)
-    assert seen <= {"iseod", "isbod"}
+    assert seen <= {"iseod", "isbod", "fby"}
 
 
 def test_rewriting_is_idempotent_and_deterministic():
