@@ -106,7 +106,11 @@ class StateMachine:
         check_type(self.events, (tuple, list), "a machine's events: a tuple")
         check_type(self.psi, Mapping, "a machine's psi: a mapping")
         states, events = set(self.states), set(self.events)
-        for (e, s), q in self.psi.items():
+        for key, q in self.psi.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValidationError("psi key %r is not an (event, state) "
+                                      "pair" % (key,), "psi")
+            e, s = key
             if e not in events or s not in states or q not in states:
                 raise ValidationError(
                     "transition (%r, %r) -> %r uses undeclared labels"
@@ -244,8 +248,10 @@ def meaning_fixed_length(fsm: StateMachine,
     try:
         lens = tuple(int(d) for _, d in os)
     except (TypeError, ValueError):
+        lens = None
+    if lens is None or not all(isinstance(p, Property) for p, _ in os):
         raise ValidationError("os is a sequence of (Property, length) "
-                              "pairs, not %r" % (os,), "os") from None
+                              "pairs, not %r" % (os,), "os")
     if any(d < 0 for d in lens):
         raise ValidationError("segment lengths must be non-negative", "os")
     total = sum(lens)
@@ -278,7 +284,7 @@ def expand_generic(os: ObservationSequence, horizon: int) -> Tuple[ObservationSe
     Each observation's duration ranges over min..min+max, with an
     unbounded max truncated at the horizon.
     """
-    check_type(os, ObservationSequence, "expand_generic takes a sequence")
+    _check_sequence(os, "os")
     check_type(horizon, int, "expand_generic takes an integer horizon")
     minsum = sum(o.min for o in os.observations)
     if horizon < minsum:
@@ -332,6 +338,25 @@ def _default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
                           for o in os.observations) for os in es.sequences])
 
 
+def _check_sequence(os: Any, fieldname: str, i: int = 1) -> None:
+    """Reject os, the i-th sequence of the argument fieldname, unless it
+    is an observation sequence of observations whose durations
+    make_observation accepts."""
+    if not isinstance(os, ObservationSequence):
+        raise ValidationError("sequence %d is %r, not an observation "
+                              "sequence" % (i, os), fieldname)
+    for j, o in enumerate(os.observations, 1):
+        if not isinstance(o, Observation):
+            raise ValidationError(
+                "sequence %s, item %d is %r, not an observation"
+                % (os.name or i, j, o), fieldname)
+        try:
+            check_duration(o.min, o.max)
+        except ValidationError as exc:
+            raise ValidationError("sequence %s, observation %d: %s" % (
+                os.name or i, j, exc), exc.fieldname) from None
+
+
 def check_claim(fsm: StateMachine, es: EvidentialStatement,
                 horizon: Optional[int] = None,
                 max_backtraces: int = 64,
@@ -354,19 +379,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
     for i, os in enumerate(es.sequences, 1):
-        if not isinstance(os, ObservationSequence):
-            raise ValidationError("sequence %d is %r, not an observation "
-                                  "sequence" % (i, os), "es")
-        for j, o in enumerate(os.observations, 1):
-            if not isinstance(o, Observation):
-                raise ValidationError(
-                    "sequence %s, item %d is %r, not an observation"
-                    % (os.name or i, j, o), "es")
-            try:
-                check_duration(o.min, o.max)
-            except ValidationError as exc:
-                raise ValidationError("sequence %s, observation %d: %s" % (
-                    os.name or i, j, exc), exc.fieldname) from None
+        _check_sequence(os, "es", i)
     all_triples = [_triples(fsm, os) for os in es.sequences]
     if horizon is None:
         horizon = _default_horizon(fsm, es)

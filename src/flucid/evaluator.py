@@ -23,7 +23,10 @@ evaluated directly by index arithmetic; `fby` is core even to
 rewrite_to_core, since over a forensic left value it prepends that
 value's observations to the sequence on its right.  `neg` and `not` run
 the code of `-` and `!` and the bitwise words that of the binary
-operators, so that their errors name the word as written.  Errors are
+operators, so that their errors name the word as written.  Every
+construct the front end accepts has a rule here; the one that fails by
+construction is a dimensional subscript outside a call, which the
+grammar keeps for function heads.  Errors are
 raised with a message only; `eval` gives each FlucidError the position
 of the innermost source node it passes through.  Nesting too deep for one
 Python stack resumes on a fresh one (see Evaluator.run), so evaluation
@@ -192,6 +195,10 @@ class Evaluator:
                  trace: Optional[Callable[[str], None]] = None,
                  max_depth: int = MAX_DEPTH):
         check_type(analysis, Analysis, "Evaluator takes an Analysis")
+        check_type(analysis.tree, N.Node,
+                   "Evaluator takes an Analysis whose tree is a syntax tree")
+        check_type(analysis.env, dict,
+                   "Evaluator takes an Analysis whose env is a dict")
         self.analysis = analysis
         self.env = analysis.env
         self.threshold = threshold
@@ -662,8 +669,6 @@ class Evaluator:
             return self.eval(x, ctx, frame) is BOD
         if op in ("neg", "not"):
             return self._e_UnaryOp(node, ctx, frame)
-        if op in ("nnext", "nprev"):
-            raise EvaluationError("'%s' has no defined semantics" % op)
         if op == "first":
             return self._elem(x, ctx, frame, dim, 0)
         if op == "second":
@@ -681,8 +686,6 @@ class Evaluator:
         op = node.op
         dim = node.dim or DEFAULT_DIMENSION
         x, y = node.left, node.right
-        if op in ("nfby", "npby"):
-            raise EvaluationError("'%s' has no defined semantics" % op)
         if op == "fby":
             return self._fby(x, y, ctx, frame, dim)
         if op == "pby":
@@ -986,11 +989,6 @@ class Evaluator:
             if not _is_sentinel(ok) and _truthy(ok):
                 members.append(SimpleContext(zip(names, combo)))
         return ContextSet(members)
-
-    def _e_Embed(self, node, ctx, frame):
-        raise EvaluationError(
-            "embed needs an external program store, which this "
-            "evaluator does not provide")
 
     def _e_Subscript(self, node, ctx, frame):
         raise EvaluationError(

@@ -19,7 +19,10 @@ EXPANDED (the stream filters, last, prelast and the truth-value words):
 analyze() expands those of a program that has any, so that a program
 means what its core rewrite means.  first, next, prev, second, fby and
 pby, which the case programs and the benchmark run, and neg and not,
-whose errors name them, stay for the evaluator.
+whose errors name them, stay for the evaluator.  Each template reads a
+stream as the evaluator does, with bod at every negative index: next,
+prev and pby guard the index they read, and the filters their
+position.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ _DECL_KINDS = {
     N.VarDecl: "var",
     N.FuncDecl: "func",
 }
-_DECLARATIONS = frozenset([*_DECL_KINDS, N.DimDecl, N.MemberAssign])
+_DECLARATIONS = frozenset([*_DECL_KINDS, N.DimDecl])
 
 
 class _Analyzer:
@@ -203,11 +206,6 @@ class _Analyzer:
             if isinstance(decl, N.DimDecl):
                 for name in decl.names:
                     self.bind(inner, name, "dim", decl.span)
-            elif isinstance(decl, N.MemberAssign):
-                self.error(
-                    "unsupported-member-assignment",
-                    "assignment to a member is not a supported "
-                    "declaration form", decl.span)
             elif type(decl) in _DECL_KINDS:
                 self.bind(inner, decl.name, _DECL_KINDS[type(decl)],
                           decl.span)
@@ -217,8 +215,7 @@ class _Analyzer:
         self.scope = inner
         self._placed.update((id(d), inner) for d in node.decls)
         # declarations first, so that calls in the body see their arity
-        return [d for d in node.decls
-                if not isinstance(d, N.MemberAssign)] + [node.body]
+        return [*node.decls, node.body]
 
     def _k_FuncDecl(self, node: N.FuncDecl) -> list:
         self.scope = _Scope(self.scope)
@@ -341,10 +338,7 @@ class _Analyzer:
 
     def _l_WhereExpr(self, node: N.WhereExpr, done) -> N.Node:
         self.scope = self.scope.parent
-        body, decls = done[-1], tuple(done[:-1])
-        if len(decls) < len(node.decls):    # member assignments dropped
-            return N.WhereExpr(body, decls, span=node.span)
-        return N.with_children(node, [body, *decls])
+        return N.with_children(node, [done[-1], *done[:-1]])
 
     def _l_DimDecl(self, node: N.DimDecl, done) -> N.Node:
         unique = tuple(self._unique(name) for name in node.names)
@@ -438,9 +432,9 @@ def analyze(tree: N.Node) -> Analysis:
 
 DEFAULT_DIMENSION = "d"
 
-# Derived operators the rewriter eliminates.  fby, the bitwise words,
-# the forensic operators, and the four undefined n-ops stay as they
-# are; iseod/isbod are themselves core.
+# Derived operators the rewriter eliminates.  fby, the bitwise words
+# and the forensic operators stay as they are; iseod/isbod are
+# themselves core.
 REWRITTEN_UNARY = frozenset(
     ["first", "next", "prev", "second", "prelast", "last", "neg", "not"])
 REWRITTEN_BIN = frozenset("""
@@ -539,17 +533,16 @@ def _expand_unary(node: N.StreamUnary, names: _Names):
     x = node.operand
     if node.op == "first":
         return _at(x, N.IntLit(0), dim)
+    if node.op == "second":
+        return _at(x, N.IntLit(1), dim)
     if node.op == "next":
-        return _at(x, _add(_hash(dim), N.IntLit(1)), dim)
+        return _at(_from_zero(x, dim), _add(_hash(dim), N.IntLit(1)), dim)
     if node.op == "prev":
-        return _at(x, _sub(_hash(dim), N.IntLit(1)), dim)
+        return _at(_from_zero(x, dim), _sub(_hash(dim), N.IntLit(1)), dim)
     if node.op == "neg":
         return N.UnaryOp("-", x, span=node.span)
     if node.op == "not":
         return N.UnaryOp("!", x, span=node.span)
-    if node.op == "second":
-        return _rw(N.StreamUnary(
-            "first", N.StreamUnary("next", x, dim), dim), names)
     if node.op == "prelast":
         xn = names.fresh("x")
         body = N.StreamUnary(
@@ -581,7 +574,7 @@ def _expand_bin(node: N.StreamBin, names: _Names):
                      N.SentinelLit("eod"),
                      N.StreamUnary("first", x, dim)),
             N.Ident(yn))
-        return _rw(_where(body, [N.VarDecl(yn, y)]), names)
+        return _rw(_where(_from_zero(body, dim), [N.VarDecl(yn, y)]), names)
 
     if op in ("wvr", "nwvr"):
         return _rw(_filter_template(x, y, dim, names, op == "nwvr"), names)
@@ -628,8 +621,10 @@ def _advance_template(x, y, dim, names: _Names, negate: bool) -> N.Node:
 
 
 def _from_zero(body: N.Node, dim: str) -> N.IfExpr:
-    """body at the natural indices, bod below them: a filter's position
-    counter, read below zero, would recurse without end."""
+    """body at the natural indices, bod below them, as the evaluator
+    reads every stream: next, prev and pby guard the index they read,
+    and a filter's position counter, read below zero, would recurse
+    without end."""
     return N.IfExpr(N.BinOp("<", _hash(dim), N.IntLit(0)),
                     N.SentinelLit("bod"), body)
 

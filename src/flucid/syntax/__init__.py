@@ -23,14 +23,12 @@ from .nodes import (
     Described,
     DimDecl,
     Dot,
-    Embed,
     EsDecl,
     FuncDecl,
     HashExpr,
     Ident,
     IfExpr,
     IntLit,
-    MemberAssign,
     Node,
     NoObsLit,
     ObsDecl,
@@ -55,8 +53,8 @@ from .pretty import pretty_print
 __all__ = [
     "AngleTuple", "AtExpr", "BinOp", "BoolLit", "BoxExpr", "BraceLit",
     "BracketEntry", "BracketLit", "Call", "CtxBin", "Described", "DimDecl",
-    "Dot", "Embed", "EsDecl", "FlucidSyntaxError", "FuncDecl", "HashExpr",
-    "Ident", "IfExpr", "IntLit", "LexicalError", "MemberAssign", "Node",
+    "Dot", "EsDecl", "FlucidSyntaxError", "FuncDecl", "HashExpr",
+    "Ident", "IfExpr", "IntLit", "LexicalError", "Node",
     "NoObsLit", "ObsDecl", "OsDecl", "RangeLit", "RealLit", "Select",
     "SentinelLit", "Span", "StreamBin", "StreamUnary", "StringLit",
     "Subscript", "TokenStream", "TupleLit", "UnaryOp", "VarDecl",

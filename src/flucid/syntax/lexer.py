@@ -97,13 +97,15 @@ class TokenStream:
         return len(self.kinds)
 
 
+# "in" is reserved with no production: a bare membership test has no
+# evaluation rule, and \in is the context operator
 KEYWORDS = frozenset("""
     where end dimension observation sequence evidential statement
     ordered unordered finite infinite periodic nonperiodic
-    if then else fi embed select Box true false in to step
+    if then else fi select Box true false in to step
     fby pby wvr rwvr nwvr nrwvr asa nasa ala nala
-    upon rupon nupon nrupon nfby npby
-    first next prev last second prelast nnext nprev iseod isbod
+    upon rupon nupon nrupon
+    first next prev last second prelast iseod isbod
     neg not and or xor nand nor nxor band bor bxor
     combine product bel pl eod bod
 """.split())
@@ -130,8 +132,8 @@ _LEXEME = re.compile(r"""[ \t\r\n]*(?:
   | (?P<hybrid> \#(?:%s)(?!\w) )
   | (?P<SYM> INF(?:\+|-(?![^\W\d]))
       | \\(?:0|(?:%s)(?!\w)|(?![^\W\d]))
-      | => | == | != | <= | >= | && | \|\| | !! | !&
-      | [-@\#$()\[\]{}<>,;:.=+*/%%^!&~] )
+      | => | == | != | <= | >= | && | \|\|
+      | [-@\#$()\[\]{}<>,;:.=+*/%%!~] )
   | (?P<IDENT> [^\W\d]\w*(?:-[^\W\d]\w*)* )
   | (?P<typeset_zero> \\O(?=\() )
   | (?P<EOF> \Z )

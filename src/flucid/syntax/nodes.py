@@ -145,13 +145,13 @@ class UnaryOp(Node):
 @dataclass(eq=True)
 class StreamUnary(Node):
     op: str                     # first next prev last second prelast
-    operand: Node               # nnext nprev iseod isbod neg not
+    operand: Node               # iseod isbod neg not
     dim: Optional[str] = None
 
 
 @dataclass(eq=True)
 class BinOp(Node):
-    op: str                     # arithmetic, relational, bitwise, && ||
+    op: str                     # arithmetic, relational, && ||
     left: Node
     right: Node
 
@@ -203,11 +203,6 @@ class BoxExpr(Node):
 
 
 @dataclass(eq=True)
-class Embed(Node):
-    args: Tuple[Node, ...]
-
-
-@dataclass(eq=True)
 class WhereExpr(Node):
     body: Node
     decls: Tuple[Node, ...]
@@ -256,13 +251,6 @@ class FuncDecl(Node):
     dim_params: Tuple[str, ...]
     params: Tuple[str, ...]
     body: Node
-
-
-@dataclass(eq=True)
-class MemberAssign(Node):
-    base: Node
-    member: str
-    expr: Node
 
 
 # --- the generic walk ----------------------------------------------------------

@@ -10,9 +10,9 @@ table, so precedence is decided here alone.  Tiers, loosest first:
            combine, product
   AT       @                             left-assoc, the tighter half of
                                          the intensional tier
-  LOGICAL  && || & !! !&                 left-assoc
-  REL      < > <= >= == != in            left-assoc
-  ADD      + - ^                         left-assoc
+  LOGICAL  && ||                         left-assoc
+  REL      < > <= >= == !=               left-assoc
+  ADD      + -                           left-assoc
   MUL      * / %                         left-assoc
   UNARY    prefix + - ! ~, the unary stream operators, #
   POSTFIX  call, subscript, dot, adjacent angle tuple
@@ -56,12 +56,12 @@ WHERE, CTX, STREAM, AT, LOGICAL, REL, ADD, MUL, UNARY, POSTFIX, ATOM = range(11)
 
 STREAM_BIN_OPS = frozenset("""
     fby pby wvr rwvr nwvr nrwvr asa nasa ala nala
-    upon rupon nupon nrupon nfby npby
+    upon rupon nupon nrupon
     and or xor nand nor nxor band bor bxor combine product
 """.split())
 
 STREAM_UNARY_OPS = frozenset("""
-    first next prev last second prelast nnext nprev iseod isbod neg not
+    first next prev last second prelast iseod isbod neg not
 """.split())
 
 BINDING_POWER: Dict[str, int] = {
@@ -69,9 +69,9 @@ BINDING_POWER: Dict[str, int] = {
     **{"\\" + op: CTX for op in CONTEXT_OPS},
     **{op: STREAM for op in STREAM_BIN_OPS},
     "@": AT,
-    "&&": LOGICAL, "||": LOGICAL, "&": LOGICAL, "!!": LOGICAL, "!&": LOGICAL,
-    "<": REL, ">": REL, "<=": REL, ">=": REL, "==": REL, "!=": REL, "in": REL,
-    "+": ADD, "-": ADD, "^": ADD,
+    "&&": LOGICAL, "||": LOGICAL,
+    "<": REL, ">": REL, "<=": REL, ">=": REL, "==": REL, "!=": REL,
+    "+": ADD, "-": ADD,
     "*": MUL, "/": MUL, "%": MUL,
 }
 
@@ -94,7 +94,7 @@ _CLOSERS = frozenset([",", ")", "]", ";", "}", ":"])
 _EXPR_START_SYMS = frozenset(
     ["(", "[", "{", "#", "$", "\\0", "-", "+", "!", "~", "INF+", "INF-"])
 _EXPR_START_KWS = frozenset(
-    ["if", "select", "Box", "embed", "true", "false", "eod", "bod"]
+    ["if", "select", "Box", "true", "false", "eod", "bod"]
 ) | STREAM_UNARY_OPS | FORENSIC_CALLS
 
 
@@ -381,16 +381,6 @@ class _Parser:
                 return N.Select(index, source, span=self.span(tok, close))
             if value == "Box":
                 return self._parse_box(tok)
-            if value == "embed":
-                self.advance()
-                self.expect_sym("(")
-                args = self._comma_exprs(")")
-                close = self.expect_sym(")")
-                if not args:
-                    raise FlucidSyntaxError("embed needs a URI argument",
-                                            self.span(close, close),
-                                            ["expression"])
-                return N.Embed(tuple(args), span=self.span(tok, close))
             if value in FORENSIC_CALLS and self.at_next_sym("("):
                 self.advance()
                 self.advance()
@@ -575,8 +565,6 @@ class _Parser:
         span = lhs.span.merge(self.span(semi, semi))
         if isinstance(lhs, N.Ident):
             return N.VarDecl(lhs.name, rhs, span=span)
-        if isinstance(lhs, N.Dot) and isinstance(lhs.member, N.Ident):
-            return N.MemberAssign(lhs.base, lhs.member.name, rhs, span=span)
         if isinstance(lhs, N.Call):
             params = _ident_names(lhs.args)
             target = lhs.func
@@ -588,8 +576,8 @@ class _Parser:
                 if dims is not None:
                     return N.FuncDecl(target.base.name, dims, params, rhs,
                                       span=span)
-        raise FlucidSyntaxError("declaration target must be an identifier, "
-                                "a function head, or a member", lhs.span,
+        raise FlucidSyntaxError("declaration target must be an identifier "
+                                "or a function head", lhs.span,
                                 ["identifier"])
 
 

@@ -30,7 +30,7 @@ _TIER = {
     N.Call: POSTFIX, N.Subscript: POSTFIX, N.Dot: POSTFIX,
     N.AngleTuple: POSTFIX, N.HashExpr: POSTFIX,
     N.BracketEntry: None, N.DimDecl: None, N.ObsDecl: None, N.OsDecl: None,
-    N.EsDecl: None, N.VarDecl: None, N.FuncDecl: None, N.MemberAssign: None,
+    N.EsDecl: None, N.VarDecl: None, N.FuncDecl: None,
 }
 
 Text = Tuple[str, Optional[int]]     # rendered text, tier
@@ -162,7 +162,6 @@ _RENDERERS: Dict[type, Callable] = {
                                                _w(k[1], WHERE)),
     N.BoxExpr: lambda n, k: "Box [%s \\ %s]" % (_join(k[:-1], CTX),
                                                 _w(k[-1], CTX)),
-    N.Embed: lambda n, k: "embed(%s)" % _join(k, WHERE),
     N.WhereExpr: _r_where,
     N.DimDecl: _r_dim_decl,
     N.ObsDecl: lambda n, k: "observation %s%s;" % (
@@ -171,8 +170,6 @@ _RENDERERS: Dict[type, Callable] = {
     N.EsDecl: _r_seq_decl("evidential statement"),
     N.VarDecl: lambda n, k: "%s = %s;" % (n.name, _w(k[0], WHERE)),
     N.FuncDecl: _r_func_decl,
-    N.MemberAssign: lambda n, k: "%s.%s = %s;" % (
-        _w(k[0], POSTFIX), n.member, _w(k[1], WHERE)),
 }
 
 
@@ -181,6 +178,8 @@ def _render(node, kids: List[Text]) -> Text:
     if fn is None:
         raise ValidationError("cannot print node of type %s" % type(node).__name__)
     if type(node) is N.BinOp:
+        if node.op not in BINDING_POWER:
+            raise ValidationError("cannot print operator %r" % (node.op,))
         return fn(node, kids), BINDING_POWER[node.op]
     return fn(node, kids), _TIER.get(type(node), ATOM)
 

@@ -161,6 +161,7 @@ class TagSet:
             raise ValidationError("ordering must be ordered or unordered", "ordering")
         if self.cardinality not in ("finite", "infinite"):
             raise ValidationError("cardinality must be finite or infinite", "cardinality")
+        check_type(self.tags, (tuple, type(None)), "a tag set's tags: a tuple")
         if self.cardinality == "finite":
             if self.tags is None:
                 raise ValidationError("finite tag set requires declared tags", "tags")

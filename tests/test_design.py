@@ -144,3 +144,30 @@ def test_expanded_operators_have_one_implementation():
             "evaluator.py:%d names %r" % (node.lineno, node.value)
     for entry in (Evaluator, evaluate):
         assert "max_scan" not in inspect.signature(entry).parameters
+
+
+def test_every_operator_the_grammar_reads_evaluates():
+    # a construct the front end accepts has an evaluation rule: each
+    # binary and prefix operator evaluates in a small well-typed program
+    from flucid.evaluator import evaluate
+    from flucid.syntax import parser as P
+
+    streams = " where X = d<1, 2>; Y = d<1, 0>; end"
+    contexts = " where dimension d; end"
+    programs = []
+    for op, power in P.BINDING_POWER.items():
+        if op in ("\\projection", "\\hiding"):
+            programs.append("[d:1, e:2] %s {d}" % op + contexts)
+        elif power == P.CTX:
+            programs.append("[d:1, e:2] %s [d:1]" % op + contexts)
+        elif power in (P.STREAM, P.AT):
+            programs.append("X %s.d Y" % op + streams)
+        elif power != P.WHERE:
+            programs.append("1 %s 1" % op)
+    for op in P._PREFIX_OPS:
+        if op in P.STREAM_UNARY_OPS:
+            programs.append("%s.d X" % op + streams)
+        else:
+            programs.append("%s1" % op)
+    for program in programs:
+        evaluate(program)

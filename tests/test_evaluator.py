@@ -385,15 +385,6 @@ def test_prelast_needs_two_elements():
     assert run("prelast.d Z where Z = d<5>; end") is BOD
 
 
-def test_operators_without_semantics_raise():
-    for op in ("nfby", "npby"):
-        with pytest.raises(EvaluationError, match="no defined semantics"):
-            run("(X %s.d X) @.d 0 where X = d<1, 2>; end" % op)
-    for op in ("nnext", "nprev"):
-        with pytest.raises(EvaluationError, match="no defined semantics"):
-            run("(%s X) @.d 0 where X = d<1, 2>; end" % op)
-
-
 def test_bitwise_operators():
     assert run("(12 band 10)") == 8
     assert run("(12 bor 10)") == 14
@@ -459,17 +450,24 @@ _REWRITE_SPOTS = [
 ]
 
 
+def _operands(xs, ys):
+    # X and Y are also defined below zero, where every operator reads an
+    # element as bod
+    return ("X = if #.d < 0 then #.d else d<%s> fi; "
+            "Y = if #.d < 0 then eod else d<%s> fi;" % (xs, ys))
+
+
 @pytest.mark.parametrize("expr", _REWRITE_SPOTS)
 def test_direct_matches_core_rewrite(expr):
     # analyze expands the filters, last and prelast, and runs fby, pby,
     # first, second, next, prev, neg and not directly; the full rewrite
     # must agree, below zero included, where a filter's position counter
     # must not recurse without end
-    src = ("%s where X = d<3, 1, 4, 1, 5>; "
-           "Y = d<true, false, true, true, false>; end" % expr)
+    src = "%s where %s end" % (expr, _operands(
+        "3, 1, 4, 1, 5", "true, false, true, true, false"))
     tree = parse(src)
     core = rewrite_to_core(tree)
-    for i in range(-2, 8):
+    for i in range(-3, 9):
         ctx = SimpleContext({"d": i})
         direct = Evaluator(analyze(tree)).run(ctx)
         rewritten = Evaluator(analyze(core)).run(ctx)
@@ -498,10 +496,10 @@ def test_evaluation_agrees_with_the_core_rewrite_on_any_elements(expr, xs,
     # markers and non-truth values inside the operands included: an
     # operator analyze expands means its template by construction, and
     # one evaluated directly must mean the same
-    tree = parse("%s where X = d<%s>; Y = d<%s>; end"
-                 % (expr, ", ".join(xs), ", ".join(ys)))
+    tree = parse("%s where %s end"
+                 % (expr, _operands(", ".join(xs), ", ".join(ys))))
     core = rewrite_to_core(tree)
-    for i in range(-2, 9):
+    for i in range(-3, 9):
         ctx = SimpleContext({"d": i})
         assert _value_or_error(tree, ctx) == _value_or_error(core, ctx), i
 
@@ -645,11 +643,6 @@ def test_box_builds_a_context_set():
 
 def test_select_indexes_a_stream():
     assert run("select(1, d<10, 20, 30>)") == 20
-
-
-def test_embed_is_unsupported():
-    with pytest.raises(EvaluationError, match="embed"):
-        run("embed(\"file.ipl\", [d:1], 0)")
 
 
 # ---------------------------------------------------------------------------
