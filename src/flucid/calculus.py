@@ -5,6 +5,10 @@ difference, intersection, union, override, and filter (projection /
 hiding).  Each dispatches on the kinds of its operands; a kind pairing
 with no defined overload raises ContextTypeError.
 
+Membership answers every `in` and `isSubContext` of a program.  A tag is
+in a tag set when it is == to one of its tags (TagSet.__contains__), and
+the tag-set operators keep or drop tags by that one rule.
+
 Selectors for filter are either a dimension set (a Python set/frozenset of
 dimension names) or a TagSet value; string tags therefore must be wrapped
 in a TagSet to disambiguate them from dimension names.
@@ -51,6 +55,11 @@ def membership(op: str, a: Any, b: Any) -> bool:
     """Subset-flavoured comparison; `in` and `isSubContext` coincide."""
     if op not in ("in", "isSubContext"):
         raise ValidationError("unknown membership operator %r" % (op,))
+    if isinstance(b, TagSet) and not isinstance(a, TagSet):
+        return a in b
+    if isinstance(b, (tuple, frozenset, set)) and \
+            not isinstance(a, (tuple, frozenset, set)):
+        return a in b
     if isinstance(a, SimpleContext) and isinstance(b, SimpleContext):
         # the empty simple context is a sub-context of any simple context
         return all(pair in b.pairs for pair in a.pairs)
@@ -59,20 +68,13 @@ def membership(op: str, a: Any, b: Any) -> bool:
     if isinstance(a, SimpleContext) and isinstance(b, ContextSet):
         return a in b
     if isinstance(a, TagSet) and isinstance(b, TagSet):
-        if not a.is_finite():
-            return False        # an infinite set never fits a finite one
-        return all(_tag_in(t, b) for t in a.tags)
+        # an infinite set never fits a finite one
+        return a.is_finite() and all(t in b for t in a.tags)
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) <= set(b)
     if is_forensic(a) and is_forensic(b):
         return _forensic_sub(a, b)
     _fail(op, a, b)
-
-
-def _tag_in(tag: Any, ts: TagSet) -> bool:
-    if ts.tags is not None:
-        return any(type(t) is type(tag) and t == tag for t in ts.tags)
-    return tag in ts
 
 
 def _forensic_sub(a: Any, b: Any) -> bool:
@@ -114,8 +116,7 @@ def difference(a: Any, b: Any) -> Any:
         return _pairwise_set(difference, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        return TagSet(ordering=a.ordering,
-                      tags=tuple(t for t in a.tags if not _tag_in(t, b)))
+        return TagSet(tuple(t for t in a.tags if t not in b))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) - set(b)
     _fail("difference", a, b)
@@ -128,8 +129,7 @@ def intersection(a: Any, b: Any) -> Any:
         return _pairwise_set(intersection, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        return TagSet(ordering=a.ordering,
-                      tags=tuple(t for t in a.tags if _tag_in(t, b)))
+        return TagSet(tuple(t for t in a.tags if t in b))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) & set(b)
     _fail("intersection", a, b)
@@ -160,8 +160,7 @@ def union(a: Any, b: Any) -> Any:
         return _context_set_union(_as_context_set(a), _as_context_set(b))
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        merged = a.tags + tuple(t for t in b.tags if not _tag_in(t, a))
-        return TagSet(ordering="unordered", tags=merged)
+        return TagSet(a.tags + tuple(t for t in b.tags if t not in a))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) | set(b)
     if is_forensic(a) and is_forensic(b):
@@ -301,7 +300,7 @@ def filter(mode: str, c: Any, sel: Any) -> Any:        # noqa: A001
         raise ValidationError("unknown filter mode %r" % (mode,))
     keep = mode == "projection"
     if isinstance(sel, TagSet):
-        match = lambda d, t: _tag_in(t, sel)           # noqa: E731
+        match = lambda d, t: t in sel                  # noqa: E731
     elif _is_dimension_set(sel) or isinstance(sel, (list, tuple)):
         names = set(sel)
         match = lambda d, t: d in names                # noqa: E731

@@ -105,6 +105,12 @@ class StateMachine:
         check_type(self.states, (tuple, list), "a machine's states: a tuple")
         check_type(self.events, (tuple, list), "a machine's events: a tuple")
         check_type(self.psi, Mapping, "a machine's psi: a mapping")
+        for label in (*self.states, *self.events, *self.psi.values()):
+            try:
+                hash(label)
+            except TypeError:
+                raise ValidationError(
+                    "label %r is not hashable" % (label,)) from None
         states, events = set(self.states), set(self.events)
         for key, q in self.psi.items():
             if not (isinstance(key, tuple) and len(key) == 2):

@@ -428,9 +428,7 @@ class Evaluator:
         decl = defn.node
         if decl.tags is not None:
             v = self.eval(decl.tags, EMPTY_CONTEXT, _ROOT)
-            tags = v if isinstance(v, TagSet) else TagSet(
-                ordering="ordered" if "ordered" in defn.flags else "unordered",
-                tags=tuple(v))
+            tags = v if isinstance(v, TagSet) else TagSet(tuple(v))
         elif decl.value is not None:
             v = self.eval(decl.value, EMPTY_CONTEXT, _ROOT)
             if not isinstance(v, TagSet):
@@ -575,9 +573,9 @@ class Evaluator:
 
     def _scalar_op(self, op, a, b):
         if op == "==":
-            return _values_equal(a, b)
+            return a == b
         if op == "!=":
-            return not _values_equal(a, b)
+            return not (a == b)
         if op in _ORDER:
             try:
                 return _ORDER[op](a, b)
@@ -628,11 +626,6 @@ class Evaluator:
         if _is_sentinel(b):
             return b
         if op in ("in", "isSubContext"):
-            if isinstance(b, TagSet) and not isinstance(a, TagSet):
-                return a in b
-            if isinstance(b, (tuple, frozenset, set)) and \
-                    not isinstance(a, (tuple, frozenset, set)):
-                return a in b
             return calculus.membership(op, a, b)
         return _CTX_OPS[op](a, b)
 
@@ -1089,17 +1082,6 @@ def _observation_shaped(v: tuple) -> bool:
     if len(v) >= 4 and not isinstance(v[3], (int, float)):
         return False
     return True
-
-
-def _values_equal(a, b) -> bool:
-    if type(a) is bool or type(b) is bool:
-        if isinstance(a, (bool, int, float)) and \
-                isinstance(b, (bool, int, float)):
-            return bool(a) == bool(b) and float(a) == float(b)
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
 
 
 def _hash_view(v: Any) -> Any:

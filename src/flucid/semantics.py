@@ -79,7 +79,6 @@ class Definition:
     source: str
     kind: str                   # dim var obs os es func formal dimformal
     node: Optional[N.Node]      # renamed declaration, None for formals
-    flags: Tuple[str, ...] = ()
     owner: Optional[str] = None         # formals: the owning function
     dim_params: Tuple[str, ...] = ()    # funcs: renamed formal names
     params: Tuple[str, ...] = ()
@@ -346,8 +345,7 @@ class _Analyzer:
         if unique != node.names:
             renamed = replace(renamed, names=unique)
         for name, source in zip(unique, node.names):
-            self.env[name] = Definition(name, source, "dim", renamed,
-                                        node.flags)
+            self.env[name] = Definition(name, source, "dim", renamed)
         return renamed
 
     def _l_decl(self, node, done) -> N.Node:
@@ -359,8 +357,7 @@ class _Analyzer:
         if unique != node.name:
             renamed = replace(renamed, name=unique)
         self.env[unique] = Definition(unique, node.name,
-                                      _DECL_KINDS[type(node)], renamed,
-                                      tuple(getattr(node, "flags", ())))
+                                      _DECL_KINDS[type(node)], renamed)
         return renamed
 
     def _check_observation(self, value: Optional[N.Node]) -> None:

@@ -85,7 +85,8 @@ FORENSIC_CALLS = frozenset(["bel", "pl", "combine", "product"])
 DIM_FLAGS = ("ordered", "unordered", "finite", "infinite",
              "periodic", "nonperiodic")
 
-_PREFIX_OPS = frozenset(["+", "-", "!", "~"]) | STREAM_UNARY_OPS
+PREFIX_SYMBOLS = frozenset(["+", "-", "!", "~"])
+_PREFIX_OPS = PREFIX_SYMBOLS | STREAM_UNARY_OPS
 _LEAVES = {"IDENT": N.Ident, "INT": N.IntLit, "REAL": N.RealLit,
            "STRING": N.StringLit}
 

@@ -19,7 +19,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..values import ValidationError, to_source
 from . import nodes as N
-from .parser import (ADD, AT, ATOM, BINDING_POWER, CTX, POSTFIX, STREAM,
+from .lexer import CONTEXT_OPS
+from .parser import (ADD, AT, ATOM, BINDING_POWER, CTX, POSTFIX,
+                     PREFIX_SYMBOLS, STREAM, STREAM_BIN_OPS, STREAM_UNARY_OPS,
                      UNARY, WHERE)
 
 # tiers of the node kinds other than BinOp, whose tier its operator names;
@@ -32,6 +34,12 @@ _TIER = {
     N.BracketEntry: None, N.DimDecl: None, N.ObsDecl: None, N.OsDecl: None,
     N.EsDecl: None, N.VarDecl: None, N.FuncDecl: None,
 }
+
+# the operators the grammar reads for each operator node; a built tree
+# with another one would print text that does not parse back
+_OPS = {N.BinOp: BINDING_POWER, N.UnaryOp: PREFIX_SYMBOLS,
+        N.StreamUnary: STREAM_UNARY_OPS, N.StreamBin: STREAM_BIN_OPS,
+        N.CtxBin: CONTEXT_OPS}
 
 Text = Tuple[str, Optional[int]]     # rendered text, tier
 
@@ -177,9 +185,10 @@ def _render(node, kids: List[Text]) -> Text:
     fn = _RENDERERS.get(type(node))
     if fn is None:
         raise ValidationError("cannot print node of type %s" % type(node).__name__)
+    ops = _OPS.get(type(node))
+    if ops is not None and not (isinstance(node.op, str) and node.op in ops):
+        raise ValidationError("cannot print operator %r" % (node.op,))
     if type(node) is N.BinOp:
-        if node.op not in BINDING_POWER:
-            raise ValidationError("cannot print operator %r" % (node.op,))
         return fn(node, kids), BINDING_POWER[node.op]
     return fn(node, kids), _TIER.get(type(node), ATOM)
 

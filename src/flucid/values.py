@@ -145,44 +145,43 @@ ANY_PROPERTY = _AnyProperty()
 
 @dataclass(frozen=True)
 class TagSet:
-    """Declared tag collection of a dimension.
+    """The tags of a dimension, in declaration order.
 
-    Declaration order is preserved even for unordered sets: it provides the
-    implicit index used by the stream operators.  An infinite set without
-    tags is the naturals, the tags of an implicitly declared dimension.
+    The order is the implicit index the stream operators use.  tags None
+    is the naturals: the non-negative integers, the tags of an implicitly
+    declared dimension.  A tag is in a finite set when it is == to one of
+    its tags, so 1, 1.0 and true are one tag; two tag sets are equal when
+    their tags are, in order.
     """
 
-    ordering: str = "ordered"          # ordered | unordered
-    cardinality: str = "finite"        # finite | infinite
     tags: Optional[Tuple[Any, ...]] = None
 
     def __post_init__(self):
-        if self.ordering not in ("ordered", "unordered"):
-            raise ValidationError("ordering must be ordered or unordered", "ordering")
-        if self.cardinality not in ("finite", "infinite"):
-            raise ValidationError("cardinality must be finite or infinite", "cardinality")
         check_type(self.tags, (tuple, type(None)), "a tag set's tags: a tuple")
-        if self.cardinality == "finite":
-            if self.tags is None:
-                raise ValidationError("finite tag set requires declared tags", "tags")
-            seen = []
-            for t in self.tags:
-                if t in seen:
-                    raise ValidationError("duplicate tag %r in tag set" % (t,), "tags")
-                seen.append(t)
+        seen = []
+        for t in self.tags or ():
+            if t in seen:
+                raise ValidationError("duplicate tag %r in tag set" % (t,), "tags")
+            seen.append(t)
 
     @staticmethod
     def from_range(frm: int, to: int, step: int = 1) -> "TagSet":
-        tags = tuple(range(frm, to + (1 if step > 0 else -1), step))
-        return TagSet(tags=tags)
+        """The integers from frm to to, both included, step apart."""
+        for v in (frm, to, step):
+            if kind_of(v) != "integer":
+                raise ValidationError("a range takes integer bounds and "
+                                      "step, not %s" % kind_of(v))
+        if step == 0:
+            raise ValidationError("a range's step must not be zero", "step")
+        return TagSet(tuple(range(frm, to + (1 if step > 0 else -1), step)))
 
     @staticmethod
     def naturals() -> "TagSet":
         """The open integer tag set used by implicitly declared dimensions."""
-        return TagSet(cardinality="infinite")
+        return TagSet()
 
     def is_finite(self) -> bool:
-        return self.cardinality == "finite"
+        return self.tags is not None
 
     def __contains__(self, tag: Any) -> bool:
         if self.tags is not None:

@@ -21,6 +21,12 @@ def sc(**pairs):
 dims = st.dictionaries(st.sampled_from("abc"), st.integers(0, 3), max_size=3)
 contexts = dims.map(SimpleContext)
 dimsets = st.sets(st.sampled_from("abc"), max_size=3)
+# tags that are == across types: 1, 1.0 and true are one tag
+tags = st.one_of(st.integers(-2, 3), st.integers(-2, 3).map(float),
+                 st.floats(allow_nan=False, allow_infinity=False),
+                 st.booleans(), st.text("ab", max_size=2))
+tag_sets = st.lists(tags, max_size=5, unique=True).map(
+    lambda ts: TagSet(tags=tuple(ts)))
 
 
 class TestMembership:
@@ -78,7 +84,7 @@ class TestMembership:
 
     def test_kind_mismatch(self):
         with pytest.raises(ContextTypeError):
-            membership("in", sc(d=1), TagSet(tags=(1,)))
+            membership("in", 1, sc(d=1))
 
     @given(contexts)
     def test_reflexive(self, c):
@@ -208,9 +214,20 @@ class TestUnion:
         assert sc(d=1, e=2, f=3) in r
         assert sc(d=9, e=2, f=3) in r
 
-    def test_tag_set_union_not_order_preserving(self):
+    def test_tag_set_union_keeps_left_tags_first(self):
         r = union(TagSet(tags=(1, 2)), TagSet(tags=(2, 3)))
-        assert set(r.tags) == {1, 2, 3} and r.ordering == "unordered"
+        assert r.tags == (1, 2, 3)
+
+    @given(tag_sets, tag_sets)
+    def test_tag_sets_meet_by_equality(self, s, t):
+        assert membership("in", t, s) == all(x in s.tags for x in t.tags)
+        assert union(s, t).tags == \
+            s.tags + tuple(x for x in t.tags if x not in s.tags)
+        assert intersection(s, t).tags == \
+            tuple(x for x in s.tags if x in t.tags)
+        assert difference(s, t).tags == \
+            tuple(x for x in s.tags if x not in t.tags)
+        assert union(s, s) == s
 
     def test_dimension_set_union(self):
         assert union({"d"}, {"e"}) == {"d", "e"}

@@ -85,6 +85,10 @@ def test_psi_holds_only_the_transitions_that_fire():
 def test_psi_rejects_undeclared_labels():
     with pytest.raises(ValidationError):
         StateMachine(states=(0,), events=("a",), psi={("a", 0): 7})
+    with pytest.raises(ValidationError, match=r"label \['x'\]"):
+        StateMachine(("s",), ("e",), {("e", "s"): ["x"]})
+    with pytest.raises(ValidationError, match=r"label \[1\]"):
+        StateMachine(([1],), ("e",), {})
 
 
 def test_property_step_semantics():

@@ -275,6 +275,41 @@ def test_evaluation_errors_carry_a_position(src, kw, message):
     assert 0 <= span.offset < span.end <= len(src)
 
 
+@pytest.mark.parametrize("src, outcome", [
+    ("1 / 0", "EvaluationError: division by zero"),
+    ("1 % 0", "EvaluationError: modulo by zero"),
+    ("d where dimension d = 5; end",
+     "EvaluationError: dimension 'd' must be defined by a tag set"),
+    ("Box [d \\ true] where dimension d; end",
+     "EvaluationError: Box needs finite declared dimensions; 'd' is not"),
+    ("~true", "EvaluationError: ~ needs an integer"),
+    ("1 band 2.0", "EvaluationError: 'band' needs integers, got real"),
+    ("f(1) where f = 3; end", "EvaluationError: integer is not callable"),
+    ("d<1,2> @ [1]", "EvaluationError: navigation target must be a context "
+     "or forensic value, got array"),
+    ("d where dimension d : {1 to 3 step 0}; end",
+     "ValidationError: a range's step must not be zero"),
+    ("{1.5 to 3}", "ValidationError: a range takes integer bounds and step, "
+     "not real"),
+    ('{"a" to 3}', "ValidationError: a range takes integer bounds and step, "
+     "not string"),
+    ("{0 to $}", "ValidationError: a range takes integer bounds and step, "
+     "not observation"),
+    ("combine(1, 2)", "es{os{ (1, 1, 0, 1.0) }, os{ (2, 1, 0, 1.0) }}"),
+    ("product(1, 2)", "es{os{ (1, 1, 0, 1.0), (2, 1, 0, 1.0) }}"),
+    ('(#o).w where observation o = ("p", 1, 0, 0.5); end', "0.5"),
+    ("select(eod, d<1,2>)", "eod"),
+])
+def test_seldom_taken_paths_give_a_value_or_a_positioned_error(src, outcome):
+    try:
+        got = repr(run(src))
+    except FlucidError as err:
+        span = err.span
+        assert span is not None and 0 <= span.offset < span.end <= len(src)
+        got = "%s: %s" % (type(err).__name__, err)
+    assert got == outcome
+
+
 def test_word_operators_report_errors_as_written():
     with pytest.raises(EvaluationError, match="'neg' is not defined on"):
         run('neg "a"')
@@ -751,6 +786,18 @@ def test_tag_membership():
     src = ("(\"drop\" \\in P) where "
            "dimension P : {\"add\", \"take\"}; end")
     assert run(src) is False
+
+
+@pytest.mark.parametrize("src", [
+    "(S \\union T) == {1 to 3} where dimension S : {1, 2}; "
+    "dimension T : {1.0, 3}; end",
+    "T \\in S where dimension T : {true}; dimension S : {1, 2}; end",
+    "(S \\union S) == S where dimension S : ordered {1, 2}; end",
+    "S == {1 to 2} where dimension S : {1, 2}; end",
+])
+def test_a_tag_set_is_its_tags(src):
+    # a declaration's flags and the operator that made a set do not count
+    assert run(src) is True
 
 
 def test_context_override_operator():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import sys
 
 import pytest
@@ -525,6 +526,17 @@ def test_pretty_rejects_an_operator_outside_the_grammar():
         pretty_print(BinOp("&", Ident("x"), Ident("y")))
 
 
+@pytest.mark.parametrize("tree", [
+    StreamUnary("nnext", IntLit(1)),
+    StreamBin("bogus", IntLit(1), IntLit(2)),
+    CtxBin("bogus", IntLit(1), IntLit(2)),
+    UnaryOp("?", IntLit(1)),
+], ids=lambda tree: type(tree).__name__)
+def test_pretty_rejects_any_operator_node_outside_the_grammar(tree):
+    with pytest.raises(ValidationError, match=re.escape(repr(tree.op))):
+        pretty_print(tree)
+
+
 # random trees: a compact generator over the expression grammar
 
 _names = st.sampled_from(["x", "y", "zz", "flow-start", "es"])
@@ -555,8 +567,13 @@ def _compound(children):
                       children).map(lambda t: StreamUnary(*t))
     at = st.tuples(children, children,
                    st.sampled_from([None, "d"])).map(lambda t: AtExpr(*t))
-    ctx = st.tuples(st.sampled_from(["union", "intersection", "projection"]),
+    ctx = st.tuples(st.sampled_from(["union", "intersection", "projection",
+                                     "in", "isSubContext", "difference"]),
                     children, children).map(lambda t: CtxBin(*t))
+    # bounds are leaves other than names, so that no range drawn is large
+    bound = _leaf().filter(lambda n: not isinstance(n, Ident))
+    rng = st.tuples(bound, bound, st.none() | bound).map(
+        lambda t: RangeLit(*t))
     cond = st.tuples(children, children, children).map(lambda t: IfExpr(*t))
     tup = st.lists(children, min_size=2, max_size=4).map(
         lambda xs: TupleLit(tuple(xs)))
@@ -567,7 +584,7 @@ def _compound(children):
     where = st.tuples(children, _names, children).map(
         lambda t: WhereExpr(t[0], (VarDecl(t[1], t[2]),)))
     zero = children.map(ZeroObs)
-    return st.one_of(binop, stream, unary, at, ctx, cond, tup, brace,
+    return st.one_of(binop, stream, unary, at, ctx, rng, cond, tup, brace,
                      call, where, zero)
 
 

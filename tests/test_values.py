@@ -42,16 +42,17 @@ class TestSentinels:
 
 class TestTagSet:
     def test_declaration_order_preserved_even_unordered(self):
-        ts = TagSet(ordering="unordered", tags=("c", "a", "b"))
+        ts = TagSet(tags=("c", "a", "b"))
         assert ts.tags == ("c", "a", "b")
 
     def test_duplicate_tags_rejected(self):
         with pytest.raises(ValidationError):
             TagSet(tags=(1, 2, 1))
 
-    def test_finite_requires_tags(self):
-        with pytest.raises(ValidationError):
-            TagSet(tags=None)
+    def test_no_tags_is_the_naturals(self):
+        ts = TagSet()
+        assert ts == TagSet.naturals() and not ts.is_finite()
+        assert 7 in ts and -1 not in ts
 
     def test_range_generator(self):
         ts = TagSet.from_range(1, 31)
