@@ -38,7 +38,6 @@ from .values import (
     PLUS_INF,
     TagSet,
     ValidationError,
-    check_duration,
     check_type,
 )
 
@@ -346,8 +345,8 @@ def _default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
 
 def _check_sequence(os: Any, fieldname: str, i: int = 1) -> None:
     """Reject os, the i-th sequence of the argument fieldname, unless it
-    is an observation sequence of observations whose durations
-    make_observation accepts."""
+    is an observation sequence of observations.  An observation checked
+    its own fields when it was built, so only the kinds are checked."""
     if not isinstance(os, ObservationSequence):
         raise ValidationError("sequence %d is %r, not an observation "
                               "sequence" % (i, os), fieldname)
@@ -356,11 +355,6 @@ def _check_sequence(os: Any, fieldname: str, i: int = 1) -> None:
             raise ValidationError(
                 "sequence %s, item %d is %r, not an observation"
                 % (os.name or i, j, o), fieldname)
-        try:
-            check_duration(o.min, o.max)
-        except ValidationError as exc:
-            raise ValidationError("sequence %s, observation %d: %s" % (
-                os.name or i, j, exc), exc.fieldname) from None
 
 
 def check_claim(fsm: StateMachine, es: EvidentialStatement,
@@ -378,8 +372,8 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     with more possibly left, and counts in witnesses every window of the
     lengths it searched.  route="exact" is the executable spec's hook:
     set algebra over fixed-length variants, exponential in the horizon.
-    horizon and max_backtraces are non-negative integers, and every
-    observation's duration must be one make_observation accepts.
+    horizon and max_backtraces are non-negative integers, and es holds
+    observation sequences of observations, each valid since it was built.
     """
     check_type(fsm, StateMachine, "check_claim takes a StateMachine")
     if not isinstance(es, EvidentialStatement) or len(es) == 0:

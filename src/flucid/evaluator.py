@@ -33,13 +33,15 @@ Python stack resumes on a fresh one (see Evaluator.run), so evaluation
 runs within the interpreter's recursion limit and never changes it.
 
 Forensic values (observations, sequences, statements) flow through the
-same machinery.  A call applying a claim function to an evidential
-statement evaluates its body like any other call, then settles the
-claim: the transition function declared alongside it is tabulated into
-a finite state machine by evaluating it at every event and state, and
-when the body's value is a list of hypotheses (annotated `pby` chains)
-each is validated hop by hop against the tabulated transitions;
-otherwise the claim is checked by reconstruction.
+same machinery.  An observation is valid once built, and values.lift
+reads every forensic operand and declaration, except that a statement
+reads a tuple as its sequences.  A call applying a claim function to an
+evidential statement evaluates its body like any other call, then
+settles the claim: the transition function declared alongside it is
+tabulated into a finite state machine by evaluating it at every event
+and state, and when the body's value is a list of hypotheses (annotated
+`pby` chains) each is validated hop by hop against the tabulated
+transitions; otherwise the claim is checked by reconstruction.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .values import (
     check_type,
     is_forensic,
     kind_of,
+    lift,
     make_observation,
     no_observation,
     to_source,
@@ -470,8 +473,7 @@ class Evaluator:
                 all(isinstance(m, SimpleContext) for m in place):
             return self._at_each(node.left, ctx, frame, ContextSet(place))
         if isinstance(place, Observation):
-            if isinstance(place.w, (int, float)) and \
-                    place.w < self.threshold:
+            if place.w < self.threshold:
                 return EOD                     # not credible enough to enter
             inner = ctx
             if isinstance(place.property, SimpleContext):
@@ -761,7 +763,13 @@ class Evaluator:
                     defn.source, len(defn.dim_params), len(defn.params)))
         argv = None
         if len(defn.params) == 1 and defn.dim_params:
-            argv = self.eval(arg_nodes[0], ctx, frame)
+            # a claim when the argument here is a statement or sequence;
+            # any other argument, or one that fails here, binds lazily
+            try:
+                argv = self.eval(arg_nodes[0], ctx, frame)
+            except FlucidError:
+                pass
+        if isinstance(argv, (EvidentialStatement, ObservationSequence)):
             bindings = {defn.params[0]: _Thunk.of_value(argv)}
         else:
             bindings = {p: _Thunk(expr=a, frame=frame)
@@ -927,25 +935,14 @@ class Evaluator:
     # -- forensic operators ------------------------------------------------------
 
     def _combine(self, a, b):
-        return calculus.union(self._lift_forensic(a),
-                              self._lift_forensic(b))
+        return calculus.union(lift(a), lift(b))
 
     def _product(self, a, b):
-        a = self._sequence_value(self._lift_forensic(a), None)
-        b = self._sequence_value(self._lift_forensic(b), None)
+        a = self._sequence_value(a, None)
+        b = self._sequence_value(b, None)
         return EvidentialStatement(tuple(
             ObservationSequence((oa, ob))
             for oa in a.observations for ob in b.observations))
-
-    def _lift_forensic(self, v):
-        if is_forensic(v):
-            return v
-        if isinstance(v, (SimpleContext, ContextSet, str, int, float, bool)):
-            from .values import lift
-            return lift(v)
-        raise EvaluationError(
-            "a forensic operator needs forensic operands, got %s"
-            % kind_of(v))
 
     # -- remaining expression forms ------------------------------------------------
 
@@ -1017,41 +1014,25 @@ class Evaluator:
         return make_observation(v)
 
     def _sequence_value(self, v, name) -> ObservationSequence:
-        if isinstance(v, ObservationSequence):
-            if name is not None and v.name != name:
-                return ObservationSequence(v.observations, name=name)
-            return v
+        v = lift(v)
         if isinstance(v, Observation):
             return ObservationSequence((v,), name=name)
-        if isinstance(v, tuple):
-            if _observation_shaped(v):
-                return ObservationSequence(
-                    (make_observation(*v),), name=name)
-            obs = []
-            for item in v:
-                if isinstance(item, Observation):
-                    obs.append(item)
-                elif isinstance(item, tuple) and _observation_shaped(item):
-                    obs.append(make_observation(*item))
-                else:
-                    obs.append(make_observation(item))
-            return ObservationSequence(tuple(obs), name=name)
-        raise EvaluationError(
-            "cannot use %s as an observation sequence" % kind_of(v))
+        if isinstance(v, EvidentialStatement):
+            raise EvaluationError(
+                "cannot use %s as an observation sequence" % kind_of(v))
+        if name is not None and v.name != name:
+            return ObservationSequence(v.observations, name=name)
+        return v
 
     def _statement_value(self, v, name) -> EvidentialStatement:
-        if isinstance(v, EvidentialStatement):
-            if name is not None and v.name != name:
-                return EvidentialStatement(v.sequences, name=name)
-            return v
-        if isinstance(v, (Observation, ObservationSequence)):
-            return EvidentialStatement(
-                (self._sequence_value(v, None),), name=name)
         if isinstance(v, tuple):
-            return EvidentialStatement(
-                tuple(self._sequence_value(m, None) for m in v), name=name)
-        raise EvaluationError(
-            "cannot use %s as an evidential statement" % kind_of(v))
+            v = EvidentialStatement(
+                tuple(self._sequence_value(m, None) for m in v))
+        elif not isinstance(v, EvidentialStatement):
+            v = EvidentialStatement((self._sequence_value(v, None),))
+        if name is not None and v.name != name:
+            return EvidentialStatement(v.sequences, name=name)
+        return v
 
     # dispatch table (filled in below)
     _dispatch: Dict[type, Callable] = {}
@@ -1067,21 +1048,6 @@ Evaluator._dispatch = {
 
 
 # --- helpers shared with the claim machinery ---------------------------------
-
-
-def _observation_shaped(v: tuple) -> bool:
-    """(property, min[, max[, w[, t]]]) with a duration in slot two;
-    the property itself may be any value, a nested sequence included."""
-    if not 2 <= len(v) <= 5:
-        return False
-    if not (isinstance(v[1], int) and not isinstance(v[1], bool)):
-        return False
-    if len(v) >= 3 and not (v[2] is PLUS_INF or (
-            isinstance(v[2], int) and not isinstance(v[2], bool))):
-        return False
-    if len(v) >= 4 and not isinstance(v[3], (int, float)):
-        return False
-    return True
 
 
 def _hash_view(v: Any) -> Any:

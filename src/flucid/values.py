@@ -4,7 +4,8 @@ Primitive values are plain Python ints, floats, bools, and strings; arrays
 are tuples.  This module adds the structured kinds: stream sentinels,
 tag sets, dimensions, simple contexts and context sets, and the
 three-level forensic hierarchy (observation, observation sequence,
-evidential statement) with defaulting and lifting rules.
+evidential statement): an Observation checks its own fields however it
+is built, and lift is the one rule that reads a value as forensic.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -158,11 +159,16 @@ class TagSet:
 
     def __post_init__(self):
         check_type(self.tags, (tuple, type(None)), "a tag set's tags: a tuple")
-        seen = []
+        seen, unhashable = set(), []
         for t in self.tags or ():
-            if t in seen:
+            try:
+                clash = t in seen       # 1, 1.0 and true hash alike
+                seen.add(t)
+            except TypeError:
+                clash = t in unhashable
+                unhashable.append(t)
+            if clash:
                 raise ValidationError("duplicate tag %r in tag set" % (t,), "tags")
-            seen.append(t)
 
     @staticmethod
     def from_range(frm: int, to: int, step: int = 1) -> "TagSet":
@@ -186,7 +192,8 @@ class TagSet:
     def __contains__(self, tag: Any) -> bool:
         if self.tags is not None:
             return any(t == tag for t in self.tags)
-        return isinstance(tag, int) and tag >= 0
+        return (isinstance(tag, int) or
+                isinstance(tag, float) and tag.is_integer()) and tag >= 0
 
     def __len__(self) -> int:
         if self.tags is None:
@@ -302,8 +309,11 @@ class ContextSet:
 class Observation:
     """o = (P, min, max, w, t): property P held for min..min+max steps.
 
-    w is the credibility mass in [0,1]; t the optional wall-clock start in
-    epoch seconds.  description carries the human-readable => annotation.
+    min is a non-negative integer and max one or INF+; w is the
+    credibility mass, a real number in [0, 1], kept as a float; t the
+    optional wall-clock start, epoch seconds or a raw log timestamp.
+    description carries the human-readable => annotation.  Construction
+    raises a ValidationError naming the first field out of its range.
     """
 
     property: Any
@@ -312,6 +322,28 @@ class Observation:
     w: float = 1.0
     t: Union[int, str, None] = None
     description: Optional[str] = None
+
+    def __post_init__(self):
+        mn, mx, w, t = self.min, self.max, self.w, self.t
+        if isinstance(mn, bool) or not isinstance(mn, int):
+            raise ValidationError("min must be an integer", "min")
+        if mn < 0:
+            raise ValidationError("min must be non-negative", "min")
+        if mx is not PLUS_INF:
+            if isinstance(mx, bool) or not isinstance(mx, int):
+                raise ValidationError("max must be an integer or INF+", "max")
+            if mx < 0:
+                raise ValidationError("max must be non-negative", "max")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ValidationError("w must be a real number", "w")
+        if not 0.0 <= w <= 1.0:
+            raise ValidationError("w must be within [0, 1]", "w")
+        if t is not None and (isinstance(t, bool) or
+                              not isinstance(t, (int, str))):
+            raise ValidationError("t must be an integer or string timestamp",
+                                  "t")
+        if not isinstance(w, float):
+            object.__setattr__(self, "w", float(w))
 
     def is_no_observation(self) -> bool:
         return self.property is ANY_PROPERTY
@@ -404,43 +436,14 @@ class FunctionHandle:
 # ---------------------------------------------------------------------------
 
 
-def check_duration(min: Any, max: Any) -> None:
-    """An observation's duration: min a non-negative integer, max a
-    non-negative integer or INF+."""
-    if isinstance(min, bool) or not isinstance(min, int):
-        raise ValidationError("min must be an integer", "min")
-    if min < 0:
-        raise ValidationError("min must be non-negative", "min")
-    if max is not PLUS_INF:
-        if isinstance(max, bool) or not isinstance(max, int):
-            raise ValidationError("max must be an integer or INF+", "max")
-        if max < 0:
-            raise ValidationError("max must be non-negative", "max")
-
-
 def make_observation(property: Any, min: Any = None, max: Any = None,
                      w: Any = None, t: Any = None,
                      description: Optional[str] = None) -> Observation:
-    """Build an observation, filling defaults min=1, max=0, w=1.0, t absent."""
-    if min is None:
-        min = 1
-    if max is None:
-        max = 0
-    if w is None:
-        w = 1.0
-    check_duration(min, max)
-    if not isinstance(w, (int, float)) or isinstance(w, bool):
-        raise ValidationError("w must be a real number", "w")
-    if not (0.0 <= float(w) <= 1.0):
-        raise ValidationError("w must be within [0, 1]", "w")
-    if t is not None and t is not EOD:
-        # both epoch integers and raw log-format strings are legal timestamps
-        if isinstance(t, bool) or not isinstance(t, (int, str)):
-            raise ValidationError("t must be an integer or string timestamp", "t")
-    else:
-        t = None
-    return Observation(property=property, min=min, max=max, w=float(w), t=t,
-                       description=description)
+    """Build an observation, filling defaults min=1, max=0, w=1.0, t absent;
+    a t of eod is absent too."""
+    return Observation(property, 1 if min is None else min,
+                       0 if max is None else max, 1.0 if w is None else w,
+                       None if t is EOD else t, description)
 
 
 def no_observation() -> Observation:
@@ -454,18 +457,40 @@ def zero_observation(property: Any) -> Observation:
 
 
 def lift(v: Any) -> Any:
-    """Lift contextual knowledge into the forensic hierarchy.
-
-    Scalars and simple contexts become single default observations; a
-    context set becomes an observation sequence wrapping each member.
-    Already-forensic values pass through unchanged (idempotent).
-    """
-    if isinstance(v, (Observation, ObservationSequence, EvidentialStatement)):
+    """Read a value as forensic.  Forensic values pass through; a tuple
+    shaped (property, min[, max[, w[, t]]]) is that observation; any
+    other tuple or a context set is a sequence of its members, each read
+    as an observation by the same rule; anything else is a default
+    observation of that property."""
+    if is_forensic(v):
         return v
-    if isinstance(v, ContextSet):
-        return ObservationSequence(
-            tuple(make_observation(member) for member in v))
+    if isinstance(v, ContextSet) or \
+            isinstance(v, tuple) and not _observation_shaped(v):
+        return ObservationSequence(tuple(map(_as_observation, v)))
+    return _as_observation(v)
+
+
+def _as_observation(v: Any) -> Observation:
+    if isinstance(v, Observation):
+        return v
+    if isinstance(v, tuple) and _observation_shaped(v):
+        return make_observation(*v)
     return make_observation(v)
+
+
+def _observation_shaped(v: tuple) -> bool:
+    """(property, min[, max[, w[, t]]]) with min, max and w of their
+    fields' types; building it checks their ranges."""
+    if not 2 <= len(v) <= 5:
+        return False
+    if not (isinstance(v[1], int) and not isinstance(v[1], bool)):
+        return False
+    if len(v) >= 3 and not (v[2] is PLUS_INF or (
+            isinstance(v[2], int) and not isinstance(v[2], bool))):
+        return False
+    if len(v) >= 4 and not isinstance(v[3], (int, float)):
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

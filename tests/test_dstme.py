@@ -12,8 +12,9 @@ from flucid.dstme import (
 )
 from flucid.evaluator import evaluate
 from flucid.values import (
-    ContextSet, EvidentialStatement, ObservationSequence, SimpleContext,
-    ValidationError, make_observation, no_observation, zero_observation,
+    ANY_PROPERTY, ContextSet, EvidentialStatement, Observation,
+    ObservationSequence, SimpleContext, ValidationError, make_observation,
+    no_observation, zero_observation,
 )
 
 from oracles import bel_oracle, dempster_oracle, pl_oracle, powerset
@@ -245,6 +246,25 @@ class TestCredibility:
         obs = tuple(make_observation("p%d" % i, 1, 0, w) for i, w in enumerate(ws))
         base = credibility("bel", seq(*obs))
         assert base == pytest.approx(sum(ws) / len(ws), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.sampled_from(["a", "b", ANY_PROPERTY]),
+        st.one_of(st.integers(-1, 2), st.sampled_from([1.5, "x", None])),
+        st.one_of(st.floats(allow_nan=True), st.integers(-1, 2),
+                  st.sampled_from(["x", True, None]))), max_size=3),
+        max_size=3), st.sampled_from(["bel", "pl"]))
+    def test_any_built_hierarchy_has_a_credibility_in_the_unit_range(
+            self, accounts, kind):
+        # an observation that is built is valid, whatever its fields
+        try:
+            es = EvidentialStatement(tuple(ObservationSequence(tuple(
+                Observation(p, mn, 0, w) for p, mn, w in account))
+                for account in accounts))
+        except ValidationError:
+            return
+        for v in (es, *es.sequences, *(o for s in es for o in s)):
+            assert 0.0 <= credibility(kind, v) <= 1.0
 
     def test_bel_at_most_pl_on_hierarchy(self):
         values = [

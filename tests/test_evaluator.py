@@ -79,6 +79,16 @@ def test_a_function_passed_as_an_argument_is_called():
     assert run("h(f) where f(x) = x * 2; h(k) = k(21); end") == 42
 
 
+@pytest.mark.parametrize("src", [
+    "r where dimension S : {1, 2}; r = f[S](#.d); f[T](y) = y @.d 3; end",
+    "r where r = g(#.d); g(y) = y @.d 3; end",
+])
+def test_a_formal_is_evaluated_where_it_occurs_with_dimension_formals(src):
+    # the argument fails at the call's context and is no statement or
+    # sequence, so f binds it lazily like g does
+    assert run(src) == 3
+
+
 def test_cycle_is_reported_with_its_members():
     with pytest.raises(EvaluationError) as err:
         run("x where x = y; y = x; end")
@@ -773,6 +783,47 @@ def test_product_crosses_sequences():
     assert all(len(os.observations) == 2 for os in got.sequences)
 
 
+# how a value is read as forensic: values.lift, for every declaration
+# and operator below, and the observation rule of `observation o = E`
+@pytest.mark.parametrize("src, outcome", [
+    ("os where observation sequence os = 5; end", "os{ (5, 1, 0, 1.0) }"),
+    ("os where observation sequence os = [d:1]; end",
+     "os{ ([d:1], 1, 0, 1.0) }"),
+    ("os where observation sequence os = {[d:1], [d:2]}; end",
+     "os{ ([d:1], 1, 0, 1.0), ([d:2], 1, 0, 1.0) }"),
+    ('os where observation sequence os = ("a", 1); end',
+     'os{ ("a", 1, 0, 1.0) }'),
+    ('os where observation sequence os = (("a", 1), "b"); end',
+     'os{ ("a", 1, 0, 1.0), ("b", 1, 0, 1.0) }'),
+    ('os where observation sequence os = (("a", 1), 5); end',
+     'os{ (("a", 1), 5, 0, 1.0) }'),
+    ("es where evidential statement es = 5; end",
+     "es{os{ (5, 1, 0, 1.0) }}"),
+    ('combine(("a", 1), 5)',
+     'es{os{ ("a", 1, 0, 1.0) }, os{ (5, 1, 0, 1.0) }}'),
+    ('product(("a", 1), 5)', 'es{os{ ("a", 1, 0, 1.0), (5, 1, 0, 1.0) }}'),
+    ('o fby.d 5 where observation o = ("P", 1); end',
+     'os{ ("P", 1, 0, 1.0), (5, 1, 0, 1.0) }'),
+    ("product(5, 6)", "es{os{ (5, 1, 0, 1.0), (6, 1, 0, 1.0) }}"),
+    ("combine(5, [d:1])",
+     "es{os{ (5, 1, 0, 1.0) }, os{ ([d:1], 1, 0, 1.0) }}"),
+    ('o where observation o = {"P"}; end', '("P", 1, 0, 1.0)'),
+    ('o where observation o = ("a", "b"); end',
+     "ValidationError: min must be an integer"),
+    ('os where observation sequence os = ("a", -1); end',
+     "ValidationError: min must be non-negative"),
+    ("product(es, 1) where evidential statement es = 5; end",
+     "EvaluationError: cannot use evidential statement as an observation "
+     "sequence"),
+])
+def test_a_value_is_read_as_forensic_by_one_rule(src, outcome):
+    try:
+        got = repr(run(src))
+    except FlucidError as err:
+        got = "%s: %s" % (type(err).__name__, err)
+    assert got == outcome
+
+
 def test_bel_and_pl_builtins():
     src = "%s where observation o = (\"p\", 1, 0, 0.7); end"
     assert run(src % "bel(o)") == pytest.approx(0.7)
@@ -794,9 +845,13 @@ def test_tag_membership():
     "T \\in S where dimension T : {true}; dimension S : {1, 2}; end",
     "(S \\union S) == S where dimension S : ordered {1, 2}; end",
     "S == {1 to 2} where dimension S : {1, 2}; end",
+    "1.0 \\in d where dimension d; end",
+    "true \\in d where dimension d; end",
+    "1 \\in d where dimension d; end",
 ])
 def test_a_tag_set_is_its_tags(src):
-    # a declaration's flags and the operator that made a set do not count
+    # a declaration's flags and the operator that made a set do not count,
+    # and == decides membership, of the naturals too
     assert run(src) is True
 
 

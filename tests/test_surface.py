@@ -165,6 +165,10 @@ _BAD_MEMBERS = {
     "StateMachine.psi": (
         lambda: StateMachine(("s",), ("e",), {5: "s"}), "psi key 5"),
     "TagSet.tags": (lambda: values.TagSet(tags=5), "tags"),
+    "Observation.min": (lambda: values.Observation("s", min=[1]), "^min "),
+    "Observation.max": (lambda: values.Observation("s", max=[1]), "^max "),
+    "Observation.w": (lambda: values.Observation("s", w=[1]), "^w "),
+    "Observation.t": (lambda: values.Observation("s", t=[1]), "^t "),
 }
 
 

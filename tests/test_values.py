@@ -64,10 +64,19 @@ class TestTagSet:
             with pytest.raises(ValidationError, match="duplicate tag"):
                 TagSet(tags=("a", 1, same))
 
+    def test_a_long_range_builds_and_equal_tags_still_clash(self):
+        assert len(TagSet.from_range(1, 20000)) == 20000
+        for tags in ((1, 1.0), (1, True), ([1], [1]), ((1, [2]), (1.0, [2]))):
+            with pytest.raises(ValidationError, match="duplicate tag"):
+                TagSet(tags=tags)
+        assert len(TagSet(tags=([1], [2], (1, [2])))) == 3
+
     def test_infinite_membership(self):
         ts = TagSet.naturals()
-        assert 0 in ts and 12345 in ts
+        assert 0 in ts and 12345 in ts and 2.0 in ts and 10 ** 30 in ts
         assert -1 not in ts and "x" not in ts
+        for other in (2.5, -1.0, float("nan"), float("inf"), None):
+            assert other not in ts
 
 
 class TestSimpleContext:
@@ -156,6 +165,27 @@ class TestMakeObservation:
         assert o == again
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"min": -1}, "min must be non-negative"),
+    ({"min": 1.0}, "min must be an integer"),
+    ({"max": True}, r"max must be an integer or INF\+"),
+    ({"w": 5.0}, r"w must be within \[0, 1\]"),
+    ({"w": float("nan")}, r"w must be within \[0, 1\]"),
+    ({"w": "x"}, "w must be a real number"),
+    ({"t": 1.5}, "t must be an integer or string timestamp"),
+    ({"t": EOD}, "t must be an integer or string timestamp"),
+])
+def test_an_observation_built_directly_checks_its_fields(fields, message):
+    with pytest.raises(ValidationError, match="^%s$" % message) as err:
+        Observation("P", **fields)
+    assert err.value.fieldname == next(iter(fields))
+
+
+def test_an_observation_keeps_its_weight_as_a_float():
+    assert repr(Observation("P", w=1)) == '("P", 1, 0, 1.0)'
+    assert make_observation("P", t=EOD).t is None
+
+
 class TestSpecialObservations:
     def test_no_observation_shape(self):
         o = no_observation()
@@ -196,6 +226,19 @@ class TestLift:
         assert lift(seq) is seq
         assert lift(es) is es
         assert lift(lift(17)) == lift(17)
+
+    def test_tuples(self):
+        o = make_observation("a", 1)
+        assert lift(("a", 1)) == o
+        assert lift(("a", 1, PLUS_INF, 0.5, 7)) == \
+            make_observation("a", 1, PLUS_INF, 0.5, 7)
+        assert lift((("a", 1), 5, o)) == ObservationSequence(
+            (o, make_observation(5), o))
+        assert lift(("a", "b")) == ObservationSequence(
+            (make_observation("a"), make_observation("b")))
+        assert lift(()) == ObservationSequence(())
+        with pytest.raises(ValidationError, match="min must be non-negative"):
+            lift(("a", -1))
 
 
 class TestHierarchy:
