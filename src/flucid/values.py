@@ -324,16 +324,8 @@ class Observation:
     description: Optional[str] = None
 
     def __post_init__(self):
-        mn, mx, w, t = self.min, self.max, self.w, self.t
-        if isinstance(mn, bool) or not isinstance(mn, int):
-            raise ValidationError("min must be an integer", "min")
-        if mn < 0:
-            raise ValidationError("min must be non-negative", "min")
-        if mx is not PLUS_INF:
-            if isinstance(mx, bool) or not isinstance(mx, int):
-                raise ValidationError("max must be an integer or INF+", "max")
-            if mx < 0:
-                raise ValidationError("max must be non-negative", "max")
+        check_duration(self.min, self.max)
+        w, t = self.w, self.t
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise ValidationError("w must be a real number", "w")
         if not 0.0 <= w <= 1.0:
@@ -434,6 +426,20 @@ class FunctionHandle:
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
+
+
+def check_duration(min: Any, max: Any) -> None:
+    """An observation's duration: min a non-negative integer, max a
+    non-negative integer or INF+."""
+    if isinstance(min, bool) or not isinstance(min, int):
+        raise ValidationError("min must be an integer", "min")
+    if min < 0:
+        raise ValidationError("min must be non-negative", "min")
+    if max is not PLUS_INF:
+        if isinstance(max, bool) or not isinstance(max, int):
+            raise ValidationError("max must be an integer or INF+", "max")
+        if max < 0:
+            raise ValidationError("max must be non-negative", "max")
 
 
 def make_observation(property: Any, min: Any = None, max: Any = None,
