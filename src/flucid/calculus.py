@@ -116,7 +116,8 @@ def difference(a: Any, b: Any) -> Any:
         return _pairwise_set(difference, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        return TagSet(tuple(t for t in a.tags if t not in b))
+        in_b = _member_of(b)
+        return TagSet(tuple(t for t in a.tags if not in_b(t)))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) - set(b)
     _fail("difference", a, b)
@@ -129,10 +130,34 @@ def intersection(a: Any, b: Any) -> Any:
         return _pairwise_set(intersection, a, b)
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        return TagSet(tuple(t for t in a.tags if t in b))
+        in_b = _member_of(b)
+        return TagSet(tuple(t for t in a.tags if in_b(t)))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) & set(b)
     _fail("intersection", a, b)
+
+
+def _member_of(ts: TagSet):
+    """`tag in ts` for a finite ts in one hash lookup per hashable tag:
+    ts's hashable tags are indexed and its unhashable ones scanned.  The
+    index keeps the == rule: a lookup also matches an identical object,
+    so a hit on a tag not == to itself is settled by the scan."""
+    index, rest = set(), []
+    for t in ts.tags:
+        try:
+            index.add(t)
+        except TypeError:
+            rest.append(t)
+
+    def has(tag: Any) -> bool:
+        try:
+            hit = tag in index
+        except TypeError:
+            return tag in ts
+        if hit:
+            return tag == tag or tag in ts
+        return any(t == tag for t in rest)
+    return has
 
 
 def _require_finite(*sets: TagSet) -> None:
@@ -160,7 +185,8 @@ def union(a: Any, b: Any) -> Any:
         return _context_set_union(_as_context_set(a), _as_context_set(b))
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         _require_finite(a, b)
-        return TagSet(a.tags + tuple(t for t in b.tags if t not in a))
+        in_a = _member_of(a)
+        return TagSet(a.tags + tuple(t for t in b.tags if not in_a(t)))
     if _is_dimension_set(a) and _is_dimension_set(b):
         return set(a) | set(b)
     if is_forensic(a) and is_forensic(b):
@@ -208,10 +234,10 @@ def _merge_hidden(keep: SimpleContext, other: SimpleContext,
 
 def _forensic_union(a: Any, b: Any) -> Any:
     if isinstance(a, Observation) and isinstance(b, Observation):
-        if a.t is not None and b.t is not None and a.t != b.t:
-            first, second = (a, b) if a.t < b.t else (b, a)
-            return ObservationSequence((first, second))
-        # equal or undefined timestamps conflict: keep both accounts apart
+        if _in_time_order([a.t, b.t]):
+            return ObservationSequence(
+                tuple(sorted((a, b), key=lambda o: o.t)))
+        # timestamps that do not order the two conflict: keep both apart
         return EvidentialStatement((ObservationSequence((a,)),
                                     ObservationSequence((b,))))
     if isinstance(a, Observation):
@@ -238,11 +264,18 @@ def _try_time_merge(a: ObservationSequence,
                     b: ObservationSequence) -> Optional[ObservationSequence]:
     """Fuse two accounts into one timeline when wall-clock order is total."""
     everything = list(a.observations) + list(b.observations)
-    times = [o.t for o in everything]
-    if any(t is None for t in times) or len(set(times)) != len(times):
+    if not _in_time_order([o.t for o in everything]):
         return None
     return ObservationSequence(tuple(sorted(everything, key=lambda o: o.t)),
                                name=a.name or b.name)
+
+
+def _in_time_order(times: List[Any]) -> bool:
+    """Distinct timestamps, all ints or all strings: a total order.  An
+    absent one, or a mix of kinds, orders nothing."""
+    return len(set(times)) == len(times) and (
+        all(isinstance(t, int) for t in times)
+        or all(isinstance(t, str) for t in times))
 
 
 # ---------------------------------------------------------------------------

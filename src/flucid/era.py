@@ -12,12 +12,12 @@ sequence at once.
 
 check_claim answers every claim with one layered search over a lazily
 built product automaton that stops once its layers cycle without a
-witness.  A letter is an interned id for the step_ok values of the
-distinct properties, and each (product position, letter) step and
-acceptance test is computed once per call.  Witness windows are read
-back up to a cap, a forward path count gives their exact number, and
-each account's segment compositions (the MSPR meaning of Gladyshev &
-Patel, 2004) are read from the recorded letters.
+witness, asking psi only where a step's letter, the step_ok values of
+the distinct properties as the bits of an int, lets it go on.  Each
+(product position, letter) step and acceptance test is computed once per
+call.  Witness windows are read back up to a cap, a forward path count
+gives their exact number, and each account's segment compositions (the
+MSPR meaning of Gladyshev & Patel, 2004) are read from their letters.
 route="exact" runs the paper's fixed-length set algebra instead
 (meaning_fixed_length over expand_generic's variants, then comb): the
 executable spec that tests compare against, exponential in the horizon.
@@ -74,15 +74,16 @@ class Property:
         return self.allow_events is not None or bool(self.deny_events)
 
     def step_ok(self, event: Any, state: Any) -> bool:
-        if self.states is not None and state not in self.states:
-            return False
+        return self.state_ok(state) and self.event_ok(event)
+
+    def state_ok(self, state: Any) -> bool:
+        return self.states is None or state in self.states
+
+    def event_ok(self, event: Any) -> bool:
         if event == WILDCARD:
             return not self.constrains_events()
-        if self.allow_events is not None and event not in self.allow_events:
-            return False
-        if event in self.deny_events:
-            return False
-        return True
+        return ((self.allow_events is None or event in self.allow_events)
+                and event not in self.deny_events)
 
 
 ANYTHING = Property(name="$")
@@ -92,7 +93,9 @@ ANYTHING = Property(name="$")
 class StateMachine:
     """T = (states, events, psi); psi maps each (event, state) pair where
     the event fires to the state it leads to, self-loops included.  Every
-    other pair cannot occur, and no reconstructed step uses it.
+    other pair cannot occur, and no reconstructed step uses it.  psi is
+    checked entry by entry here unless it has a true `lazy` attribute: it
+    then evaluates a pair when first asked and checks each target it gives.
     """
 
     states: Tuple[Any, ...]
@@ -104,14 +107,15 @@ class StateMachine:
         check_type(self.states, (tuple, list), "a machine's states: a tuple")
         check_type(self.events, (tuple, list), "a machine's events: a tuple")
         check_type(self.psi, Mapping, "a machine's psi: a mapping")
-        for label in (*self.states, *self.events, *self.psi.values()):
+        table = {} if getattr(self.psi, "lazy", False) else self.psi
+        for label in (*self.states, *self.events, *table.values()):
             try:
                 hash(label)
             except TypeError:
                 raise ValidationError(
                     "label %r is not hashable" % (label,)) from None
         states, events = set(self.states), set(self.events)
-        for key, q in self.psi.items():
+        for key, q in table.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ValidationError("psi key %r is not an (event, state) "
                                       "pair" % (key,), "psi")
@@ -370,10 +374,12 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     Every claim takes the layered search, which reads back at most
     max_backtraces witness windows, sets truncated when it stopped there
     with more possibly left, and counts in witnesses every window of the
-    lengths it searched.  route="exact" is the executable spec's hook:
-    set algebra over fixed-length variants, exponential in the horizon.
-    horizon and max_backtraces are non-negative integers, and es holds
-    observation sequences of observations, each valid since it was built.
+    lengths it searched; it asks psi only at the pairs it reaches, so a
+    lazily evaluated psi is evaluated, and a target checked, only there.
+    route="exact" is the executable spec's hook: set algebra over
+    fixed-length variants, exponential in the horizon.  horizon and
+    max_backtraces are non-negative integers, and es holds observation
+    sequences of observations, each valid since it was built.
     """
     check_type(fsm, StateMachine, "check_claim takes a StateMachine")
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
@@ -501,7 +507,6 @@ def _check_exact(fsm: StateMachine, es: EvidentialStatement,
 
 
 NfaPos = Tuple[int, int]               # (observation index, consumed steps)
-Letter = Tuple[Tuple[bool, ...], ...]  # per account, per observation: step_ok
 
 
 def _closure(positions: Iterable[NfaPos],
@@ -524,13 +529,16 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     """Layer by layer over nodes (state, product position id).
 
     A product position holds each account's set of match positions.  A
-    letter id numbers the step_ok(event, state) values of the distinct
-    properties, WILDCARD events included, and alone decides where a
-    position goes, so each (position, letter) step, and with it
-    acceptance, is computed once per call.  A layer maps each node to its
-    number of paths from layer 0, so every length closed off has its
-    witnesses counted.  A wanted layer whose node set repeats one since
-    the last witness closes a barren cycle that later layers only repeat.
+    step's letter, its state's mask anded with its event's, has bit i set
+    when the i-th distinct property's step_ok holds, WILDCARD events
+    included, and alone decides where a position goes, so each (position,
+    letter) step, and with it acceptance, is computed once per call.  A
+    node asks psi only for the events whose letter lets every account go
+    on; a step is monotone in the bits, so a state whose own mask kills
+    it asks for none.  A layer maps each node to its number of paths
+    from layer 0, so every length closed off has its witnesses counted.
+    A wanted layer whose node set repeats one since the last witness
+    closes a barren cycle that later layers only repeat.
     Returns the verdict, the explanations, whether the cap cut the
     read-back short, the witness count and the number of nodes expanded.
     """
@@ -555,36 +563,36 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
                                  for c, t in zip(closed[-1], all_triples)))
         return ids[poss]
 
+    props: Dict[Property, int] = {}
+    cols = [[props.setdefault(p, len(props)) for p, _, _ in t] for t in all_triples]
+    state_bits = {s: sum(p.state_ok(s) << i for i, p in enumerate(props))
+                  for s in fsm.states}
+    event_bits = {e: sum(p.event_ok(e) << i for i, p in enumerate(props))
+                  for e in (*fsm.events, WILDCARD)}
+
+    def letter(stp: Step) -> int:
+        return state_bits[stp[1]] & event_bits[stp[0]]
+
     steps: Dict[Tuple[int, int], Optional[int]] = {}
 
-    def step(pid: int, lid: int) -> Optional[int]:
+    def step(pid: int, lt: int) -> Optional[int]:
         """Successor position, or None when some account dies."""
-        if (pid, lid) not in steps:
+        if (pid, lt) not in steps:
             nxt = []
-            for c, triples, oks in zip(closed[pid], all_triples, rows[lid]):
+            for c, triples, col in zip(closed[pid], all_triples, cols):
                 out = set()
                 for j, k in c:
-                    if j < len(triples) and oks[j]:
+                    if j < len(triples) and lt >> col[j] & 1:
                         _, mn, mx = triples[j]
                         if mx is PLUS_INF:
                             out.add((j, min(k + 1, mn)))
                         elif k + 1 <= mn + mx:
                             out.add((j, k + 1))
                 nxt.append(frozenset(out))
-            steps[pid, lid] = intern(tuple(nxt)) if all(nxt) else None
-        return steps[pid, lid]
+            steps[pid, lt] = intern(tuple(nxt)) if all(nxt) else None
+        return steps[pid, lt]
 
-    props: Dict[Property, int] = {}
-    cols = [[props.setdefault(p, len(props)) for p, _, _ in t] for t in all_triples]
-    lids: Dict[Tuple[bool, ...], int] = {}
-    letters: Dict[Step, int] = {   # kept for reading explanations back
-        (e, s): lids.setdefault(tuple(p.step_ok(e, s) for p in props),
-                                len(lids))
-        for e, s in [(WILDCARD, s) for s in fsm.states] + list(fsm.psi)}
-    rows: List[Letter] = [tuple(tuple(oks[c] for c in col) for col in cols)
-                          for oks in lids]   # letter id -> per-account row
-    moves = {s: [(e, fsm.successor(e, s), letters[e, s])
-                 for e in fsm.events if fsm.fires(e, s)] for s in fsm.states}
+    fans: Dict[Tuple[int, int], Any] = {}   # (pid, state mask) -> moves, wild
     Node = Tuple[Any, int]
     graph: Dict[Node, Tuple[List[Tuple[Node, Step]], List[Step]]] = {}
 
@@ -592,9 +600,15 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         """The node's chained moves and its final steps, built once."""
         if node not in graph:
             state, pid = node
-            edges = [((succ, nid), (e, state)) for e, succ, lid in moves[state]
-                     if (nid := step(pid, lid)) is not None]
-            wild = step(pid, letters[WILDCARD, state])
+            bits = state_bits[state]
+            if (pid, bits) not in fans:
+                fans[pid, bits] = ([], None) if step(pid, bits) is None else (
+                    [(e, nid) for e in fsm.events
+                     if (nid := step(pid, bits & event_bits[e])) is not None],
+                    step(pid, bits & event_bits[WILDCARD]))
+            moves, wild = fans[pid, bits]
+            edges = [((fsm.psi[stp], nid), stp) for e, nid in moves
+                     if (stp := (e, state)) in fsm.psi]
             graph[node] = edges, (
                 [(WILDCARD, state)] if wild is not None and accepting[wild]
                 else [stp for (_, nid), stp in edges if accepting[nid]])
@@ -646,7 +660,7 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         if not counts:
             break
 
-    return (witnesses > 0, _explanations(all_triples, found, letters, rows),
+    return (witnesses > 0, _explanations(all_triples, cols, found, letter),
             stopped or witnesses > len(found), witnesses, len(graph))
 
 
@@ -689,9 +703,8 @@ def _paths(depth: int, at: Any, tail: tuple, before) -> Iterator[tuple]:
             stack.extend((i - 1, prev, lb) for prev, lb in before(i, at))
 
 
-def _explanations(all_triples, found: List[Computation],
-                  letters: Mapping[Step, int],
-                  rows: Sequence[Letter]) -> List[MSPR]:
+def _explanations(all_triples, cols: Sequence[Sequence[int]],
+                  found: List[Computation], letter) -> List[MSPR]:
     """Group the witnesses by each tuple of segment compositions, one per
     account and the last account first, as comb does.
 
@@ -702,14 +715,15 @@ def _explanations(all_triples, found: List[Computation],
     groups: Dict[Tuple[Tuple[int, ...], ...], Set[Computation]] = {}
     memo: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
     for run in found:
-        word = tuple(letters[stp] for stp in run)
-        tries = ([word[:-1] + (letters[WILDCARD, run[-1][1]],), word] if run
+        word = tuple(letter(stp) for stp in run)
+        tries = ([word[:-1] + (letter((WILDCARD, run[-1][1])),), word] if run
                  else [word])
         per_account = []
-        for i, triples in enumerate(all_triples):
+        for i, (triples, col) in enumerate(zip(all_triples, cols)):
             for w in tries:
                 if (i, w) not in memo:
-                    memo[i, w] = _compositions(triples, [rows[lid][i] for lid in w])
+                    memo[i, w] = _compositions(
+                        triples, [[lt >> c & 1 for c in col] for lt in w])
                 if memo[i, w]:
                     break
             per_account.append(memo[i, w])

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -149,6 +150,32 @@ class _Miss:
 
 
 _MISS = _Miss()
+
+
+class _Psi(Mapping):
+    """psi evaluated on demand: fire(event, state) is the state reached,
+    or None.  get, in and [] evaluate a pair once and keep its value; a
+    failure or a _Cut keeps nothing, so run's retry asks again.
+    Iteration and len ask every pair."""
+
+    lazy = True                         # see era.StateMachine
+
+    def __init__(self, fire, pairs):
+        self._fire, self._targets = fire, dict.fromkeys(pairs, _MISS)
+
+    def __getitem__(self, pair):
+        target = self._targets[pair]
+        if target is _MISS:
+            target = self._targets[pair] = self._fire(*pair)
+        if target is None:
+            raise KeyError(pair)
+        return target
+
+    def __iter__(self):
+        return (pair for pair in self._targets if pair in self)
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 def _is_sentinel(v: Any) -> bool:
@@ -792,73 +819,59 @@ class Evaluator:
     # claim evaluation
 
     def _claim(self, defn, dim_nodes, claim_value, body_value, ctx, frame):
-        """Settle a claim against the machine its transition function
-        tabulates.  When the claim function's body evaluates to a list of
-        hypotheses, each is validated hop by hop against the machine;
-        any other value leaves the claim to reconstruction."""
+        """Settle a claim against the machine (kept, and built before any
+        pair is asked) of each other function with two formals, dimension
+        formals and a body that names its events, by unique name, until
+        one evaluates at every pair the claim asks.  A list of hypotheses
+        from the claim's body is validated hop by hop against it; any
+        other value leaves the claim to reconstruction."""
         es = self._statement_value(claim_value, None)
         dim_values = tuple(self.eval(d, ctx, frame) for d in dim_nodes)
-        fsm = self._machine(defn, dim_values, ctx, frame)
-        if isinstance(body_value, tuple) and body_value and all(
-                isinstance(h, _Hypothesis) for h in body_value):
-            validated = [steps for steps in (
-                _validate_hypothesis(fsm, h) for h in body_value)
-                if steps is not None]
-            return era.ClaimResult(
-                consistent=bool(validated),
-                explanations=tuple(
-                    era.MSPR(lens=((len(c),),),
-                             computations=frozenset({c}))
-                    for c in validated),
-                backtraces=tuple(validated),
-                horizon_warning=False,
-                horizon=max((len(c) for c in validated), default=0),
-                route="declared")
-        return era.check_claim(fsm, es, horizon=self.horizon)
-
-    def _machine(self, claim_defn, dim_values, ctx, frame):
-        """The machine of the first candidate that _tabulate reads: a
-        function other than the claim's, with two formals and dimension
-        formals.  When none tabulates, the error says why each failed."""
-        candidates = sorted(
-            (d for d in self.env.values()
-             if d.kind == "func" and len(d.params) == 2 and d.dim_params
-             and d.unique != claim_defn.unique),
-            key=lambda d: d.unique)
-        errors = []
-        for cand in candidates:
-            key = (cand.unique, tuple(repr(v) for v in dim_values))
-            if key in self._machines:
-                return self._machines[key]
-            try:
-                fsm = self._tabulate(cand, dim_values, frame)
-            except (EvaluationError, ValidationError,
-                    era.ReconstructionError) as exc:
+        dims = tuple(repr(v) for v in dim_values)       # as _machines keys
+        declared = isinstance(body_value, tuple) and body_value and all(
+            isinstance(h, _Hypothesis) for h in body_value)
+        errors: List[str] = []
+        for cand in sorted((d for d in self.env.values() if d.kind == "func"
+                            and len(d.params) == 2 and d.dim_params
+                            and d.unique != defn.unique),
+                           key=lambda d: d.unique):
+            try:     # an EvaluationError here is the candidate's
+                if (cand.unique, dims) not in self._machines:
+                    events = _event_literals(cand.node.body,
+                                             self.env[cand.params[0]])
+                    if not events:
+                        continue
+                    self._machines[cand.unique, dims] = self._tabulate(
+                        cand, events, dims, dim_values, frame)
+                fsm = self._machines[cand.unique, dims]
+                if not declared:
+                    return era.check_claim(fsm, es, horizon=self.horizon)
+                validated = [steps for steps in (
+                    _validate_hypothesis(fsm, h) for h in body_value)
+                    if steps is not None]
+            except EvaluationError as exc:
                 errors.append("%s: %s" % (cand.source, exc))
                 continue
-            if fsm is not None:
-                self._machines[key] = fsm
-                return fsm
-        detail = ("; ".join(errors)) or "none declared"
+            return era.ClaimResult(
+                consistent=bool(validated), explanations=tuple(
+                    era.MSPR(((len(c),),), frozenset({c})) for c in validated),
+                backtraces=tuple(validated), horizon_warning=False,
+                horizon=max(map(len, validated), default=0), route="declared")
         raise EvaluationError(
             "no transition function could be tabulated into a state "
-            "machine (%s)" % detail)
+            "machine (%s)" % ("; ".join(errors) or "none declared"))
 
-    def _tabulate(self, cand, dim_values, frame):
-        """Evaluate a two-argument transition function at every (event,
-        state) and read the successor state off its result.  As in any
-        `if` chain, the first guard that holds decides; an end marker, or
-        a result equal to the state, is no transition.
-
-        The body picks the encoding of its states.  When it names
-        (label, counter) pairs, those are the states: each is passed as a
-        value, and the result at d = 0 must be one of them.  Otherwise a
-        state is a pair of cells, passed as a two-element stream, and the
-        successor is read off the result's first two elements."""
+    def _tabulate(self, cand, events, dims, dim_values, frame):
+        """The machine of transition function cand, whose psi (_Psi)
+        evaluates cand at a pair when asked and reads the successor off
+        the result, which must be a state; as in any `if` chain, the first
+        guard that holds decides, and an end marker, or a result equal to
+        the state, is no transition.  When the body names (label, counter)
+        pairs, those are the states, each passed as a value, and the
+        result at d = 0 must be one of them.  Otherwise a state is a pair
+        of cells, passed as a two-element stream, and the successor is
+        read off the result's first two elements."""
         body = cand.node.body
-        events = _event_literals(body, self.env[cand.params[0]])
-        if not events:
-            return None
         labelled = {pair: _label_state(*pair) for pair in _named_pairs(body)}
         if labelled:
             states = labelled
@@ -869,58 +882,50 @@ class Evaluator:
                 (lit for lit in _string_literals(body) if lit not in events))))
             states = {pair: _pair_state(pair)
                       for pair in itertools.product(cells, repeat=2)}
+        pair_of = {source: pair for pair, source in states.items()}
         dim_bindings = {p: _Thunk.of_value(v)
                         for p, v in zip(cand.dim_params, dim_values)}
-        dims = tuple(repr(v) for v in dim_values)      # as _machine keys
         at0 = SimpleContext({DEFAULT_DIMENSION: 0})
         at1 = SimpleContext({DEFAULT_DIMENSION: 1})
-        edges = {}
-        for event in events:
-            for pair, source in states.items():
-                bindings = dict(dim_bindings)
-                bindings[cand.params[0]] = _Thunk.of_value(event)
-                bindings[cand.params[1]] = _Thunk.of_value(pair) if labelled \
-                    else _Thunk(expr=N.AngleTuple(
-                        N.Ident(DEFAULT_DIMENSION),
-                        (N.StringLit(pair[0]), N.StringLit(pair[1]))),
-                        frame=_ROOT)
-                call_frame = self._frame(
-                    (cand.unique, dims, event, pair), frame, bindings)
-                fst = self.eval(body, at0, call_frame)
-                if labelled:
-                    if _is_sentinel(fst):
-                        continue
-                    target = labelled.get(fst)
-                    if target is None:
-                        raise EvaluationError(
-                            "event %s in state %s gives %s, which is not one "
-                            "of the (label, counter) pairs the function names"
-                            % (_show(event), source, _show(fst)))
-                else:
-                    snd = self.eval(body, at1, call_frame)
-                    if _is_sentinel(fst) or _is_sentinel(snd):
-                        continue
-                    target = _pair_state((fst, snd))
-                if target != source:
-                    edges[(event, source)] = target
-        if not edges:
-            return None
-        if labelled:
-            by_label: Dict[str, set] = {}
-            for state in labelled.values():
-                by_label.setdefault("(" + state.split(",", 1)[1],
-                                    set()).add(state)
-            properties = {
-                label: era.Property(name=label, states=frozenset(members))
-                for label, members in by_label.items()}
-        else:
-            properties = {
-                cell: era.Property(
-                    name=cell, states=frozenset({_pair_state((cell, cell))}))
-                for cell in cells}
+
+        def fire(event, source):
+            pair = pair_of[source]
+            bindings = dict(dim_bindings)
+            bindings[cand.params[0]] = _Thunk.of_value(event)
+            bindings[cand.params[1]] = _Thunk.of_value(pair) if labelled \
+                else _Thunk(expr=N.AngleTuple(
+                    N.Ident(DEFAULT_DIMENSION),
+                    (N.StringLit(pair[0]), N.StringLit(pair[1]))),
+                    frame=_ROOT)
+            call_frame = self._frame(
+                (cand.unique, dims, event, pair), frame, bindings)
+            try:
+                got = self.eval(body, at0, call_frame)
+                if not labelled:
+                    got = (got, self.eval(body, at1, call_frame))
+            except (ValidationError, era.ReconstructionError) as exc:
+                raise EvaluationError(str(exc)) from None   # see _claim
+            if _is_sentinel(got) if labelled else any(map(_is_sentinel, got)):
+                return None
+            target = labelled.get(got) if labelled else _pair_state(got)
+            if target not in pair_of:
+                raise EvaluationError(
+                    "event %s in state %s gives %s, which is not one of the "
+                    "%s" % (_show(event), source, _show(got),
+                            "(label, counter) pairs the function names"
+                            if labelled else "states its cells make"))
+            return None if target == source else target
+
+        members: Dict[str, set] = {}     # a label's states, or a cell's
+        for pair, state in states.items():
+            if labelled or pair[0] == pair[1]:
+                members.setdefault("(" + state.split(",", 1)[1] if labelled
+                                   else pair[0], set()).add(state)
         return era.StateMachine(
-            states=tuple(dict.fromkeys(states.values())),
-            events=tuple(events), psi=edges, properties=properties)
+            states=tuple(pair_of), events=tuple(events),
+            psi=_Psi(fire, itertools.product(events, pair_of)),
+            properties={name: era.Property(name=name, states=frozenset(m))
+                        for name, m in members.items()})
 
     def _hypothesis(self, node, ctx, frame) -> _Hypothesis:
         """An annotated hop: its left value with the annotation's event,

@@ -1,6 +1,8 @@
 """Set-like context operators: membership, difference/intersection/union,
 override, projection/hiding."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,8 +12,10 @@ from flucid.calculus import (
 )
 from flucid.values import (
     ContextSet, EvidentialStatement, Observation, ObservationSequence,
-    SimpleContext, TagSet, make_observation,
+    SimpleContext, TagSet, ValidationError, make_observation,
 )
+
+NAN = float("nan")
 
 
 def sc(**pairs):
@@ -232,6 +236,35 @@ class TestUnion:
     def test_dimension_set_union(self):
         assert union({"d"}, {"e"}) == {"d", "e"}
 
+    def test_long_tag_sets_combine_in_linear_time(self):
+        n = 20000
+        a, b = TagSet.from_range(1, n), TagSet.from_range(n + 1, 2 * n)
+        start = time.perf_counter()
+        assert len(union(a, b)) == 2 * n
+        assert difference(a, b) == a
+        assert len(intersection(a, b)) == 0
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("tag", [1, 1.0, True, NAN, float("nan"), [1],
+                                     (1,), "x", 2],
+                             ids=repr)
+    def test_tag_set_operators_keep_the_equality_rule(self, tag):
+        # a hash lookup also matches an identical NaN, which == never does
+        left, right = TagSet((tag,)), TagSet((1, NAN, "x", [1], (1,)))
+        met = [t for t in left.tags if any(u == t for u in right.tags)]
+        assert intersection(left, right).tags == tuple(met)
+        assert difference(left, right).tags == tuple(
+            t for t in left.tags if t not in met)
+        for a, b in ((left, right), (right, left)):
+            new = [t for t in b.tags if not any(u == t for u in a.tags)]
+            try:
+                want = TagSet(a.tags + tuple(new))
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    union(a, b)
+            else:
+                assert union(a, b) == want
+
     def test_timed_observations_form_sequence(self):
         o1 = make_observation("a", 1, 0, 1.0, 10)
         o2 = make_observation("b", 1, 0, 1.0, 20)
@@ -256,6 +289,21 @@ class TestUnion:
         r = union(a, b)
         assert isinstance(r, ObservationSequence)
         assert [o.property for o in r] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("t1, t2", [(5, "x"), ("x", 5), (5, None)])
+    def test_observations_timed_by_mixed_kinds_conflict(self, t1, t2):
+        a = make_observation("a", 1, 0, 1.0, t1)
+        b = make_observation("b", 1, 0, 1.0, t2)
+        r = union(a, b)
+        assert isinstance(r, EvidentialStatement)
+        assert [s.observations for s in r] == [(a,), (b,)]
+
+    def test_sequences_timed_by_mixed_kinds_stay_separate(self):
+        a = ObservationSequence((make_observation("a", 1, 0, 1.0, 10),
+                                 make_observation("c", 1, 0, 1.0, 30)))
+        b = ObservationSequence((make_observation("b", 1, 0, 1.0, "x"),))
+        assert union(a, b) == EvidentialStatement((a, b))
+        assert union(b, a) == EvidentialStatement((b, a))
 
     def test_sequences_without_times_stay_separate(self):
         a = ObservationSequence((make_observation("a"),), name="os1")

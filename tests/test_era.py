@@ -8,7 +8,9 @@ import os
 import re
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,12 @@ def test_psi_holds_only_the_transitions_that_fire():
         fsm.successor("a", 1)
 
 
+def test_psi_rejects_undeclared_labels_in_any_mapping_read_eagerly():
+    with pytest.raises(ValidationError, match="undeclared labels"):
+        StateMachine(states=(0,), events=("a",),
+                     psi=MappingProxyType({("a", 0): 7}))
+
+
 def test_psi_rejects_undeclared_labels():
     with pytest.raises(ValidationError):
         StateMachine(states=(0,), events=("a",), psi={("a", 0): 7})
@@ -100,6 +108,11 @@ def test_property_step_semantics():
     q = Property(name="q", states=frozenset([1]))
     assert q.step_ok(WILDCARD, 1)
     assert ANYTHING.step_ok(WILDCARD, 0) and ANYTHING.step_ok("zzz", None)
+    for prop in (p, q, ANYTHING):       # the halves the search's masks use
+        for e in ("a", "b", WILDCARD):
+            for s in (0, 1, None):
+                assert prop.step_ok(e, s) == (
+                    prop.state_ok(s) and prop.event_ok(e))
 
 
 def test_resolve_property_forms():
@@ -603,6 +616,37 @@ def test_acme_machine_shape(acme):
     assert acme.psi[("take", "(A,B)")] == "(A_Deleted,B)"
     assert acme.psi[("add_B", "(A_Deleted,B_Deleted)")] == "(B,B_Deleted)"
     assert not acme.fires("take", "(empty,empty)")
+
+
+class _AskedPsi(Mapping):
+    """A table that records every pair it is asked for, standing for a
+    psi evaluated on demand."""
+
+    lazy = True
+
+    def __init__(self, table):
+        self.table, self.asked = table, set()
+
+    def __getitem__(self, pair):
+        self.asked.add(pair)
+        return self.table[pair]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+@pytest.mark.parametrize("claim, horizon",
+                         [("acme.es", 12), ("acme_alice.es", 12)])
+def test_the_search_asks_psi_only_where_a_letter_goes_on(acme, claim,
+                                                         horizon):
+    lazy = replace(acme, psi=_AskedPsi(acme.psi))
+    es = load_es(fixture_text(claim))
+    assert check_claim(lazy, es, horizon=horizon) == \
+        check_claim(acme, es, horizon=horizon)
+    assert 0 < len(lazy.psi.asked) < len(acme.states) * len(acme.events)
 
 
 def test_acme_meaning_length_one_final(acme):

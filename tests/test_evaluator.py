@@ -901,6 +901,55 @@ def test_tabulated_machine_shape():
     assert len(fsm.psi) == 46
 
 
+@pytest.mark.parametrize("name, most", [
+    ("acme.ipl", 6), ("acme_no_alice.ipl", 51), ("blackmail.ipl", 4)])
+def test_a_claim_asks_only_the_pairs_its_search_reaches(name, most):
+    # psi is evaluated on demand: of the 75 (event, state) pairs of the
+    # printer machines and the 12 of Mr. A's, only those the layered
+    # search or the declared hops reach are ever evaluated
+    ev = Evaluator(analyze(parse(_case(name))))
+    ev.run()
+    (fsm,) = ev._machines.values()
+    asked = [pair for pair, target in fsm.psi._targets.items()
+             if target is not evaluator._MISS]
+    assert 0 < len(asked) <= most < len(fsm.psi._targets)
+
+
+def test_a_pair_cut_during_the_search_resumes(monkeypatch):
+    # each add_A guard demands deeper than one stack holds: the search is
+    # cut while it asks the pair, and run's retry asks it again
+    depth = 700
+    assert depth > evaluator._STACK_BUDGET
+    src = _case("acme_no_alice.ipl")
+    deep = src.replace(
+        '      if c == "add_A"\n',
+        '      if c == "add_A" && (deep @.d %d) == %d\n' % (depth, depth)
+    ).replace("    d1 = first s;\n",
+              "    d1 = first s;\n    deep = 0 fby.d (deep + 1);\n", 1)
+    assert deep.count("deep") == 3
+    unwound = []
+    check_claim = era.check_claim
+
+    def spy(*args, **kw):
+        try:
+            return check_claim(*args, **kw)
+        except evaluator._Cut:
+            unwound.append(True)
+            raise
+    monkeypatch.setattr(era, "check_claim", spy)
+    ev = Evaluator(analyze(parse(deep)))
+    result = ev.run()
+    assert unwound
+    assert result == run(src)
+    plain = Evaluator(analyze(parse(src)))
+    plain.run()
+    (fsm,), (table,) = ev._machines.values(), plain._machines.values()
+    asked = {pair: target for pair, target in fsm.psi._targets.items()
+             if target is not evaluator._MISS}
+    assert asked and all(target == table.psi.get(pair)
+                         for pair, target in asked.items())
+
+
 def test_claim_result_repr_is_the_same_in_every_process():
     # a frozenset's order follows the hash seed; explanations print sorted
     code = ("import sys; from flucid.evaluator import evaluate; "
@@ -995,6 +1044,28 @@ def test_a_result_outside_the_named_pairs_is_reported():
         run(src)
     assert 'trans: event "(u,t2)" in state (1,u,o2) gives ("(u,t2)", 7), ' \
         'which is not one of the (label, counter) pairs' in str(err.value)
+
+
+def test_a_bad_result_at_a_pair_never_asked_is_never_evaluated():
+    # psi is evaluated on demand, and no declared hop leaves (0,o1,o2)
+    # on "d(u,t2)"
+    guard = 'if (c == "(u)" && s == ("(o1,o2)", 0))'
+    src = _case("blackmail.ipl")
+    bad = src.replace(guard, 'if (c == "d(u,t2)" && s == ("(o1,o2)", 0)) '
+                      'then ("(u,t2)", 2 + 5) fby eod else ' + guard, 1)
+    assert bad != src
+    bad = bad.replace("else eod fi", "else eod fi fi", 1)
+    assert run(bad) == run(src)
+
+
+def test_a_transition_function_that_never_fires_settles_the_claim():
+    # a machine without transitions is a machine: the claim is
+    # inconsistent, not left without a transition function
+    src = _case("acme_no_alice.ipl")
+    still = src.replace("    result =\n", "    result = s;\n    unused =\n", 1)
+    assert still != src
+    result = run(still)
+    assert not result.consistent and result.backtraces == ()
 
 
 def test_an_event_formal_read_otherwise_is_reported():
