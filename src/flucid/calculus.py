@@ -140,8 +140,7 @@ def intersection(a: Any, b: Any) -> Any:
 def _member_of(ts: TagSet):
     """`tag in ts` for a finite ts in one hash lookup per hashable tag:
     ts's hashable tags are indexed and its unhashable ones scanned.  The
-    index keeps the == rule: a lookup also matches an identical object,
-    so a hit on a tag not == to itself is settled by the scan."""
+    index keeps the == rule, since every tag is == to itself."""
     index, rest = set(), []
     for t in ts.tags:
         try:
@@ -154,9 +153,7 @@ def _member_of(ts: TagSet):
             hit = tag in index
         except TypeError:
             return tag in ts
-        if hit:
-            return tag == tag or tag in ts
-        return any(t == tag for t in rest)
+        return hit or any(t == tag for t in rest)
     return has
 
 

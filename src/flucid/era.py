@@ -1,7 +1,7 @@
 """Finite-state event reconstruction.
 
-The machine's transition map psi holds exactly the transitions that
-fire: event e occurs in state s iff (e, s) is a key of psi.  A
+The machine's transition function psi gives the state each event leads
+to, or None: event e occurs in state s iff psi((e, s)) is not None.  A
 computation window of length L is L (event, state) steps: the first L-1
 steps chain through psi, and the last step names the event about to
 occur in the final state, written "*" while nothing constrains it.  An
@@ -26,6 +26,7 @@ executable spec that tests compare against, exponential in the horizon.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -91,48 +92,55 @@ ANYTHING = Property(name="$")
 
 @dataclass(frozen=True, eq=False)
 class StateMachine:
-    """T = (states, events, psi); psi maps each (event, state) pair where
-    the event fires to the state it leads to, self-loops included.  Every
-    other pair cannot occur, and no reconstructed step uses it.  psi is
-    checked entry by entry here unless it has a true `lazy` attribute: it
-    then evaluates a pair when first asked and checks each target it gives.
+    """T = (states, events, psi).  psi((event, state)) is the state the
+    event leads to, self-loops included, or None where the event does not
+    fire; that pair cannot occur, and no reconstructed step uses it.  A
+    table passes its get.  Every read goes through target, which checks
+    the labels of each transition it returns.
     """
 
     states: Tuple[Any, ...]
     events: Tuple[Any, ...]
-    psi: Mapping[Tuple[Any, Any], Any]
+    psi: Callable[[Step], Any]
     properties: Mapping[str, Property] = field(default_factory=dict)
 
     def __post_init__(self):
         check_type(self.states, (tuple, list), "a machine's states: a tuple")
         check_type(self.events, (tuple, list), "a machine's events: a tuple")
-        check_type(self.psi, Mapping, "a machine's psi: a mapping")
-        table = {} if getattr(self.psi, "lazy", False) else self.psi
-        for label in (*self.states, *self.events, *table.values()):
+        check_type(self.psi, Callable,
+                   "a machine's psi: a function of (event, state) pairs")
+        for label in (*self.states, *self.events):
             try:
                 hash(label)
             except TypeError:
                 raise ValidationError(
                     "label %r is not hashable" % (label,)) from None
-        states, events = set(self.states), set(self.events)
-        for key, q in table.items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValidationError("psi key %r is not an (event, state) "
-                                      "pair" % (key,), "psi")
-            e, s = key
-            if e not in events or s not in states or q not in states:
-                raise ValidationError(
-                    "transition (%r, %r) -> %r uses undeclared labels"
-                    % (e, s, q), "psi")
+        object.__setattr__(self, "_labels", (frozenset(self.states),
+                                             frozenset(self.events)))
+
+    def target(self, event: Any, state: Any) -> Any:
+        """psi at (event, state): the state reached, or None.  A state
+        returned, its event and its source must all be declared."""
+        q = None
+        try:
+            q = self.psi((event, state))
+            states, events = self._labels
+            if q is None or (event in events and state in states
+                             and q in states):
+                return q
+        except TypeError:           # an unhashable label is undeclared
+            pass
+        raise ValidationError("transition (%r, %r) -> %r uses undeclared "
+                              "labels" % (event, state, q), "psi")
 
     def successor(self, event: Any, state: Any) -> Any:
-        if not self.fires(event, state):
+        if (q := self.target(event, state)) is None:
             raise ReconstructionError(
                 "event %r does not fire in state %r" % (event, state))
-        return self.psi[event, state]
+        return q
 
     def fires(self, event: Any, state: Any) -> bool:
-        return (event, state) in self.psi
+        return self.target(event, state) is not None
 
 
 def _by_length(run: Computation) -> Tuple[int, str]:
@@ -198,8 +206,9 @@ def invert_transition(fsm: StateMachine) -> Dict[Any, FrozenSet[Step]]:
     """Predecessor table: (e, q) lands in result[q'] iff psi(e, q) = q'."""
     check_type(fsm, StateMachine, "invert_transition takes a StateMachine")
     table: Dict[Any, Set[Step]] = {s: set() for s in fsm.states}
-    for (e, q), q2 in fsm.psi.items():
-        table[q2].add((e, q))
+    for e, q in itertools.product(fsm.events, fsm.states):
+        if (q2 := fsm.target(e, q)) is not None:
+            table[q2].add((e, q))
     return {s: frozenset(v) for s, v in table.items()}
 
 
@@ -276,9 +285,9 @@ def meaning_fixed_length(fsm: StateMachine,
         prefix, state = stack.pop()
         i = len(prefix)
         if i < total - 1:
-            stack += [(prefix + ((e, state),), fsm.successor(e, state))
-                      for e in fsm.events
-                      if fsm.fires(e, state) and schedule[i].step_ok(e, state)]
+            stack += [(prefix + ((e, state),), q) for e in fsm.events
+                      if (q := fsm.target(e, state)) is not None
+                      and schedule[i].step_ok(e, state)]
         elif last.step_ok(WILDCARD, state):
             runs.add(prefix + ((WILDCARD, state),))
         else:
@@ -375,7 +384,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     max_backtraces witness windows, sets truncated when it stopped there
     with more possibly left, and counts in witnesses every window of the
     lengths it searched; it asks psi only at the pairs it reaches, so a
-    lazily evaluated psi is evaluated, and a target checked, only there.
+    psi that evaluates each pair it is asked is evaluated only there.
     route="exact" is the executable spec's hook: set algebra over
     fixed-length variants, exponential in the horizon.  horizon and
     max_backtraces are non-negative integers, and es holds observation
@@ -607,8 +616,8 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
                      if (nid := step(pid, bits & event_bits[e])) is not None],
                     step(pid, bits & event_bits[WILDCARD]))
             moves, wild = fans[pid, bits]
-            edges = [((fsm.psi[stp], nid), stp) for e, nid in moves
-                     if (stp := (e, state)) in fsm.psi]
+            edges = [((q, nid), (e, state)) for e, nid in moves
+                     if (q := fsm.target(e, state)) is not None]
             graph[node] = edges, (
                 [(WILDCARD, state)] if wild is not None and accepting[wild]
                 else [stp for (_, nid), stp in edges if accepting[nid]])
@@ -744,8 +753,8 @@ def load_fsm(text: str) -> StateMachine:
     named step predicates as blocks:
     `property NAME { states: a, b; allow-events: e; deny-events: f; }`.
 
-    The machine's psi holds exactly the listed transitions: an event fires
-    only in the states the file lists it for, a listed self-loop
+    The machine's psi is the table of the listed transitions: an event
+    fires only in the states the file lists it for, a listed self-loop
     included, and a pair the file leaves out cannot occur.
     """
     check_type(text, str, "load_fsm takes text")
@@ -788,7 +797,7 @@ def load_fsm(text: str) -> StateMachine:
         transitions[(event, src)] = dst
 
     return StateMachine(states=tuple(states), events=tuple(events),
-                        psi=transitions, properties=properties)
+                        psi=transitions.get, properties=properties)
 
 
 def _at_line(exc: ValidationError, lineno: int) -> ValidationError:

@@ -37,18 +37,18 @@ same machinery.  An observation is valid once built, and values.lift
 reads every forensic operand and declaration, except that a statement
 reads a tuple as its sequences.  A call applying a claim function to an
 evidential statement evaluates its body like any other call, then
-settles the claim: the transition function declared alongside it is
-tabulated into a finite state machine by evaluating it at every event
-and state, and when the body's value is a list of hypotheses (annotated
-`pby` chains) each is validated hop by hop against the tabulated
-transitions; otherwise the claim is checked by reconstruction.
+settles the claim: the transition function declared alongside it
+becomes the psi of a finite state machine, evaluated at an (event,
+state) pair the first time the pair is asked, and when the body's value
+is a list of hypotheses (annotated `pby` chains) each is validated hop
+by hop against that machine; otherwise the claim is checked by
+reconstruction.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -152,32 +152,6 @@ class _Miss:
 _MISS = _Miss()
 
 
-class _Psi(Mapping):
-    """psi evaluated on demand: fire(event, state) is the state reached,
-    or None.  get, in and [] evaluate a pair once and keep its value; a
-    failure or a _Cut keeps nothing, so run's retry asks again.
-    Iteration and len ask every pair."""
-
-    lazy = True                         # see era.StateMachine
-
-    def __init__(self, fire, pairs):
-        self._fire, self._targets = fire, dict.fromkeys(pairs, _MISS)
-
-    def __getitem__(self, pair):
-        target = self._targets[pair]
-        if target is _MISS:
-            target = self._targets[pair] = self._fire(*pair)
-        if target is None:
-            raise KeyError(pair)
-        return target
-
-    def __iter__(self):
-        return (pair for pair in self._targets if pair in self)
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-
 def _is_sentinel(v: Any) -> bool:
     return v is EOD or v is BOD
 
@@ -247,14 +221,18 @@ class Evaluator:
     # -- entry points ------------------------------------------------------
 
     def run(self, context: Optional[SimpleContext] = None) -> Any:
-        """The program's head at context.  Past _STACK_BUDGET nested
-        evaluations on one stack, eval unwinds to the one pending at three
-        quarters of that nesting; run evaluates it on a fresh stack, then
-        retries the stack it was cut from, where eval finds its value or
-        its failure.  A caller that leaves too little stack gets an error
-        at the head."""
-        ctx = context if context is not None else EMPTY_CONTEXT
-        resumed = [(self.analysis.tree, ctx, _ROOT, {}, 0)]    # innermost last
+        """The program's head at context."""
+        return self._resume(self.analysis.tree, context if context is not
+                            None else EMPTY_CONTEXT, _ROOT)
+
+    def _resume(self, node: N.Node, ctx: SimpleContext, frame: _Frame) -> Any:
+        """node at ctx in frame, evaluated from outside eval.  Past
+        _STACK_BUDGET nested evaluations on one stack, eval unwinds to the
+        one pending at three quarters of that nesting; _resume evaluates
+        it on a fresh stack, then retries the stack it was cut from, where
+        eval finds its value or its failure.  A caller that leaves too
+        little stack gets an error at node."""
+        resumed = [(node, ctx, frame, {}, 0)]           # innermost last
         try:
             while True:
                 node, at, frame, self._chain, self._base = resumed[-1]
@@ -277,7 +255,7 @@ class Evaluator:
         except RecursionError:
             err = EvaluationError("demand depth exceeded; the caller leaves "
                                   "too little stack for evaluation")
-            span = self.analysis.tree.span
+            span = resumed[0][0].span
             err.span = span if span.end else None       # as eval does
             raise err
         finally:
@@ -451,25 +429,23 @@ class Evaluator:
             "%s '%s' is used outside its function" % (defn.kind, defn.source))
 
     def _dim_tags(self, name: str) -> TagSet:
-        cached = self._dims.get(name)
-        if cached is not None:
-            return cached
-        defn = self.env[name]
-        decl = defn.node
-        if decl.tags is not None:
-            v = self.eval(decl.tags, EMPTY_CONTEXT, _ROOT)
-            tags = v if isinstance(v, TagSet) else TagSet(tuple(v))
-        elif decl.value is not None:
-            v = self.eval(decl.value, EMPTY_CONTEXT, _ROOT)
-            if not isinstance(v, TagSet):
-                raise EvaluationError(
-                    "dimension '%s' must be defined by a tag set"
-                    % defn.source)
-            tags = v
-        else:
-            tags = TagSet.naturals()
-        self._dims[name] = tags
-        return tags
+        if name not in self._dims:
+            self._dims[name] = self.eval(self.env[name].node, EMPTY_CONTEXT,
+                                         _ROOT)
+        return self._dims[name]
+
+    def _e_DimDecl(self, node, ctx, frame):
+        """The tag set of the dimensions node declares."""
+        if node.tags is not None:
+            v = self.eval(node.tags, ctx, frame)
+            return v if isinstance(v, TagSet) else TagSet(tuple(v))
+        if node.value is None:
+            return TagSet.naturals()
+        v = self.eval(node.value, ctx, frame)
+        if not isinstance(v, TagSet):
+            raise EvaluationError("dimension '%s' must be defined by a tag "
+                                  "set" % self.env[node.names[0]].source)
+        return v
 
     def _e_HashExpr(self, node, ctx, frame):
         target = node.target
@@ -862,9 +838,11 @@ class Evaluator:
             "machine (%s)" % ("; ".join(errors) or "none declared"))
 
     def _tabulate(self, cand, events, dims, dim_values, frame):
-        """The machine of transition function cand, whose psi (_Psi)
-        evaluates cand at a pair when asked and reads the successor off
-        the result, which must be a state; as in any `if` chain, the first
+        """The machine of transition function cand, whose psi evaluates
+        cand at a pair the first time it is asked and keeps the successor
+        read off the result, which must be a state; a failure, or a _Cut,
+        keeps nothing, so that a retry asks again.  A pair asked outside
+        eval is evaluated through _resume.  As in any `if` chain, the first
         guard that holds decides, and an end marker, or a result equal to
         the state, is no transition.  When the body names (label, counter)
         pairs, those are the states, each passed as a value, and the
@@ -899,10 +877,11 @@ class Evaluator:
                     frame=_ROOT)
             call_frame = self._frame(
                 (cand.unique, dims, event, pair), frame, bindings)
+            evaluate = self.eval if self._depth else self._resume
             try:
-                got = self.eval(body, at0, call_frame)
+                got = evaluate(body, at0, call_frame)
                 if not labelled:
-                    got = (got, self.eval(body, at1, call_frame))
+                    got = (got, evaluate(body, at1, call_frame))
             except (ValidationError, era.ReconstructionError) as exc:
                 raise EvaluationError(str(exc)) from None   # see _claim
             if _is_sentinel(got) if labelled else any(map(_is_sentinel, got)):
@@ -916,6 +895,14 @@ class Evaluator:
                             if labelled else "states its cells make"))
             return None if target == source else target
 
+        targets = dict.fromkeys(itertools.product(events, pair_of), _MISS)
+
+        def psi(pair):
+            target = targets.get(pair)
+            if target is _MISS:
+                target = targets[pair] = fire(*pair)
+            return target
+
         members: Dict[str, set] = {}     # a label's states, or a cell's
         for pair, state in states.items():
             if labelled or pair[0] == pair[1]:
@@ -923,7 +910,7 @@ class Evaluator:
                                    else pair[0], set()).add(state)
         return era.StateMachine(
             states=tuple(pair_of), events=tuple(events),
-            psi=_Psi(fire, itertools.product(events, pair_of)),
+            psi=psi,
             properties={name: era.Property(name=name, states=frozenset(m))
                         for name, m in members.items()})
 
@@ -1146,7 +1133,7 @@ def _validate_hypothesis(fsm: era.StateMachine,
     steps: List[Tuple[str, str]] = []
     for pos in range(len(items) - 2, -1, -1):
         value, event = items[pos]
-        reached = fsm.psi.get((event, state))
+        reached = fsm.target(event, state)
         if reached is None:
             return None
         steps.append((event, state))

@@ -151,8 +151,9 @@ class TagSet:
     The order is the implicit index the stream operators use.  tags None
     is the naturals: the non-negative integers, the tags of an implicitly
     declared dimension.  A tag is in a finite set when it is == to one of
-    its tags, so 1, 1.0 and true are one tag; two tag sets are equal when
-    their tags are, in order.
+    its tags, so 1, 1.0 and true are one tag, and a tag not == to itself,
+    such as NaN, would be in no set, its own included, and is rejected;
+    two tag sets are equal when their tags are, in order.
     """
 
     tags: Optional[Tuple[Any, ...]] = None
@@ -161,6 +162,9 @@ class TagSet:
         check_type(self.tags, (tuple, type(None)), "a tag set's tags: a tuple")
         seen, unhashable = set(), []
         for t in self.tags or ():
+            if not t == t:
+                raise ValidationError("tag %r is not == to itself, so no tag "
+                                      "set holds it" % (t,), "tags")
             try:
                 clash = t in seen       # 1, 1.0 and true hash alike
                 seen.add(t)

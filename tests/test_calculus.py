@@ -249,21 +249,22 @@ class TestUnion:
                                      (1,), "x", 2],
                              ids=repr)
     def test_tag_set_operators_keep_the_equality_rule(self, tag):
-        # a hash lookup also matches an identical NaN, which == never does
-        left, right = TagSet((tag,)), TagSet((1, NAN, "x", [1], (1,)))
+        right = TagSet((1, "x", [1], (1,)))
+        if not tag == tag:
+            # by the == rule a NaN is in no set, so no set holds one for
+            # the operators to meet, whichever NaN object it is
+            assert tag not in right
+            with pytest.raises(ValidationError, match="not == to itself"):
+                TagSet((tag,))
+            return
+        left = TagSet((tag,))
         met = [t for t in left.tags if any(u == t for u in right.tags)]
         assert intersection(left, right).tags == tuple(met)
         assert difference(left, right).tags == tuple(
             t for t in left.tags if t not in met)
         for a, b in ((left, right), (right, left)):
             new = [t for t in b.tags if not any(u == t for u in a.tags)]
-            try:
-                want = TagSet(a.tags + tuple(new))
-            except ValidationError as exc:
-                with pytest.raises(ValidationError, match=str(exc)):
-                    union(a, b)
-            else:
-                assert union(a, b) == want
+            assert union(a, b) == TagSet(a.tags + tuple(new))
 
     def test_timed_observations_form_sequence(self):
         o1 = make_observation("a", 1, 0, 1.0, 10)

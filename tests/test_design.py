@@ -101,6 +101,38 @@ def test_evaluation_errors_get_their_position_from_eval():
                 "evaluator.py:%d passes more than a message" % node.lineno
 
 
+def test_psi_is_read_only_through_state_machine_target():
+    # one psi interface: StateMachine.target calls psi and checks what it
+    # gives, so no other code reads a machine's psi, and no reader tells
+    # one kind of psi from another by a marker attribute
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = {}                  # id(node) -> enclosing class.function
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    for node in ast.walk(fn):
+                        where[id(node)] = "%s.%s" % (
+                            cls.name, getattr(fn, "name", ""))
+        for node in ast.walk(tree):
+            at = "%s:%d" % (path.relative_to(PACKAGE),
+                            getattr(node, "lineno", 0))
+            if isinstance(node, ast.Attribute) and node.attr == "psi":
+                assert where.get(id(node), "").startswith("StateMachine."), \
+                    "%s reads psi outside StateMachine" % at
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "attr", None) == "psi":
+                assert where.get(id(node)) == "StateMachine.target", \
+                    "%s calls psi outside StateMachine.target" % at
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) in ("getattr", "hasattr"):
+                named = [a.value for a in node.args
+                         if isinstance(a, ast.Constant)]
+            else:
+                named = [getattr(node, "attr", None)]
+            assert "lazy" not in named, "%s sniffs an attribute `lazy`" % at
+
+
 def test_no_module_changes_the_recursion_limit():
     # the limit is process-global: the caller owns it
     for path in sorted(PACKAGE.rglob("*.py")):

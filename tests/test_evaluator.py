@@ -27,6 +27,7 @@ from flucid.values import (
     Observation,
     ObservationSequence,
     SimpleContext,
+    ValidationError,
 )
 
 from oracles import BOD as OBOD
@@ -886,6 +887,15 @@ def test_trace_runs_on_every_case(name):
     assert traced.consistent == run(_case(name)).consistent
 
 
+def test_a_tag_not_equal_to_itself_fails_its_declaration():
+    src = "I where dimension W : {1e400 - 1e400}; I = W \\union W; end"
+    with pytest.raises(ValidationError, match="tag nan is not == to "
+                       "itself") as err:
+        run(src)
+    span = err.value.span
+    assert src[span.offset:span.end] == "dimension W : {1e400 - 1e400};"
+
+
 def test_tabulated_machine_shape():
     analysis = analyze(parse(_case("acme_no_alice.ipl")))
     ev = Evaluator(analysis)
@@ -895,10 +905,17 @@ def test_tabulated_machine_shape():
     assert len(fsm.states) == 25
     assert sorted(fsm.events) == ["add_A", "add_B", "take"]
     per_event = {e: 0 for e in fsm.events}
-    for event, _state in fsm.psi:
-        per_event[event] += 1
+    for steps in era.invert_transition(fsm).values():
+        for event, _state in steps:
+            per_event[event] += 1
     assert per_event == {"add_A": 15, "add_B": 15, "take": 16}
-    assert len(fsm.psi) == 46
+
+
+def _evaluated(fsm):
+    """{pair: target} of the pairs an evaluator-built psi has evaluated,
+    read off its memo."""
+    memo = inspect.getclosurevars(fsm.psi).nonlocals["targets"]
+    return {pair: q for pair, q in memo.items() if q is not evaluator._MISS}
 
 
 @pytest.mark.parametrize("name, most", [
@@ -910,14 +927,14 @@ def test_a_claim_asks_only_the_pairs_its_search_reaches(name, most):
     ev = Evaluator(analyze(parse(_case(name))))
     ev.run()
     (fsm,) = ev._machines.values()
-    asked = [pair for pair, target in fsm.psi._targets.items()
-             if target is not evaluator._MISS]
-    assert 0 < len(asked) <= most < len(fsm.psi._targets)
+    asked = _evaluated(fsm)
+    assert 0 < len(asked) <= most < len(fsm.states) * len(fsm.events)
 
 
 def test_a_pair_cut_during_the_search_resumes(monkeypatch):
     # each add_A guard demands deeper than one stack holds: the search is
-    # cut while it asks the pair, and run's retry asks it again
+    # cut while it asks the pair, and run's retry asks it again; a pair
+    # first asked after run resumes the same way
     depth = 700
     assert depth > evaluator._STACK_BUDGET
     src = _case("acme_no_alice.ipl")
@@ -944,10 +961,11 @@ def test_a_pair_cut_during_the_search_resumes(monkeypatch):
     plain = Evaluator(analyze(parse(src)))
     plain.run()
     (fsm,), (table,) = ev._machines.values(), plain._machines.values()
-    asked = {pair: target for pair, target in fsm.psi._targets.items()
-             if target is not evaluator._MISS}
-    assert asked and all(target == table.psi.get(pair)
+    asked = _evaluated(fsm)
+    assert asked and all(target == table.target(*pair)
                          for pair, target in asked.items())
+    assert len(asked) < len(fsm.states) * len(fsm.events)
+    assert era.invert_transition(fsm) == era.invert_transition(table)
 
 
 def test_claim_result_repr_is_the_same_in_every_process():
@@ -997,7 +1015,7 @@ def test_blackmail_machine_matches_its_fixture():
         fixture = era.load_fsm(fh.read())
     assert fsm.states == fixture.states
     assert fsm.events == fixture.events
-    assert fsm.psi == fixture.psi
+    assert era.invert_transition(fsm) == era.invert_transition(fixture)
     assert {label: prop.states for label, prop in fsm.properties.items()} \
         == {"(o1,o2)": {"(0,o1,o2)"}, "(u,o2)": {"(1,u,o2)"},
             "(u,t2)": {"(2,u,t2)", "(1,u,t2)"}}
@@ -1098,7 +1116,7 @@ def test_first_guard_on_a_pair_decides(target, first, fires):
     ev = Evaluator(analyze(parse(_blackmail_with_guard(target, first))))
     result = ev.run()
     fsm = next(iter(ev._machines.values()))
-    assert fsm.psi.get(("(u)", "(0,o1,o2)")) == fires
+    assert fsm.target("(u)", "(0,o1,o2)") == fires
     assert result.consistent == (fires is not None)
     if fires:
         assert result.backtraces == run(_case("blackmail.ipl")).backtraces

@@ -35,7 +35,7 @@ TRUSTED = {values.check_type}
 _OBS = make_observation("s")
 _OS = ObservationSequence((_OBS,), name="a")
 _ES = EvidentialStatement((_OS,))
-_FSM = StateMachine(("s", "t"), ("e",), {("e", "s"): "t"})
+_FSM = StateMachine(("s", "t"), ("e",), {("e", "s"): "t"}.get)
 _RUNS = frozenset({(("*", "s"),)})
 _NODE = N.IntLit(1)
 
@@ -50,7 +50,7 @@ VALID = {
     "x": MPR((1,), _RUNS), "y": MPR((1,), _RUNS), "computations": _RUNS,
     "meaning_fixed_length.os": ((Property(), 1),),
     "prop": "s", "states": ("s", "t"), "events": ("e",),
-    "psi": {("e", "s"): "t"}, "lens": (1,),
+    "psi": {("e", "s"): "t"}.get, "lens": (1,),
     "consistent": True, "explanations": (), "backtraces": (),
     "horizon_warning": False, "route": "layered",
     "load_fsm.text": "e s -> t\n",
@@ -163,7 +163,13 @@ _BAD_MEMBERS = {
         lambda: era.expand_generic(ObservationSequence((1,)), 2),
         "item 1 is 1"),
     "StateMachine.psi": (
-        lambda: StateMachine(("s",), ("e",), {5: "s"}), "psi key 5"),
+        lambda: StateMachine(("s",), ("e",), {5: "s"}), "psi: a function"),
+    "StateMachine.fires": (lambda: _FSM.fires([1], "s"), r"\(\[1\], 's'\)"),
+    "StateMachine.successor": (
+        lambda: _FSM.successor("e", [1]), r"\('e', \[1\]\)"),
+    "StateMachine.target": (
+        lambda: StateMachine(("s",), ("e",), {("e", "s"): [1]}.get).target(
+            "e", "s"), r"-> \[1\]"),
     "TagSet.tags": (lambda: values.TagSet(tags=5), "tags"),
     "Observation.min": (lambda: values.Observation("s", min=[1]), "^min "),
     "Observation.max": (lambda: values.Observation("s", max=[1]), "^max "),

@@ -71,6 +71,12 @@ class TestTagSet:
                 TagSet(tags=tags)
         assert len(TagSet(tags=([1], [2], (1, [2])))) == 3
 
+    def test_a_tag_not_equal_to_itself_is_rejected(self):
+        # by the == rule such a tag is in no tag set, not even its own
+        for tags in ((float("nan"),), (1, float("nan")), ("a", 1e400 - 1e400)):
+            with pytest.raises(ValidationError, match="not == to itself"):
+                TagSet(tags=tags)
+
     def test_infinite_membership(self):
         ts = TagSet.naturals()
         assert 0 in ts and 12345 in ts and 2.0 in ts and 10 ** 30 in ts
