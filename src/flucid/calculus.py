@@ -9,15 +9,16 @@ Membership answers every `in` and `isSubContext` of a program.  A tag is
 in a tag set when it is == to one of its tags (TagSet.__contains__), and
 the tag-set operators keep or drop tags by that one rule.
 
-Selectors for filter are either a dimension set (a Python set/frozenset of
-dimension names) or a TagSet value; string tags therefore must be wrapped
-in a TagSet to disambiguate them from dimension names.
+The operands are the kinds values.py defines (kind_of names each one).
+A selector for filter is a tuple of dimension names, which {d, e} gives
+when d and e are dimensions, or a tag set; string tags therefore must be
+wrapped in a tag set to tell them from dimension names.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set
 
 from .values import (
     ContextSet,
@@ -37,10 +38,6 @@ class ContextTypeError(FlucidError):
     """Operand kinds have no defined overload for the requested operator."""
 
 
-def _is_dimension_set(x: Any) -> bool:
-    return isinstance(x, (set, frozenset)) and all(isinstance(d, str) for d in x)
-
-
 def _fail(op: str, a: Any, b: Any) -> None:
     raise ContextTypeError(
         "%s is not defined between %s and %s" % (op, kind_of(a), kind_of(b)))
@@ -57,8 +54,7 @@ def membership(op: str, a: Any, b: Any) -> bool:
         raise ValidationError("unknown membership operator %r" % (op,))
     if isinstance(b, TagSet) and not isinstance(a, TagSet):
         return a in b
-    if isinstance(b, (tuple, frozenset, set)) and \
-            not isinstance(a, (tuple, frozenset, set)):
+    if isinstance(b, tuple) and not isinstance(a, tuple):
         return a in b
     if isinstance(a, SimpleContext) and isinstance(b, SimpleContext):
         # the empty simple context is a sub-context of any simple context
@@ -70,8 +66,6 @@ def membership(op: str, a: Any, b: Any) -> bool:
     if isinstance(a, TagSet) and isinstance(b, TagSet):
         # an infinite set never fits a finite one
         return a.is_finite() and all(t in b for t in a.tags)
-    if _is_dimension_set(a) and _is_dimension_set(b):
-        return set(a) <= set(b)
     if is_forensic(a) and is_forensic(b):
         return _forensic_sub(a, b)
     _fail(op, a, b)
@@ -118,8 +112,6 @@ def difference(a: Any, b: Any) -> Any:
         _require_finite(a, b)
         in_b = _member_of(b)
         return TagSet(tuple(t for t in a.tags if not in_b(t)))
-    if _is_dimension_set(a) and _is_dimension_set(b):
-        return set(a) - set(b)
     _fail("difference", a, b)
 
 
@@ -132,8 +124,6 @@ def intersection(a: Any, b: Any) -> Any:
         _require_finite(a, b)
         in_b = _member_of(b)
         return TagSet(tuple(t for t in a.tags if in_b(t)))
-    if _is_dimension_set(a) and _is_dimension_set(b):
-        return set(a) & set(b)
     _fail("intersection", a, b)
 
 
@@ -184,8 +174,6 @@ def union(a: Any, b: Any) -> Any:
         _require_finite(a, b)
         in_a = _member_of(a)
         return TagSet(a.tags + tuple(t for t in b.tags if not in_a(t)))
-    if _is_dimension_set(a) and _is_dimension_set(b):
-        return set(a) | set(b)
     if is_forensic(a) and is_forensic(b):
         return _forensic_union(a, b)
     _fail("union", a, b)
@@ -331,13 +319,13 @@ def filter(mode: str, c: Any, sel: Any) -> Any:        # noqa: A001
     keep = mode == "projection"
     if isinstance(sel, TagSet):
         match = lambda d, t: t in sel                  # noqa: E731
-    elif _is_dimension_set(sel) or isinstance(sel, (list, tuple)):
+    elif isinstance(sel, tuple):
         names = set(sel)
         match = lambda d, t: d in names                # noqa: E731
     else:
         raise ContextTypeError(
-            "filter selector must be a dimension set or tag set, got %s"
-            % kind_of(sel))
+            "filter selector must be a tuple of dimension names or a tag "
+            "set, got %s" % kind_of(sel))
     return _filter_value(c, match, keep)
 
 

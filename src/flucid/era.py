@@ -71,6 +71,14 @@ class Property:
     allow_events: Optional[FrozenSet[Any]] = None
     deny_events: FrozenSet[Any] = frozenset()
 
+    def __post_init__(self):
+        check_type(self.name, str, "a property's name: a string")
+        for label in ("states", "allow_events"):
+            check_type(getattr(self, label), (frozenset, type(None)),
+                       "a property's %s: a frozenset or None" % label)
+        check_type(self.deny_events, frozenset,
+                   "a property's deny_events: a frozenset")
+
     def constrains_events(self) -> bool:
         return self.allow_events is not None or bool(self.deny_events)
 
@@ -147,6 +155,14 @@ def _by_length(run: Computation) -> Tuple[int, str]:
     return len(run), repr(run)
 
 
+def _check_lens(lens: Any, what: str) -> None:
+    """lens is a tuple of segment lengths, each a non-negative integer."""
+    if not isinstance(lens, tuple) or not all(
+            type(d) is int and d >= 0 for d in lens):
+        raise ValidationError("%s %r, not a tuple of non-negative integers"
+                              % (what, lens), "lens")
+
+
 class _Runs:
     """Prints computations in _by_length order, the same in every process."""
 
@@ -163,6 +179,11 @@ class MPR(_Runs):
     lens: Tuple[int, ...]
     computations: FrozenSet[Computation]
 
+    def __post_init__(self):
+        _check_lens(self.lens, "an MPR's lens is")
+        check_type(self.computations, frozenset,
+                   "an MPR's computations: a frozenset")
+
     def total(self) -> int:
         return sum(self.lens)
 
@@ -176,6 +197,13 @@ class MSPR(_Runs):
 
     lens: Tuple[Tuple[int, ...], ...]
     computations: FrozenSet[Computation]
+
+    def __post_init__(self):
+        check_type(self.lens, tuple, "an MSPR's lens: a tuple of lens tuples")
+        for lens in self.lens:
+            _check_lens(lens, "an MSPR's lens holds")
+        check_type(self.computations, frozenset,
+                   "an MSPR's computations: a frozenset")
 
     def is_empty(self) -> bool:
         return not self.computations
@@ -302,7 +330,8 @@ def expand_generic(os: ObservationSequence, horizon: int) -> Tuple[ObservationSe
     Each observation's duration ranges over min..min+max, with an
     unbounded max truncated at the horizon.
     """
-    _check_sequence(os, "os")
+    check_type(os, ObservationSequence,
+               "expand_generic takes an observation sequence")
     check_type(horizon, int, "expand_generic takes an integer horizon")
     minsum = sum(o.min for o in os.observations)
     if horizon < minsum:
@@ -356,20 +385,6 @@ def _default_horizon(fsm: StateMachine, es: EvidentialStatement) -> int:
                           for o in os.observations) for os in es.sequences])
 
 
-def _check_sequence(os: Any, fieldname: str, i: int = 1) -> None:
-    """Reject os, the i-th sequence of the argument fieldname, unless it
-    is an observation sequence of observations.  An observation checked
-    its own fields when it was built, so only the kinds are checked."""
-    if not isinstance(os, ObservationSequence):
-        raise ValidationError("sequence %d is %r, not an observation "
-                              "sequence" % (i, os), fieldname)
-    for j, o in enumerate(os.observations, 1):
-        if not isinstance(o, Observation):
-            raise ValidationError(
-                "sequence %s, item %d is %r, not an observation"
-                % (os.name or i, j, o), fieldname)
-
-
 def check_claim(fsm: StateMachine, es: EvidentialStatement,
                 horizon: Optional[int] = None,
                 max_backtraces: int = 64,
@@ -387,14 +402,13 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     psi that evaluates each pair it is asked is evaluated only there.
     route="exact" is the executable spec's hook: set algebra over
     fixed-length variants, exponential in the horizon.  horizon and
-    max_backtraces are non-negative integers, and es holds observation
-    sequences of observations, each valid since it was built.
+    max_backtraces are non-negative integers, and es is a non-empty
+    evidential statement: its sequences and their observations are each
+    valid since it was built.
     """
     check_type(fsm, StateMachine, "check_claim takes a StateMachine")
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
-    for i, os in enumerate(es.sequences, 1):
-        _check_sequence(os, "es", i)
     all_triples = [_triples(fsm, os) for os in es.sequences]
     if horizon is None:
         horizon = _default_horizon(fsm, es)

@@ -1124,9 +1124,7 @@ def _validate_hypothesis(fsm: era.StateMachine,
     event occurs in), closed by a wildcard step in the terminal state,
     so the states of the steps spell out the whole run.
     """
-    items = hyp.items
-    if len(items) < 2:
-        return None
+    items = hyp.items               # two or more: _hypothesis makes a hop
     state = _hypothesis_state(fsm, items[-1][0])
     if state is None:
         return None

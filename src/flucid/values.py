@@ -1,18 +1,22 @@
 """Value universe for the Forensic Lucid implementation.
 
 Primitive values are plain Python ints, floats, bools, and strings; arrays
-are tuples.  This module adds the structured kinds: stream sentinels,
-tag sets, dimensions, simple contexts and context sets, and the
-three-level forensic hierarchy (observation, observation sequence,
-evidential statement): an Observation checks its own fields however it
-is built, and lift is the one rule that reads a value as forensic.
+are tuples.  This module adds the structured kinds: five interned
+markers (bod, eod, INF+, INF- and $), tag sets, simple contexts and
+context sets, and the three-level forensic hierarchy (observation,
+observation sequence, evidential statement).  kind_of names every kind.
+A value is checked once, when it is built, however it is built: an
+Observation checks its fields, a sequence that its members are
+observations, and a statement that its members are sequences.  lift is
+the one rule that reads a value as forensic.
 
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Tuple, Union
 
 
@@ -43,11 +47,11 @@ def check_type(value: Any, types: Union[type, Tuple[type, ...]],
 
 
 class Sentinel:
-    """Interned stream/infinity markers: bod, eod, INF+, INF-.
+    """Interned markers: bod and eod bound a stream, INF+ and INF- are
+    the infinities, and $ is the property of the no-observation.
 
-    INF+ compares greater than every finite number, INF- less than every
-    finite number.  bod and eod do not participate in ordering; they are
-    boundary markers tested with iseod/isbod.
+    One order rule: INF- is below every number, and every number is below
+    INF+.  bod, eod and $ are not ordered; they are tested by identity.
     """
 
     _interned: dict = {}
@@ -66,77 +70,48 @@ class Sentinel:
     def __repr__(self) -> str:
         return self.name
 
+    def __getnewargs__(self):                   # pickle finds the interned one
+        return (self.name,)
+
     def __deepcopy__(self, memo):
         return self
 
     def __copy__(self):
         return self
 
-    def _ordered(self) -> bool:
-        return self.name in ("INF+", "INF-")
+    def _compare(self, other: Any, op) -> Any:
+        a, b = _rank(self), _rank(other)
+        if a is None or b is None:
+            return NotImplemented
+        return op(a, b)
 
     def __lt__(self, other: Any):
-        if not self._ordered():
-            return NotImplemented
-        if isinstance(other, Sentinel):
-            if not other._ordered():
-                return NotImplemented
-            return self.name == "INF-" and other.name == "INF+"
-        if isinstance(other, (int, float)):
-            return self.name == "INF-"
-        return NotImplemented
-
-    def __gt__(self, other: Any):
-        if not self._ordered():
-            return NotImplemented
-        if isinstance(other, Sentinel):
-            if not other._ordered():
-                return NotImplemented
-            return self.name == "INF+" and other.name == "INF-"
-        if isinstance(other, (int, float)):
-            return self.name == "INF+"
-        return NotImplemented
+        return self._compare(other, operator.lt)
 
     def __le__(self, other: Any):
-        gt = self.__gt__(other)
-        if gt is NotImplemented:
-            return NotImplemented
-        return not gt
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other: Any):
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other: Any):
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
+        return self._compare(other, operator.ge)
 
+
+def _rank(v: Any) -> Optional[int]:
+    """v's place in the sentinels' order, or None when it has none."""
+    if isinstance(v, Sentinel):
+        return _RANKS.get(v.name)
+    return 0 if isinstance(v, (int, float)) else None
+
+
+_RANKS = {"INF-": -1, "INF+": 1}
 
 BOD = Sentinel("bod")
 EOD = Sentinel("eod")
 PLUS_INF = Sentinel("INF+")
 MINUS_INF = Sentinel("INF-")
-
-
-class _AnyProperty:
-    """The wildcard property of the no-observation $."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "$"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
-
-
-ANY_PROPERTY = _AnyProperty()
+ANY_PROPERTY = Sentinel("$")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +338,12 @@ class ObservationSequence:
         check_type(self.observations, (tuple, list),
                    "an observation sequence holds a tuple of observations")
         object.__setattr__(self, "observations", tuple(self.observations))
+        for j, o in enumerate(self.observations, 1):
+            if not isinstance(o, Observation):
+                where = "sequence %s, item" % self.name if self.name \
+                    else "an observation sequence's item"
+                raise ValidationError("%s %d is %r, not an observation"
+                                      % (where, j, o), "observations")
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -390,6 +371,10 @@ class EvidentialStatement:
         check_type(self.sequences, (tuple, list),
                    "an evidential statement holds a tuple of sequences")
         object.__setattr__(self, "sequences", tuple(self.sequences))
+        for i, os in enumerate(self.sequences, 1):
+            if not isinstance(os, ObservationSequence):
+                raise ValidationError("sequence %d is %r, not an observation "
+                                      "sequence" % (i, os), "sequences")
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -535,8 +520,6 @@ def kind_of(v: Any) -> str:
         return "evidential statement"
     if isinstance(v, FunctionHandle):
         return "function"
-    if v is ANY_PROPERTY:
-        return "any-property"
     return type(v).__name__
 
 
@@ -562,8 +545,6 @@ def to_source(v: Any) -> str:
         return _quote(v)
     if isinstance(v, Sentinel):
         return v.name
-    if v is ANY_PROPERTY:
-        return "$"
     if isinstance(v, tuple):
         return "(%s)" % ", ".join(to_source(x) for x in v)
     if isinstance(v, SimpleContext):

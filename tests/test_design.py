@@ -1,6 +1,7 @@
 """Design guards: properties of the package's source, not of its output."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 import sys
@@ -10,6 +11,7 @@ import pytest
 import flucid
 
 PACKAGE = pathlib.Path(flucid.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def _imported_modules(path):
@@ -203,3 +205,27 @@ def test_every_operator_the_grammar_reads_evaluates():
             programs.append("%s1" % op)
     for program in programs:
         evaluate(program)
+
+
+def _console_scripts():
+    """{name: "module:function"} of pyproject.toml's [project.scripts],
+    read line by line: tomllib is 3.11+ and the package supports 3.10."""
+    scripts, table = {}, None
+    for line in PYPROJECT.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]" and "=" in line:
+            name, target = (part.strip().strip('"\'') for part in
+                            line.split("=", 1))
+            scripts[name] = target
+    return scripts
+
+
+def test_every_console_script_imports():
+    # an installed package ships each script; one whose target does not
+    # import fails on every run
+    for name, target in _console_scripts().items():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function)), \
+            "script %s: %s is not callable" % (name, target)

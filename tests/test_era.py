@@ -9,6 +9,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,28 @@ def test_property_step_semantics():
             for s in (0, 1, None):
                 assert prop.step_ok(e, s) == (
                     prop.state_ok(s) and prop.event_ok(e))
+
+
+@pytest.mark.parametrize("fields, named", [
+    # a str once passed a substring test: "u" was in the states "(u)"
+    ({"states": "(u)"}, "states: a frozenset or None, not str"),
+    ({"states": 5}, "states: a frozenset or None, not int"),
+    ({"allow_events": ["a"]}, "allow_events: a frozenset or None, not list"),
+    ({"deny_events": None}, "deny_events: a frozenset, not NoneType"),
+    ({"name": 5}, "name: a string, not int"),
+])
+def test_a_property_checks_its_fields(fields, named):
+    with pytest.raises(ValidationError, match=named):
+        Property(**fields)
+
+
+def test_a_claim_never_meets_a_malformed_property():
+    # a property of states=5 once reached check_claim, which raised a raw
+    # TypeError testing a state's membership in 5
+    fsm = load_fsm(fixture_text("acme.fsm"))
+    with pytest.raises(ValidationError, match="states"):
+        check_claim(fsm, EvidentialStatement((ObservationSequence((
+            Observation(Property(name="p", states=5)),)),)))
 
 
 def test_resolve_property_forms():
@@ -290,6 +313,24 @@ def test_comb_self():
     out = comb(MPR3, MPR3)
     assert out.lens == ((4, 4), (4, 4))
     assert out.computations == MPR3.computations
+
+
+@pytest.mark.parametrize("build, named", [
+    # comb once summed the str lens and raised a raw TypeError
+    (lambda: comb(MPR((1,), frozenset({(("e", "s"),)})),
+                  MPR(("x",), frozenset())), r"lens is \('x',\)"),
+    (lambda: MPR([1], frozenset()), r"lens is \[1\]"),
+    (lambda: MPR((1, -1), frozenset()), r"lens is \(1, -1\)"),
+    (lambda: MPR((True,), frozenset()), r"lens is \(True,\)"),
+    (lambda: MPR((1,), {"c1"}), "computations: a frozenset"),
+    (lambda: MSPR((1,), frozenset()), "lens holds 1,"),
+    (lambda: MSPR([(1,)], frozenset()), "lens: a tuple of lens tuples"),
+    (lambda: MSPR(((1,), (2.0,)), frozenset()), r"lens holds \(2.0,\)"),
+    (lambda: MSPR(((1,),), ["c1"]), "computations: a frozenset"),
+])
+def test_runs_check_their_shape(build, named):
+    with pytest.raises(ValidationError, match=named):
+        build()
 
 
 @given(st.sets(st.sampled_from("cdefg"), max_size=4),
@@ -987,15 +1028,20 @@ def test_check_claim_validates_durations(mn, mx, message):
 
 
 @pytest.mark.parametrize("es, message", [
-    (EvidentialStatement(("x",)),
+    (partial(EvidentialStatement, ("x",)),
      "^sequence 1 is 'x', not an observation sequence$"),
-    (EvidentialStatement((ObservationSequence(("y",), name="os_y"),)),
+    (partial(ObservationSequence, ("y",), name="os_y"),
      "^sequence os_y, item 1 is 'y', not an observation$"),
+    (partial(ObservationSequence, ("y",)),
+     "^an observation sequence's item 1 is 'y', not an observation$"),
 ])
 def test_check_claim_validates_the_members_of_its_statement(es, message):
+    # es builds a statement, or a sequence for one: a statement checks its
+    # members, and a sequence its items, when it is built, so no statement
+    # that reaches check_claim holds a stray
     fsm = load_fsm(fixture_text("acme.fsm"))
     with pytest.raises(ValidationError, match=message):
-        check_claim(fsm, es, horizon=3)
+        check_claim(fsm, es(), horizon=3)
 
 
 MACHINES = {name: load_fsm(fixture_text(name))
@@ -1004,11 +1050,13 @@ MACHINES = {name: load_fsm(fixture_text(name))
 
 @st.composite
 def raw_claims(draw):
-    """(machine, statement, horizon): a statement of observations built
-    directly, with any property and any valid duration and weight, and
-    members and items of other kinds among them.  An invalid duration
-    raises when its observation is built (see
-    test_an_observation_rejects_invalid_fields)."""
+    """(machine, members, horizon): the members of a statement, to be
+    built directly, each a list of the items of a sequence or a stray.
+    The items are observations with any property and any valid duration
+    and weight, and strays of other kinds.  An invalid duration raises
+    when its observation is built (see
+    test_an_observation_rejects_invalid_fields), and a stray when its
+    sequence or statement is built."""
     fsm = MACHINES[draw(st.sampled_from(sorted(MACHINES)))]
     props = st.one_of(
         st.sampled_from(list(fsm.states) + sorted(fsm.properties)
@@ -1020,11 +1068,11 @@ def raw_claims(draw):
     observations = st.builds(lambda p, d: Observation(p, *d), props, valid)
     strays = st.sampled_from(["x", 0, None, ("p", 1), no_observation(),
                               ObservationSequence(())])
-    sequences = st.builds(ObservationSequence, st.lists(
-        st.one_of(observations, observations, strays), max_size=4).map(tuple))
-    es = EvidentialStatement(tuple(draw(st.lists(
-        st.one_of(sequences, sequences, strays), max_size=3))))
-    return fsm, es, draw(st.integers(0, 8))
+    sequences = st.lists(st.one_of(observations, observations, strays),
+                         max_size=4)
+    members = draw(st.lists(st.one_of(sequences, sequences, strays),
+                            max_size=3))
+    return fsm, members, draw(st.integers(0, 8))
 
 
 def test_an_observation_rejects_invalid_fields():
@@ -1043,8 +1091,15 @@ def test_an_observation_rejects_invalid_fields():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(raw_claims())
 def test_check_claim_on_raw_statements_raises_only_flucid_errors(claim):
-    # any exception other than a FlucidError fails the test
-    fsm, es, horizon = claim
+    # any exception other than a FlucidError fails the test: building
+    # rejects a stray, and check_claim returns or raises
+    fsm, members, horizon = claim
+    try:
+        es = EvidentialStatement(tuple(
+            ObservationSequence(tuple(m)) if isinstance(m, list) else m
+            for m in members))
+    except ValidationError:
+        return
     try:
         check_claim(fsm, es, horizon=horizon)
     except FlucidError:

@@ -1021,6 +1021,35 @@ def test_blackmail_machine_matches_its_fixture():
             "(u,t2)": {"(2,u,t2)", "(1,u,t2)"}}
 
 
+# one edit per way a declared hypothesis fails to validate; each edit's
+# text occurs once in hypothesis A and once in B
+@pytest.mark.parametrize("old, new", [
+    # the oldest item names no state: a string, then no label at all
+    ('("(o1,o2)", 0);', '"(o1,o2)";'),
+    ('("(o1,o2)", 0);', '0;'),
+    # an annotation names an event that does not fire in its state
+    ('("(u,o2)", 1) pby [es.#, I:"(u)"]',
+     '("(u,o2)", 1) pby [es.#, I:"(u,t2)"]'),
+    # an intermediate item names a state other than the one reached
+    ('("(u,o2)", 1) pby', '("(u,t2)", 1) pby'),
+    # the final observation's property fails in the state reached
+    ("o_final pby", "o_early pby"),
+])
+def test_a_broken_declared_hypothesis_is_dropped(old, new):
+    src = _case("blackmail.ipl").replace(
+        "observation o_final =",
+        'observation o_early = ("(u,o2)", 1);\n  observation o_final =')
+    assert src.count(old) == 2
+    whole = run(src)
+    assert whole.route == "declared" and len(whole.backtraces) == 2
+    only_b = run(src.replace(old, new, 1))
+    assert only_b.route == "declared" and only_b.consistent
+    assert only_b.backtraces == whole.backtraces[1:]
+    neither = run(src.replace(old, new))
+    assert (neither.consistent, neither.route, neither.backtraces) == \
+        (False, "declared", ())
+
+
 CHAIN_B = ('B = o_final pby [es.#, I:"d(u,t2)"] ("(u,o2)", 1) '
            'pby [es.#, I:"(u)"] ("(o1,o2)", 0);')
 

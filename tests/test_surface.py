@@ -50,7 +50,7 @@ VALID = {
     "x": MPR((1,), _RUNS), "y": MPR((1,), _RUNS), "computations": _RUNS,
     "meaning_fixed_length.os": ((Property(), 1),),
     "prop": "s", "states": ("s", "t"), "events": ("e",),
-    "psi": {("e", "s"): "t"}.get, "lens": (1,),
+    "psi": {("e", "s"): "t"}.get, "lens": (1,), "MSPR.lens": ((1,),),
     "consistent": True, "explanations": (), "backtraces": (),
     "horizon_warning": False, "route": "layered",
     "load_fsm.text": "e s -> t\n",
@@ -75,7 +75,7 @@ VALID = {
     "Select.source": _NODE,
     # calculus and Dempster-Shafer
     "a": SimpleContext({"d": 1}), "b": SimpleContext({"e": 2}),
-    "c": SimpleContext({"d": 1}), "sel": {"d"}, "mode": "projection",
+    "c": SimpleContext({"d": 1}), "sel": ("d",), "mode": "projection",
     "membership.op": "in", "credibility.kind": "bel", "f": _OBS,
     # encoders
     "lines": [{"ipaddr": "10.0.0.1", "mac": "aa:bb:cc:dd:ee:ff"}],
@@ -171,6 +171,9 @@ _BAD_MEMBERS = {
         lambda: StateMachine(("s",), ("e",), {("e", "s"): [1]}.get).target(
             "e", "s"), r"-> \[1\]"),
     "TagSet.tags": (lambda: values.TagSet(tags=5), "tags"),
+    "EvidentialStatement.sequences": (
+        lambda: EvidentialStatement((_OBS,)), "sequence 1 is"),
+    "Property.states": (lambda: Property(states="s"), "states"),
     "Observation.min": (lambda: values.Observation("s", min=[1]), "^min "),
     "Observation.max": (lambda: values.Observation("s", max=[1]), "^max "),
     "Observation.w": (lambda: values.Observation("s", w=[1]), "^w "),

@@ -1,15 +1,22 @@
 """Value universe: sentinels, tag sets, contexts, forensic hierarchy."""
 
+import copy
+import operator
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from flucid import calculus, dstme
 from flucid.values import (
     ANY_PROPERTY, BOD, EOD, MINUS_INF, PLUS_INF,
     ContextSet, EvidentialStatement, Observation, ObservationSequence,
     Sentinel, SimpleContext, TagSet, ValidationError,
-    lift, make_observation, no_observation, to_source,
+    kind_of, lift, make_observation, no_observation, to_source,
     zero_observation,
 )
+
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
 
 
 class TestSentinels:
@@ -38,6 +45,54 @@ class TestSentinels:
             BOD < 1  # noqa: B015
         with pytest.raises(TypeError):
             EOD > 0  # noqa: B015
+
+    def test_any_property_is_an_interned_marker(self):
+        assert Sentinel("$") is ANY_PROPERTY
+        assert kind_of(ANY_PROPERTY) == "sentinel"
+        assert to_source(ANY_PROPERTY) == repr(ANY_PROPERTY) == "$"
+        assert copy.copy(ANY_PROPERTY) is ANY_PROPERTY
+        assert copy.deepcopy(no_observation()).property is ANY_PROPERTY
+
+    def test_a_marker_pickles_to_itself(self):
+        for marker in (BOD, EOD, PLUS_INF, MINUS_INF, ANY_PROPERTY):
+            assert pickle.loads(pickle.dumps(marker)) is marker
+        o = pickle.loads(pickle.dumps(no_observation()))
+        assert o == no_observation() and o.is_no_observation()
+
+    @pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan"),
+                                   True, False, 2.5])
+    def test_every_number_lies_between_the_infinities(self, n):
+        assert MINUS_INF < n < PLUS_INF
+        assert MINUS_INF <= n <= PLUS_INF
+        assert PLUS_INF > n > MINUS_INF
+        assert PLUS_INF >= n >= MINUS_INF
+        assert not (n < MINUS_INF or n <= MINUS_INF
+                    or n > PLUS_INF or n >= PLUS_INF)
+
+    def test_an_infinity_is_level_only_with_itself(self):
+        for inf in (PLUS_INF, MINUS_INF):
+            assert inf <= inf and inf >= inf
+            assert not (inf < inf or inf > inf)
+        assert MINUS_INF <= PLUS_INF and not MINUS_INF >= PLUS_INF
+
+    @pytest.mark.parametrize("marker", [BOD, EOD, ANY_PROPERTY])
+    def test_the_other_markers_are_not_ordered(self, marker):
+        for other in (0, 2.5, True, PLUS_INF, MINUS_INF,
+                      BOD, EOD, ANY_PROPERTY):
+            for compare in COMPARISONS:
+                with pytest.raises(TypeError):
+                    compare(marker, other)
+                with pytest.raises(TypeError):
+                    compare(other, marker)
+
+    def test_an_infinity_orders_only_numbers(self):
+        for inf in (PLUS_INF, MINUS_INF):
+            for other in ("a", (1,), None):
+                for compare in COMPARISONS:
+                    with pytest.raises(TypeError):
+                        compare(inf, other)
+                    with pytest.raises(TypeError):
+                        compare(other, inf)
 
 
 class TestTagSet:
@@ -275,6 +330,24 @@ class TestHierarchy:
         es = EvidentialStatement((ObservationSequence((Observation(Prop()),)),))
         assert hash(es) == hash(es)
         assert len(hashed) == 1
+
+
+    def test_a_container_checks_its_members_when_built(self):
+        # each reader below once took the malformed container and raised
+        # a raw AttributeError or TypeError, or returned a value
+        seq = lambda: ObservationSequence(("y",))               # noqa: E731
+        es = lambda: EvidentialStatement(("x",))                 # noqa: E731
+        probes = [
+            lambda: dstme.credibility("bel", seq()),
+            lambda: dstme.credibility("bel", es()),
+            lambda: calculus.union(seq(), seq()),
+            lambda: calculus.override(es(), es()),
+            lambda: hash(EvidentialStatement(([1],))),
+            lambda: calculus.membership("in", seq(), seq()),
+        ]
+        for probe in probes:
+            with pytest.raises(ValidationError, match=", not an observation"):
+                probe()
 
 
 class TestSourceForm:
