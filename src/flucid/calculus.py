@@ -319,13 +319,17 @@ def filter(mode: str, c: Any, sel: Any) -> Any:        # noqa: A001
     keep = mode == "projection"
     if isinstance(sel, TagSet):
         match = lambda d, t: t in sel                  # noqa: E731
-    elif isinstance(sel, tuple):
+    elif isinstance(sel, tuple) and all(isinstance(d, str) for d in sel):
         names = set(sel)
         match = lambda d, t: d in names                # noqa: E731
     else:
+        got = kind_of(sel)
+        if isinstance(sel, tuple):
+            got += " holding %s" % kind_of(
+                next(d for d in sel if not isinstance(d, str)))
         raise ContextTypeError(
             "filter selector must be a tuple of dimension names or a tag "
-            "set, got %s" % kind_of(sel))
+            "set, got %s" % got)
     return _filter_value(c, match, keep)
 
 

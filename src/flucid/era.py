@@ -13,11 +13,13 @@ sequence at once.
 check_claim answers every claim with one layered search over a lazily
 built product automaton that stops once its layers cycle without a
 witness, asking psi only where a step's letter, the step_ok values of
-the distinct properties as the bits of an int, lets it go on.  Each
-(product position, letter) step and acceptance test is computed once per
-call.  Witness windows are read back up to a cap, a forward path count
-gives their exact number, and each account's segment compositions (the
-MSPR meaning of Gladyshev & Patel, 2004) are read from their letters.
+the distinct properties as the bits of an int, lets it go on; a state
+whose own bits end an account does not start.  Each (product position,
+letter) step and acceptance test is computed once per call.  Witness
+windows are read back up to a cap through only the nodes that reach
+them, a forward path count gives their exact number, and each account's
+segment compositions (the MSPR meaning of Gladyshev & Patel, 2004) are
+read from their letters.
 route="exact" runs the paper's fixed-length set algebra instead
 (meaning_fixed_length over expand_generic's variants, then comb): the
 executable spec that tests compare against, exponential in the horizon.
@@ -151,8 +153,13 @@ class StateMachine:
         return self.target(event, state) is not None
 
 
-def _by_length(run: Computation) -> Tuple[int, str]:
-    return len(run), repr(run)
+def _by_length(runs: Iterable[Computation]) -> List[Computation]:
+    """runs by length, then repr, the same in every process.  A step's
+    repr is made once, keyed by identity: 1 and True print apart."""
+    shown: Dict[int, str] = {}
+    return sorted(runs, key=lambda run: (len(run), "(%s%s)" % (", ".join([
+        shown.get(id(s)) or shown.setdefault(id(s), repr(s)) for s in run]),
+        "," * (len(run) == 1))))
 
 
 def _check_lens(lens: Any, what: str) -> None:
@@ -169,7 +176,7 @@ class _Runs:
     def __repr__(self) -> str:
         return "%s(lens=%r, computations=frozenset(%r))" % (
             type(self).__name__, self.lens,
-            sorted(self.computations, key=_by_length))
+            _by_length(self.computations))
 
 
 @dataclass(frozen=True, repr=False)
@@ -222,7 +229,8 @@ class ClaimResult:
     route: str
     truncated: bool = False   # the layered read-back stopped at the cap
     witnesses: int = 0        # witness windows over the lengths searched
-    nodes: int = 0            # product nodes the layered search expanded
+    nodes: int = 0            # product nodes the layered search expanded; a
+                              # start whose mask ends an account is never made
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +278,12 @@ def resolve_property(fsm: StateMachine, prop: Any) -> Property:
                         allow_events=frozenset(tags))
     if prop is ANY_PROPERTY or prop == "$":
         return ANYTHING
-    if isinstance(prop, str):
-        if prop in fsm.properties:
-            return fsm.properties[prop]
-        if prop in fsm.states:
-            return Property(name=prop, states=frozenset([prop]))
+    if isinstance(prop, str) and prop in fsm.properties:
+        return fsm.properties[prop]
     if prop in fsm.states:
         return Property(name=str(prop), states=frozenset([prop]))
     raise ReconstructionError(
         "property %r is neither a declared property nor a state" % (prop,))
-
-
-def _triples(fsm: StateMachine,
-             os: ObservationSequence) -> List[Tuple[Property, int, Any]]:
-    return [(resolve_property(fsm, o.property), o.min, o.max)
-            for o in os.observations]
 
 
 def meaning_fixed_length(fsm: StateMachine,
@@ -303,9 +302,7 @@ def meaning_fixed_length(fsm: StateMachine,
     total = sum(lens)
     if total == 0:
         return MPR(lens, frozenset({()}))
-    schedule: List[Property] = []
-    for p, d in os:
-        schedule.extend([p] * d)
+    schedule = [p for p, d in os for _ in range(d)]
     runs: Set[Computation] = set()
     last = schedule[-1]
     stack: List[Tuple[Computation, Any]] = [((), s) for s in fsm.states]
@@ -351,14 +348,8 @@ def expand_generic(os: ObservationSequence, horizon: int) -> Tuple[ObservationSe
 def _dedupe_wildcard_twins(runs: Iterable[Computation]) -> Set[Computation]:
     """Drop a concrete-final-event run whose wildcard twin is also present."""
     pool = set(runs)
-    out = set()
-    for r in pool:
-        if r and r[-1][0] != WILDCARD:
-            twin = r[:-1] + ((WILDCARD, r[-1][1]),)
-            if twin in pool:
-                continue
-        out.add(r)
-    return out
+    return {r for r in pool if not r or r[-1][0] == WILDCARD
+            or r[:-1] + ((WILDCARD, r[-1][1]),) not in pool}
 
 
 def comb(x: MPR, y: MPR) -> MSPR:
@@ -409,7 +400,8 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     check_type(fsm, StateMachine, "check_claim takes a StateMachine")
     if not isinstance(es, EvidentialStatement) or len(es) == 0:
         raise ValidationError("evidential statement must be non-empty", "es")
-    all_triples = [_triples(fsm, os) for os in es.sequences]
+    all_triples = [[(resolve_property(fsm, o.property), o.min, o.max)
+                    for o in os.observations] for os in es.sequences]
     if horizon is None:
         horizon = _default_horizon(fsm, es)
     for name, limit in (("horizon", horizon), ("max_backtraces", max_backtraces)):
@@ -428,7 +420,7 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     else:
         raise ValidationError("route must be exact or layered", "route")
 
-    runs = sorted({c for m in msprs for c in m.computations}, key=_by_length)
+    runs = _by_length({c for m in msprs for c in m.computations})
     return ClaimResult(
         consistent=consistent,
         explanations=tuple(msprs),
@@ -552,16 +544,18 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     """Layer by layer over nodes (state, product position id).
 
     A product position holds each account's set of match positions.  A
-    step's letter, its state's mask anded with its event's, has bit i set
-    when the i-th distinct property's step_ok holds, WILDCARD events
-    included, and alone decides where a position goes, so each (position,
-    letter) step, and with it acceptance, is computed once per call.  A
-    node asks psi only for the events whose letter lets every account go
-    on; a step is monotone in the bits, so a state whose own mask kills
-    it asks for none.  A layer maps each node to its number of paths
-    from layer 0, so every length closed off has its witnesses counted.
-    A wanted layer whose node set repeats one since the last witness
-    closes a barren cycle that later layers only repeat.
+    step's letter, its state's mask (read off the states the properties
+    name) anded with its event's, has bit i set when the i-th distinct
+    property's step_ok holds, WILDCARD events included, and alone decides
+    where a position goes, so each (position, letter) step, and with it
+    acceptance, is computed once per call.  A node asks psi only for the
+    events whose letter lets every account go on; a step is monotone in
+    the bits, so a state whose own mask kills it asks for none and does
+    not start.  A layer maps each node to its number of paths from layer
+    0, so every length closed off has its witnesses counted.  A wanted
+    layer whose node set repeats one since the last witness closes a
+    barren cycle that later layers only repeat.  The read-back visits
+    only the nodes that reach a witness.
     Returns the verdict, the explanations, whether the cap cut the
     read-back short, the witness count and the number of nodes expanded.
     """
@@ -588,13 +582,16 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
 
     props: Dict[Property, int] = {}
     cols = [[props.setdefault(p, len(props)) for p, _, _ in t] for t in all_triples]
-    state_bits = {s: sum(p.state_ok(s) << i for i, p in enumerate(props))
-                  for s in fsm.states}
+    default = sum(1 << i for p, i in props.items() if p.states is None)
+    named: Dict[Any, int] = {}              # state -> mask, where it differs
+    for p, i in props.items():
+        for s in p.states or ():
+            named[s] = named.get(s, default) | 1 << i
     event_bits = {e: sum(p.event_ok(e) << i for i, p in enumerate(props))
                   for e in (*fsm.events, WILDCARD)}
 
     def letter(stp: Step) -> int:
-        return state_bits[stp[1]] & event_bits[stp[0]]
+        return named.get(stp[1], default) & event_bits[stp[0]]
 
     steps: Dict[Tuple[int, int], Optional[int]] = {}
 
@@ -623,7 +620,7 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         """The node's chained moves and its final steps, built once."""
         if node not in graph:
             state, pid = node
-            bits = state_bits[state]
+            bits = named.get(state, default)
             if (pid, bits) not in fans:
                 fans[pid, bits] = ([], None) if step(pid, bits) is None else (
                     [(e, nid) for e in fsm.events
@@ -638,19 +635,34 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         return graph[node]
 
     start = intern(tuple(_closure({(0, 0)}, t) for t in all_triples))
-    layers: List[Dict[Node, int]] = [{(s, start): 1 for s in fsm.states}]
-    back: List[Dict[Node, List[Tuple[Node, Step]]]] = [{}]
+    alive = {s for s, bits in named.items() if step(start, bits) is not None}
+    live = (fsm.states if step(start, default) is not None else
+            [s for s in fsm.states if s in alive] if alive else ())
+    layers: List[Dict[Node, int]] = [{(s, start): 1 for s in live}]
+    rev: Dict[Node, List[Node]] = {}        # node -> expanded predecessors
+    indexed = 0                             # graph entries rev covers
 
-    def read_back(t: int, node: Node, fstep: Step) -> None:
-        """Append the witnesses ending in fstep at node, up to the cap."""
-        while len(back) <= t and len(found) < max_backtraces:
-            pred: Dict[Node, List[Tuple[Node, Step]]] = {}
-            for prev in layers[len(back) - 1]:
-                for succ, stp in expand(prev)[0]:
-                    pred.setdefault(succ, []).append((prev, stp))
-            back.append(pred)
-        runs = _paths(t, node, (fstep,), lambda i, at: reversed(back[i][at]))
-        found.extend(itertools.islice(runs, max(0, max_backtraces - len(found))))
+    def read_back(t: int, ends: List[Tuple[Node, List[Step]]]) -> None:
+        """Append layer t's witnesses, at ends in order, up to the cap.
+        Only nodes that reach an end get predecessors, in layer order: a
+        predecessor of such a node reaches one too."""
+        nonlocal indexed
+        for prev in itertools.islice(graph, indexed, None):
+            for succ, _ in graph[prev][0]:
+                rev.setdefault(succ, []).append(prev)
+        indexed, reach = len(graph), {node for node, _ in ends}
+        preds: List[Dict[Node, List[Tuple[int, Node, Step]]]] = [
+            {} for _ in range(t + 1)]
+        for i in range(t - 1, -1, -1):  # built backwards, for _paths' stack
+            into = {p for node in reach for p in rev[node] if p in layers[i]}
+            for prev in reversed([p for p in layers[i] if p in into]):
+                for succ, stp in reversed(graph[prev][0]):
+                    if succ in reach:
+                        preds[i + 1].setdefault(succ, []).append((i, prev, stp))
+            reach = into
+        runs = (run for node, finals in ends for fstep in finals
+                for run in _paths(t, node, (fstep,), preds))
+        found.extend(itertools.islice(runs, max_backtraces - len(found)))
 
     witnesses = len(found)
     stopped = False
@@ -659,11 +671,14 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         # close off windows of length t+1: t chained steps plus a final step
         if (t + 1) in want:
             before = witnesses
+            ends = []
             for node, n in layers[t].items():
-                finals = expand(node)[1]
-                witnesses += n * len(finals)
-                for fstep in finals:
-                    read_back(t, node, fstep)
+                finals = (graph[node] if node in graph else expand(node))[1]
+                if finals:
+                    witnesses += n * len(finals)
+                    ends.append((node, finals))
+            if ends and len(found) < max_backtraces:
+                read_back(t, ends)
             if witnesses and len(found) >= max_backtraces:
                 stopped = t + 1 < last
                 break
@@ -677,7 +692,7 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
             break
         counts: Dict[Node, int] = {}
         for node, n in layers[t].items():
-            for succ, _ in expand(node)[0]:
+            for succ, _ in (graph[node] if node in graph else expand(node))[0]:
                 counts[succ] = counts.get(succ, 0) + n
         layers.append(counts)
         if not counts:
@@ -693,37 +708,38 @@ def _compositions(triples: Sequence[Tuple[Property, int, Any]],
     observation, segment j taking min..min+max steps whose step_ok
     values oks[k][j] all hold."""
     L = len(oks)
-    starts: List[Dict[int, List[int]]] = [{0: []}]  # [j][end] -> its starts
+    # starts[j + 1][end]: (j, start, length) of each segment j ending there
+    starts: List[Dict[int, List[Tuple[int, int, int]]]] = [{0: []}]
     for j, (_, mn, mx) in enumerate(triples):
-        ends: Dict[int, List[int]] = {}
+        ends: Dict[int, List[Tuple[int, int, int]]] = {}
         for pos in starts[j]:
             top = L if mx is PLUS_INF else min(L, pos + mn + mx)
             k = pos
             while True:
                 if k - pos >= mn:
-                    ends.setdefault(k, []).append(pos)
+                    ends.setdefault(k, []).append((j, pos, k - pos))
                 if k == top or not oks[k][j]:
                     break
                 k += 1
         starts.append(ends)
-    return list(_paths(len(triples), L, (), lambda j, end: (
-        (pos, end - pos) for pos in starts[j].get(end, ()))))
+    return list(_paths(len(triples), L, (), starts))
 
 
-def _paths(depth: int, at: Any, tail: tuple, before) -> Iterator[tuple]:
+def _paths(depth: int, at: Any, tail: tuple,
+           before: Sequence[Mapping[Any, List[tuple]]]) -> Iterator[tuple]:
     """Label tuples of the paths of depth steps into at, each followed by
-    tail, depth first: before(i, at) gives step i's (predecessor, label)
-    pairs, the first to follow last.  One buffer holds the current path."""
+    tail, depth first: before[i].get(at) lists step i's (i - 1, predecessor,
+    label) triples, the last followed first.  One buffer holds the path."""
     path: List[Any] = [None] * depth
     stack = [(depth, at, None)]
     while stack:
         i, at, label = stack.pop()
         if i < depth:
             path[i] = label
-        if i == 0:
-            yield tuple(path) + tail
+        if i:
+            stack += before[i].get(at, ())
         else:
-            stack.extend((i - 1, prev, lb) for prev, lb in before(i, at))
+            yield tuple(path) + tail
 
 
 def _explanations(all_triples, cols: Sequence[Sequence[int]],

@@ -373,6 +373,15 @@ class TestFilter:
                                "names or a tag set"):
                 ctx_filter("projection", sc(d=1), sel)
 
+    @pytest.mark.parametrize("sel, member", [((1,), "integer"),
+                                             (([1],), "list")])
+    def test_a_selector_tuple_holds_only_names(self, sel, member):
+        for mode in ("projection", "hiding"):
+            with pytest.raises(ContextTypeError, match="a tuple of dimension "
+                               "names or a tag set, got array holding "
+                               + member):
+                ctx_filter(mode, sc(d=1), sel)
+
     @given(contexts, dimsets)
     def test_projection_union_hiding_restores(self, c, d):
         kept = ctx_filter("projection", c, d)

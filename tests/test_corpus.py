@@ -105,7 +105,7 @@ VALUES = {
     "printer_main": "ClaimResult(consistent=False, explanations=(), "
                     "backtraces=(), horizon_warning=True, horizon=26, "
                     "route='layered', truncated=False, witnesses=0, "
-                    "nodes=25)",
+                    "nodes=0)",
     # ROADMAP D18: intersection between a context and a forensic value
     # awaits the paper's definition; until then both programs fail here
     "raining_tags": "ContextTypeError: intersection is not defined between "

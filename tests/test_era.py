@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -496,6 +497,31 @@ def test_witness_count_is_exact_past_the_cap():
     assert result.nodes == 40
 
 
+def ring_machine(n):
+    """n states in a ring: tick moves on, idle stays; at_start is s0."""
+    states = tuple("s%d" % i for i in range(n))
+    psi = {}
+    for i, s in enumerate(states):
+        psi["tick", s] = states[(i + 1) % n]
+        psi["idle", s] = s
+    return StateMachine(states, ("tick", "idle"), psi.get, {
+        "at_start": Property("at_start", states=frozenset(["s0"]))})
+
+
+def test_a_claim_on_one_state_expands_only_what_it_reaches():
+    # a window starts in s0, then takes up to six more steps: one start
+    # node is live, so the search has the same size on any ring
+    es = EvidentialStatement([ObservationSequence([
+        make_observation("at_start", 1, 0), make_observation("$", 0, 6)])])
+    started = time.monotonic()
+    results = [check_claim(ring_machine(n), es, horizon=8)
+               for n in (2000, 20000)]
+    assert time.monotonic() - started < 1.0
+    assert {r.nodes for r in results} == {28}
+    assert {r.witnesses for r in results} == {2 ** 7 - 1}
+    assert results[0] == results[1]
+
+
 @given(random_setup())
 @settings(max_examples=60, deadline=None)
 def test_padding_with_no_observation_never_shrinks(setup):
@@ -758,6 +784,42 @@ def test_acme_truncation_is_reported(acme):
     assert len(full.backtraces) == 301 and not full.truncated
     assert full.witnesses == len(engine_result_set(full))
     assert set(capped.backtraces) < set(full.backtraces)
+
+
+def acme_window(acme, start, events):
+    """The window from start through events, then the wildcard step."""
+    steps = []
+    for e in events.split():
+        steps.append((e, start))
+        start = acme.successor(e, start)
+    return tuple(steps) + ((WILDCARD, start),)
+
+
+def test_acme_reads_back_witnesses_in_layer_order(acme):
+    # a capped read-back returns the first witnesses in layer order
+    es = load_es(fixture_text("acme.es"))
+    five = check_claim(acme, es, horizon=16, max_backtraces=5)
+    assert (five.witnesses, five.truncated) == (6, True)
+    assert five.backtraces == tuple(acme_window(acme, *run) for run in [
+        ("(empty,empty)", "add_A add_B take take add_B take"),
+        ("(empty,empty)", "add_A add_B take add_A take take add_B take"),
+        ("(empty,empty)", "add_A add_B take take add_A take add_B take"),
+        ("(empty,empty)", "add_A take add_A add_B take take add_B take"),
+        ("(empty,empty)", "add_B take add_A add_B take take add_B take")])
+    assert [(m.lens, len(m.computations)) for m in five.explanations] == [
+        (((1, 6), (6, 1)), 1), (((1, 8), (8, 1)), 4)]
+    assert {c for m in five.explanations for c in m.computations} == \
+        set(five.backtraces)
+    cap = check_claim(acme, es, horizon=16, max_backtraces=64)
+    assert (cap.witnesses, cap.truncated) == (90, True)
+    assert len(cap.backtraces) == 64
+    assert [(m.lens, len(m.computations)) for m in cap.explanations] == [
+        (((1, 6), (6, 1)), 1), (((1, 8), (8, 1)), 5),
+        (((1, 10), (10, 1)), 19), (((1, 12), (12, 1)), 39)]
+    assert [sha256(repr(v).encode()).hexdigest()
+            for v in (cap.backtraces, cap.explanations)] == [
+        "a1fc7c79625aa180721ce6d94a17cac25fbcff777e189a223b481f09a454bdd7",
+        "9224c9524771c5d2da0b71a2c521aebe8633597bceda3d439a48fedbfad60c6b"]
 
 
 def test_acme_backtraces_are_chained(acme):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flucid import era, evaluator
+from flucid.calculus import ContextTypeError
 from flucid.evaluator import MAX_DEPTH, EvaluationError, Evaluator, evaluate
 from flucid.semantics import analyze, rewrite_to_core
 from flucid.syntax import parse, pretty_print, tokenize
@@ -865,6 +866,18 @@ def test_projection_on_dimension_names():
     got = run("([a:1, b:2] \\projection {a}) where "
               "dimension a; dimension b; end")
     assert got == SimpleContext({"a": 1})
+
+
+@pytest.mark.parametrize("op", ["projection", "hiding"])
+def test_a_selector_of_tags_names_no_dimensions(op):
+    # {1} is no tuple of dimension names: projection matched nothing and
+    # hiding kept every pair before it was an error
+    src = "([d:1, e:2] \\%s {1}) where dimension d; dimension e; end" % op
+    with pytest.raises(ContextTypeError, match="a tuple of dimension names "
+                       "or a tag set, got array holding integer") as err:
+        run(src)
+    span = err.value.span
+    assert src[span.offset:span.end] == "[d:1, e:2] \\%s {1}" % op
 
 
 # ---------------------------------------------------------------------------

@@ -198,17 +198,10 @@ def test_word_negations_become_symbols():
     assert rw("x nor y") == parse("if x || y then 0 else 1 fi")
 
 
-def _remaining_ops(node, acc):
-    if isinstance(node, N.StreamUnary):
-        acc.add(node.op)
-    if isinstance(node, N.StreamBin) and node.annotation is None:
-        acc.add(node.op)
-    if isinstance(node, N.Node):
-        for value in vars(node).values():
-            _remaining_ops(value, acc)
-    elif isinstance(node, tuple):
-        for item in node:
-            _remaining_ops(item, acc)
+def _remaining_ops(tree):
+    """The operators of the stream nodes left in tree."""
+    return {n.op for n in N.walk(tree) if isinstance(n, N.StreamUnary)
+            or isinstance(n, N.StreamBin) and n.annotation is None}
 
 
 SOUP = ("(a wvr b) + (a nwvr b) + (a upon b) + (a nupon b)"
@@ -220,8 +213,7 @@ SOUP = ("(a wvr b) + (a nwvr b) + (a upon b) + (a nupon b)"
 
 
 def test_no_derived_operator_survives_rewriting():
-    seen = set()
-    _remaining_ops(rw(SOUP), seen)
+    seen = _remaining_ops(rw(SOUP))
     assert not (seen & REWRITTEN_UNARY)
     assert not (seen & REWRITTEN_BIN)
     assert seen <= {"iseod", "isbod", "fby"}
@@ -244,25 +236,11 @@ def test_annotated_hops_are_not_streams():
     assert rw(src) == parse(src)
 
 
-def _declared_names(node, acc):
-    if isinstance(node, N.VarDecl):
-        acc.add(node.name)
-    if isinstance(node, N.Node):
-        for value in vars(node).values():
-            _declared_names(value, acc)
-    elif isinstance(node, tuple):
-        for item in node:
-            _declared_names(item, acc)
-
-
 def test_fresh_names_do_not_capture():
     tree = rw("_x1 wvr _y1")
-    bound = set()
-    _declared_names(tree, bound)
+    bound = {n.name for n in N.walk(tree) if isinstance(n, N.VarDecl)}
     assert "_x1" not in bound
     assert "_y1" not in bound
     # the operands are still referenced
-    names = set()
-    _collect = lambda n: _remaining_ops(n, set())
     text = pretty_print(tree)
     assert "_x1" in text and "_y1" in text
