@@ -1,20 +1,22 @@
-"""Mass assignments, belief/plausibility, Dempster combination,
-forensic credibility."""
+"""Forensic credibility, and the Dempster-Shafer reference that judges it.
+
+credibility computes bel and pl by closed forms; the general definitions
+it is judged by are tests/oracles.py's bel_oracle, pl_oracle and
+dempster_oracle, tied here to published values and to the laws of
+Shafer's theory.
+"""
 
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flucid.dstme import (
-    CombinationUndefinedError, DomainError, _belief, _dempster_combine,
-    _MassAssignment, _plausibility, credibility,
-)
+from flucid.dstme import DomainError, credibility
 from flucid.evaluator import evaluate
 from flucid.values import (
     ANY_PROPERTY, ContextSet, EvidentialStatement, Observation,
-    ObservationSequence, SimpleContext, ValidationError, make_observation,
-    no_observation, zero_observation,
+    ObservationSequence, SimpleContext, TagSet, ValidationError,
+    make_observation, no_observation, zero_observation,
 )
 
 from oracles import bel_oracle, dempster_oracle, pl_oracle, powerset
@@ -42,10 +44,6 @@ COLOR_TABLE = {
 }
 
 
-def color_assignment():
-    return _MassAssignment(COLOR_FRAME, COLOR_MASSES)
-
-
 @st.composite
 def assignments(draw, max_frame=5):
     n = draw(st.integers(min_value=1, max_value=max_frame))
@@ -61,61 +59,41 @@ def assignments(draw, max_frame=5):
     return frame, masses
 
 
+def mass_of(masses, subset):
+    return masses.get(frozenset(subset), 0.0)
+
+
 class TestMassAssignment:
     def test_color_table_valid(self):
-        m = color_assignment()
-        assert m.mass({R, Y}) == pytest.approx(0.06)
-        assert m.mass(set()) == 0.0
-
-    def test_empty_set_mass_must_be_zero(self):
-        with pytest.raises(ValidationError):
-            _MassAssignment((R,), {frozenset(): 0.5, frozenset([R]): 0.5})
-
-    def test_total_must_be_one(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            _MassAssignment((R, Y), {frozenset([R]): 0.6})
-
-    def test_focal_outside_frame(self):
-        with pytest.raises(DomainError):
-            _MassAssignment((R,), {frozenset([R, "blue"]): 1.0})
+        # the published table is an assignment: no mass on the empty set,
+        # total mass 1, every focal set within the frame
+        assert mass_of(COLOR_MASSES, {R, Y}) == pytest.approx(0.06)
+        assert mass_of(COLOR_MASSES, set()) == 0.0
+        assert sum(COLOR_MASSES.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(s <= frozenset(COLOR_FRAME) for s in COLOR_MASSES)
 
 
 class TestBeliefPlausibility:
     def test_published_color_columns(self):
-        m = color_assignment()
         for subset, (b, p) in COLOR_TABLE.items():
-            assert _belief(m, subset) == pytest.approx(b, abs=1e-9)
-            assert _plausibility(m, subset) == pytest.approx(p, abs=1e-9)
+            assert bel_oracle(COLOR_MASSES, subset) == pytest.approx(b, abs=1e-9)
+            assert pl_oracle(COLOR_MASSES, subset) == pytest.approx(p, abs=1e-9)
 
     def test_empty_and_frame(self):
-        m = color_assignment()
-        assert _belief(m, set()) == 0.0
-        assert _belief(m, COLOR_FRAME) == pytest.approx(1.0)
-        assert _plausibility(m, COLOR_FRAME) == pytest.approx(1.0)
-
-    def test_query_outside_frame(self):
-        with pytest.raises(DomainError):
-            _belief(color_assignment(), {"blue"})
-        with pytest.raises(DomainError):
-            _plausibility(color_assignment(), {"blue"})
-
-    @given(assignments())
-    def test_matches_powerset_oracle(self, fm):
-        frame, masses = fm
-        m = _MassAssignment(frame, masses)
-        for a in powerset(frame):
-            assert _belief(m, a) == pytest.approx(bel_oracle(masses, a), abs=1e-9)
-            assert _plausibility(m, a) == pytest.approx(pl_oracle(masses, a), abs=1e-9)
+        frame = frozenset(COLOR_FRAME)
+        assert bel_oracle(COLOR_MASSES, frozenset()) == 0.0
+        assert pl_oracle(COLOR_MASSES, frozenset()) == 0.0
+        assert bel_oracle(COLOR_MASSES, frame) == pytest.approx(1.0)
+        assert pl_oracle(COLOR_MASSES, frame) == pytest.approx(1.0)
 
     @given(assignments())
     def test_duality_and_ordering(self, fm):
         frame, masses = fm
-        m = _MassAssignment(frame, masses)
         for a in powerset(frame):
-            b, p = _belief(m, a), _plausibility(m, a)
+            b, p = bel_oracle(masses, a), pl_oracle(masses, a)
             assert b >= -1e-9 and b <= p + 1e-9 and p <= 1 + 1e-9
             comp = frozenset(frame) - a
-            assert p == pytest.approx(1.0 - _belief(m, comp), abs=1e-9)
+            assert p == pytest.approx(1.0 - bel_oracle(masses, comp), abs=1e-9)
 
 
 def witness(frame, claim, w):
@@ -123,69 +101,61 @@ def witness(frame, claim, w):
     masses = {frozenset([claim]): w}
     if w < 1.0:
         masses[fr] = 1.0 - w
-    return _MassAssignment(fr, masses)
+    return masses
 
 
 class TestDempsterCombine:
     def test_two_corroborating_witnesses(self):
         m1 = witness(("limb", "other"), "limb", 0.9)
         m2 = witness(("limb", "other"), "limb", 0.9)
-        joint = _dempster_combine(m1, m2)
-        assert _belief(joint, {"limb"}) == pytest.approx(0.99, abs=1e-9)
-        assert _plausibility(joint, {"limb"}) == pytest.approx(1.0, abs=1e-9)
+        joint = dempster_oracle(m1, m2)
+        limb = frozenset(["limb"])
+        assert bel_oracle(joint, limb) == pytest.approx(0.99, abs=1e-9)
+        assert pl_oracle(joint, limb) == pytest.approx(1.0, abs=1e-9)
 
     def test_contradicting_witnesses(self):
         frame = ("a", "b")
-        m1 = witness(frame, "a", 0.9)
-        m2 = witness(frame, "b", 0.9)
-        joint = _dempster_combine(m1, m2)
-        assert joint.mass({"a"}) == pytest.approx(9 / 19, abs=1e-9)
-        assert joint.mass({"b"}) == pytest.approx(9 / 19, abs=1e-9)
-        assert joint.mass(frame) == pytest.approx(1 / 19, abs=1e-9)
+        joint = dempster_oracle(witness(frame, "a", 0.9),
+                                witness(frame, "b", 0.9))
+        assert mass_of(joint, {"a"}) == pytest.approx(9 / 19, abs=1e-9)
+        assert mass_of(joint, {"b"}) == pytest.approx(9 / 19, abs=1e-9)
+        assert mass_of(joint, frame) == pytest.approx(1 / 19, abs=1e-9)
 
     def test_vacuous_is_neutral(self):
-        m = color_assignment()
         frame = frozenset(COLOR_FRAME)
-        joint = _dempster_combine(m, _MassAssignment(frame, {frame: 1.0}))
+        joint = dempster_oracle(COLOR_MASSES, {frame: 1.0})
         for a in powerset(COLOR_FRAME):
-            assert joint.mass(a) == pytest.approx(m.mass(a), abs=1e-9)
+            assert mass_of(joint, a) == pytest.approx(
+                mass_of(COLOR_MASSES, a), abs=1e-9)
 
     def test_total_conflict_is_undefined(self):
-        m1 = witness(("a", "b"), "a", 1.0)
-        m2 = witness(("a", "b"), "b", 1.0)
-        with pytest.raises(CombinationUndefinedError):
-            _dempster_combine(m1, m2)
-
-    def test_frame_mismatch(self):
-        with pytest.raises(DomainError):
-            _dempster_combine(witness(("a", "b"), "a", 0.5),
-                             witness(("a", "c"), "a", 0.5))
+        with pytest.raises(ZeroDivisionError):
+            dempster_oracle(witness(("a", "b"), "a", 1.0),
+                            witness(("a", "b"), "b", 1.0))
 
     @given(assignments(max_frame=3), assignments(max_frame=3))
     @settings(max_examples=60)
-    def test_matches_oracle_and_commutes(self, fm1, fm2):
+    def test_commutes(self, fm1, fm2):
         frame = ("a", "b", "c")
-        m1 = _MassAssignment(frame, _reframe(fm1, frame))
-        m2 = _MassAssignment(frame, _reframe(fm2, frame))
+        m1, m2 = _reframe(fm1, frame), _reframe(fm2, frame)
         try:
-            j12 = _dempster_combine(m1, m2)
-        except CombinationUndefinedError:
+            j12 = dempster_oracle(m1, m2)
+        except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                dempster_oracle(m1.masses, m2.masses)
+                dempster_oracle(m2, m1)
             return
-        expect = dempster_oracle(m1.masses, m2.masses)
-        j21 = _dempster_combine(m2, m1)
+        j21 = dempster_oracle(m2, m1)
+        assert sum(j12.values()) == pytest.approx(1.0, abs=1e-9)
         for a in powerset(frame):
-            assert j12.mass(a) == pytest.approx(expect.get(frozenset(a), 0.0), abs=1e-9)
-            assert j12.mass(a) == pytest.approx(j21.mass(a), abs=1e-9)
+            assert mass_of(j12, a) == pytest.approx(mass_of(j21, a), abs=1e-9)
 
     def test_associative_on_noncontradicting_triple(self):
         frame = ("a", "b")
         ws = [witness(frame, "a", w) for w in (0.3, 0.5, 0.7)]
-        left = _dempster_combine(_dempster_combine(ws[0], ws[1]), ws[2])
-        right = _dempster_combine(ws[0], _dempster_combine(ws[1], ws[2]))
+        left = dempster_oracle(dempster_oracle(ws[0], ws[1]), ws[2])
+        right = dempster_oracle(ws[0], dempster_oracle(ws[1], ws[2]))
         for a in powerset(frame):
-            assert left.mass(a) == pytest.approx(right.mass(a), abs=1e-9)
+            assert mass_of(left, a) == pytest.approx(mass_of(right, a), abs=1e-9)
 
 
 def _reframe(fm, frame):
@@ -247,6 +217,54 @@ class TestCredibility:
         base = credibility("bel", seq(*obs))
         assert base == pytest.approx(sum(ws) / len(ws), abs=1e-9)
 
+    def test_properties_are_one_when_equal(self):
+        # 1, 1.0 and true are one property, as they are one tag of a tag
+        # set; 0.5 and 0.5 fuse to 0.75
+        one = seq(make_observation(1, 1, 0, 0.5), make_observation(1.0, 1, 0, 0.5),
+                  make_observation(True, 1, 0, 0.0))
+        assert credibility("bel", one) == pytest.approx(0.75, abs=1e-12)
+        # so two accounts of 1 and "a", in either order, make one claim
+        es = EvidentialStatement((
+            seq(make_observation(1, 1, 0, 0.5), make_observation("a", 1, 0, 0.5)),
+            seq(make_observation("a", 1, 0, 0.5), make_observation(1.0, 1, 0, 0.5))))
+        assert credibility("bel", es) == pytest.approx(0.75, abs=1e-12)
+
+    def test_a_profile_counts_repeated_properties(self):
+        # {a, a} and {a} are two claims: 0.75 + 0.5 caps at 1, where one
+        # claim would fuse to 0.875
+        es = EvidentialStatement((
+            seq(make_observation("a", 1, 0, 0.5), make_observation("a", 1, 0, 0.5)),
+            seq(make_observation("a", 1, 0, 0.5))))
+        assert credibility("bel", es) == 1.0
+
+    def test_a_tag_set_property(self):
+        # acme's Oalice shape: the property is a dimension's tag set, which
+        # has no source form
+        assert evaluate(
+            'bel(alice) where observation sequence alice = {Oalice}; '
+            'observation Oalice = (P, 0, INF+); '
+            'dimension P : {"add_B", "take"}; end') == 1.0
+        prop = TagSet(("add_B", "take"))
+        es = EvidentialStatement((seq(make_observation(prop, 1, 0, 0.5)),
+                                  seq(make_observation(TagSet(("add_B", "take")),
+                                                       1, 0, 0.5))))
+        assert credibility("bel", es) == pytest.approx(0.75, abs=1e-12)
+
+    def test_an_unhashable_property_is_a_flucid_error(self):
+        for prop in ([1], TagSet((1, [2]))):
+            o = make_observation(prop, 1, 0, 0.5)
+            assert credibility("bel", o) == 0.5
+            for v in (seq(o), EvidentialStatement((seq(o),))):
+                for kind in ("bel", "pl"):
+                    with pytest.raises(DomainError, match="cannot be hashed"):
+                        credibility(kind, v)
+
+    def test_a_value_without_credibility(self):
+        with pytest.raises(DomainError, match="not defined on integer"):
+            credibility("bel", 5)
+        with pytest.raises(ValidationError, match="unknown credibility kind"):
+            credibility("belief", no_observation())
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(
         st.sampled_from(["a", "b", ANY_PROPERTY]),
@@ -254,6 +272,10 @@ class TestCredibility:
         st.one_of(st.floats(allow_nan=True), st.integers(-1, 2),
                   st.sampled_from(["x", True, None]))), max_size=3),
         max_size=3), st.sampled_from(["bel", "pl"]))
+    # two claims that overcommit: the sum of their scaled masses once
+    # came to 1.0000000000000002
+    @example([[("p0", 1, 0.7)], [("p1", 1, 0.6)]], "bel")
+    @example([[("p0", 1, 0.7)], [("p1", 1, 0.6)]], "pl")
     def test_any_built_hierarchy_has_a_credibility_in_the_unit_range(
             self, accounts, kind):
         # an observation that is built is valid, whatever its fields
@@ -263,8 +285,14 @@ class TestCredibility:
                 for account in accounts))
         except ValidationError:
             return
-        for v in (es, *es.sequences, *(o for s in es for o in s)):
+        below = (*es.sequences, *(o for s in es for o in s))
+        for v in (es, *below):
             assert 0.0 <= credibility(kind, v) <= 1.0
+        # only a statement's bel carries information: its pl is 1, and
+        # below it bel and pl are one number
+        assert credibility("pl", es) == 1.0
+        for v in below:
+            assert credibility("bel", v) == credibility("pl", v)
 
     def test_bel_at_most_pl_on_hierarchy(self):
         values = [
@@ -280,7 +308,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 # an account is a list of (property, kind, w): kind "$" is the
 # no-observation, "0" the zero-observation of the property; the weights
-# include the ends and masses below MassAssignment's tolerance
+# include the ends and masses within 1e-9 of them
 accounts = st.lists(st.tuples(
     st.sampled_from("abc"), st.sampled_from(["w", "w", "$", "0"]),
     st.one_of(st.sampled_from([0.0, 1.0, 5e-10, 1.0 - 5e-10]),
