@@ -16,10 +16,10 @@ witness, asking psi only where a step's letter, the step_ok values of
 the distinct properties as the bits of an int, lets it go on; a state
 whose own bits end an account does not start.  Each (product position,
 letter) step and acceptance test is computed once per call.  Witness
-windows are read back up to a cap through only the nodes that reach
-them, a forward path count gives their exact number, and each account's
-segment compositions (the MSPR meaning of Gladyshev & Patel, 2004) are
-read from their letters.
+windows are read back up to a cap in one backward pass through only the
+nodes that reach them, a forward path count gives their exact number,
+and each account's segment compositions (the MSPR meaning of Gladyshev
+& Patel, 2004) are read once per word of their letters.
 route="exact" runs the paper's fixed-length set algebra instead
 (meaning_fixed_length over expand_generic's variants, then comb): the
 executable spec that tests compare against, exponential in the horizon.
@@ -227,7 +227,7 @@ class ClaimResult:
     horizon_warning: bool
     horizon: int
     route: str
-    truncated: bool = False   # the layered read-back stopped at the cap
+    truncated: bool = False   # runs or lengths were left out at the cap
     witnesses: int = 0        # witness windows over the lengths searched
     nodes: int = 0            # product nodes the layered search expanded; a
                               # start whose mask ends an account is never made
@@ -386,11 +386,12 @@ def check_claim(fsm: StateMachine, es: EvidentialStatement,
     every observation sequence simultaneously.  Backtraces are the
     witness windows with consecutive identical steps collapsed (dwelling
     in a self-loop is presentation noise, not a separate explanation).
-    Every claim takes the layered search, which reads back at most
-    max_backtraces witness windows, sets truncated when it stopped there
-    with more possibly left, and counts in witnesses every window of the
-    lengths it searched; it asks psi only at the pairs it reaches, so a
-    psi that evaluates each pair it is asked is evaluated only there.
+    Every claim takes the layered search, which counts in witnesses every
+    window of the lengths it searched, stops once that count reaches
+    max_backtraces, then reads back that many windows, at most, in one
+    backward pass, and sets truncated when more were or may have been
+    left; it asks psi only at the pairs it reaches, so a psi that
+    evaluates each pair it is asked is evaluated only there.
     route="exact" is the executable spec's hook: set algebra over
     fixed-length variants, exponential in the horizon.  horizon and
     max_backtraces are non-negative integers, and es is a non-empty
@@ -554,16 +555,18 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     not start.  A layer maps each node to its number of paths from layer
     0, so every length closed off has its witnesses counted.  A wanted
     layer whose node set repeats one since the last witness closes a
-    barren cycle that later layers only repeat.  The read-back visits
-    only the nodes that reach a witness.
-    Returns the verdict, the explanations, whether the cap cut the
-    read-back short, the witness count and the number of nodes expanded.
+    barren cycle that later layers only repeat.  Reading back as it went
+    would give min(cap, witnesses) runs at any point, () aside, so the
+    count alone stops the search, and the witness layers begun under the
+    cap are read back in one pass after it.  Returns the verdict, the
+    explanations, whether the cap cut the read-back short, the witness
+    count and the nodes expanded.
     """
     windows = [_window(t) for t in all_triples]
     want = range(max([1] + [lo for lo, _ in windows]),   # the lengths searched
                  min([horizon] + [hi for _, hi in windows
                                   if hi is not PLUS_INF]) + 1)
-    found: List[Computation] = [()] if all(lo == 0 for lo, _ in windows) else []
+    zero = all(lo == 0 for lo, _ in windows)    # () is a witness
     last = want[-1] if want else 0
 
     # interned product positions: key -> id, with closures and acceptance
@@ -589,9 +592,6 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
             named[s] = named.get(s, default) | 1 << i
     event_bits = {e: sum(p.event_ok(e) << i for i, p in enumerate(props))
                   for e in (*fsm.events, WILDCARD)}
-
-    def letter(stp: Step) -> int:
-        return named.get(stp[1], default) & event_bits[stp[0]]
 
     steps: Dict[Tuple[int, int], Optional[int]] = {}
 
@@ -639,47 +639,42 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
     live = (fsm.states if step(start, default) is not None else
             [s for s in fsm.states if s in alive] if alive else ())
     layers: List[Dict[Node, int]] = [{(s, start): 1 for s in live}]
-    rev: Dict[Node, List[Node]] = {}        # node -> expanded predecessors
-    indexed = 0                             # graph entries rev covers
 
-    def read_back(t: int, ends: List[Tuple[Node, List[Step]]]) -> None:
-        """Append layer t's witnesses, at ends in order, up to the cap.
-        Only nodes that reach an end get predecessors, in layer order: a
-        predecessor of such a node reaches one too."""
-        nonlocal indexed
-        for prev in itertools.islice(graph, indexed, None):
-            for succ, _ in graph[prev][0]:
-                rev.setdefault(succ, []).append(prev)
-        indexed, reach = len(graph), {node for node, _ in ends}
-        preds: List[Dict[Node, List[Tuple[int, Node, Step]]]] = [
-            {} for _ in range(t + 1)]
-        for i in range(t - 1, -1, -1):  # built backwards, for _paths' stack
-            into = {p for node in reach for p in rev[node] if p in layers[i]}
-            for prev in reversed([p for p in layers[i] if p in into]):
+    def read_back(tops: List[int]) -> Iterator[Computation]:
+        """The witnesses of each layer t in tops, in node order, read back
+        in one pass down from the deepest.  Each layer's end nodes join
+        the nodes reached, and only reached nodes get predecessors, in
+        layer order.  A node's list does not depend on which other nodes
+        are reached, so the runs come out as a read-back per layer's."""
+        preds: List[Dict[Node, list]] = [{} for _ in range(tops[-1] + 1)]
+        reach: Set[Node] = set()
+        for i in range(tops[-1], 0, -1):        # built backwards, for _paths
+            if i in tops:
+                reach.update(node for node in layers[i] if graph[node][1])
+            into = set()
+            for prev in reversed(layers[i - 1]):
                 for succ, stp in reversed(graph[prev][0]):
                     if succ in reach:
-                        preds[i + 1].setdefault(succ, []).append((i, prev, stp))
+                        preds[i].setdefault(succ, []).append((i - 1, prev, stp))
+                        into.add(prev)
             reach = into
-        runs = (run for node, finals in ends for fstep in finals
+        return (run for t in tops for node in layers[t]
+                for fstep in graph[node][1]
                 for run in _paths(t, node, (fstep,), preds))
-        found.extend(itertools.islice(runs, max_backtraces - len(found)))
 
-    witnesses = len(found)
-    stopped = False
+    witnesses, stopped = int(zero), False
+    tops: List[int] = []                    # witness layers begun under cap
     barren: Set[FrozenSet[Node]] = set()    # node sets since the last witness
     for t in range(0, horizon):
         # close off windows of length t+1: t chained steps plus a final step
         if (t + 1) in want:
             before = witnesses
-            ends = []
             for node, n in layers[t].items():
-                finals = (graph[node] if node in graph else expand(node))[1]
-                if finals:
+                if finals := (graph[node] if node in graph else expand(node))[1]:
                     witnesses += n * len(finals)
-                    ends.append((node, finals))
-            if ends and len(found) < max_backtraces:
-                read_back(t, ends)
-            if witnesses and len(found) >= max_backtraces:
+            if before < min(witnesses, max_backtraces):
+                tops.append(t)
+            if witnesses and witnesses >= max_backtraces:
                 stopped = t + 1 < last
                 break
             if witnesses > before:
@@ -698,16 +693,21 @@ def _check_layered(fsm: StateMachine, all_triples, horizon: int,
         if not counts:
             break
 
-    return (witnesses > 0, _explanations(all_triples, cols, found, letter),
+    found: List[Computation] = [()] if zero else []
+    if tops:
+        found += itertools.islice(read_back(tops), max_backtraces - len(found))
+    return (witnesses > 0, _explanations(all_triples, cols, found, named,
+                                         default, event_bits),
             stopped or witnesses > len(found), witnesses, len(graph))
 
 
 def _compositions(triples: Sequence[Tuple[Property, int, Any]],
-                  oks: Sequence[Tuple[bool, ...]]) -> List[Tuple[int, ...]]:
+                  col: Sequence[int],
+                  word: Sequence[int]) -> List[Tuple[int, ...]]:
     """Every split of a window into consecutive segments, one per
-    observation, segment j taking min..min+max steps whose step_ok
-    values oks[k][j] all hold."""
-    L = len(oks)
+    observation, segment j taking min..min+max steps whose letters in
+    word all have bit col[j] set."""
+    L = len(word)
     # starts[j + 1][end]: (j, start, length) of each segment j ending there
     starts: List[Dict[int, List[Tuple[int, int, int]]]] = [{0: []}]
     for j, (_, mn, mx) in enumerate(triples):
@@ -718,7 +718,7 @@ def _compositions(triples: Sequence[Tuple[Property, int, Any]],
             while True:
                 if k - pos >= mn:
                     ends.setdefault(k, []).append((j, pos, k - pos))
-                if k == top or not oks[k][j]:
+                if k == top or not word[k] >> col[j] & 1:
                     break
                 k += 1
         starts.append(ends)
@@ -743,31 +743,32 @@ def _paths(depth: int, at: Any, tail: tuple,
 
 
 def _explanations(all_triples, cols: Sequence[Sequence[int]],
-                  found: List[Computation], letter) -> List[MSPR]:
+                  found: List[Computation], named: Mapping[Any, int],
+                  default: int, event_bits: Mapping[Any, int]) -> List[MSPR]:
     """Group the witnesses by each tuple of segment compositions, one per
-    account and the last account first, as comb does.
-
-    An account splits a window that ends in a concrete event as that
-    window ending in WILDCARD when it can, since its meaning keeps only
-    the most general final step, and as it stands otherwise.
-    """
-    groups: Dict[Tuple[Tuple[int, ...], ...], Set[Computation]] = {}
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
+    account and the last account first, as comb does, found once per
+    word: the chained steps' letters, the wildcard final letter and the
+    concrete one.  An account splits a window that ends in a concrete
+    event as that window ending in WILDCARD when it can, since its
+    meaning keeps only the most general final step, and as it stands
+    otherwise."""
+    words: Dict[Tuple[int, ...], List[Computation]] = {}
     for run in found:
-        word = tuple(letter(stp) for stp in run)
-        tries = ([word[:-1] + (letter((WILDCARD, run[-1][1])),), word] if run
-                 else [word])
+        word = [named.get(s, default) & event_bits[e] for e, s in run]
+        if run:
+            word.append(named.get(run[-1][1], default) & event_bits[WILDCARD])
+        words.setdefault(tuple(word), []).append(run)
+    groups: Dict[Tuple[Tuple[int, ...], ...], Set[Computation]] = {}
+    for word, runs in words.items():
+        tries = [word[:-2] + word[-1:], word[:-1]] if word else [word]
         per_account = []
-        for i, (triples, col) in enumerate(zip(all_triples, cols)):
+        for triples, col in zip(all_triples, cols):
             for w in tries:
-                if (i, w) not in memo:
-                    memo[i, w] = _compositions(
-                        triples, [[lt >> c & 1 for c in col] for lt in w])
-                if memo[i, w]:
+                if lens := _compositions(triples, col, w):
                     break
-            per_account.append(memo[i, w])
+            per_account.append(lens)
         for lens in itertools.product(*reversed(per_account)):
-            groups.setdefault(lens, set()).add(run)
+            groups.setdefault(lens, set()).update(runs)
     return [MSPR(lens, frozenset(groups[lens])) for lens in sorted(groups)]
 
 
@@ -792,6 +793,7 @@ def load_fsm(text: str) -> StateMachine:
     states: Dict[str, None] = {}     # insertion-ordered sets
     events: Dict[str, None] = {}
     properties: Dict[str, Property] = {}
+    first: Dict[tuple, int] = {}     # what a line defines -> that line
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -805,21 +807,21 @@ def load_fsm(text: str) -> StateMachine:
                     line += " " + lines[i].split("#", 1)[0].strip()
                     i += 1
                 name, prop = _parse_property_block(line)
+                _once(first, ("property", name), lineno, "fsm")
                 properties[name] = prop
                 continue
-            if "->" not in line:
+            left, arrow, dst = line.partition("->")
+            if not arrow:
                 raise ValidationError("unrecognized fixture line: %r" % line,
                                       "fsm")
-            left, _, target = line.partition("->")
-            parts = left.split()
-            if len(parts) != 2:
+            if len(parts := left.split()) != 2:
                 raise ValidationError(
                     "transition needs `event state -> state`: %r" % line,
                     "fsm")
             event, src = parts
-            dst = target.strip()
-            if not dst:
+            if not (dst := dst.strip()):
                 raise ValidationError("missing target state: %r" % line, "fsm")
+            _once(first, ("transition for", event, src), lineno, "fsm")
         except ValidationError as exc:
             raise _at_line(exc, lineno) from None
         events[event] = None
@@ -833,6 +835,14 @@ def load_fsm(text: str) -> StateMachine:
 def _at_line(exc: ValidationError, lineno: int) -> ValidationError:
     """exc with the 1-based fixture line it was raised for."""
     return ValidationError("line %d: %s" % (lineno, exc), exc.fieldname)
+
+
+def _once(first: Dict[tuple, int], what: tuple, lineno: int, field: str) -> None:
+    """Note that lineno defines what; an earlier line that did is named."""
+    if what in first:
+        raise ValidationError("a second %s; the first is line %d"
+                              % (" ".join(what), first[what]), field)
+    first[what] = lineno
 
 
 def _split_top_commas(text: str) -> List[str]:
@@ -858,25 +868,16 @@ def _parse_property_block(block: str) -> Tuple[str, Property]:
     body, _, tail = rest.partition("}")
     if tail.strip():
         raise ValidationError("text after '}': %r" % tail.strip(), "fsm")
-    states = allow = None
-    deny: FrozenSet[str] = frozenset()
-    for clause in body.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, _, vals = clause.partition(":")
-        items = frozenset(_split_top_commas(vals))
-        key = key.strip()
-        if key == "states":
-            states = items
-        elif key == "allow-events":
-            allow = items
-        elif key == "deny-events":
-            deny = items
-        else:
+    clauses = {"states": None, "allow-events": None,
+               "deny-events": frozenset()}
+    for clause in filter(None, map(str.strip, body.split(";"))):
+        key, _, vals = map(str.strip, clause.partition(":"))
+        if key not in clauses:
             raise ValidationError("unknown property clause %r" % key, "fsm")
-    return name, Property(name=name, states=states, allow_events=allow,
-                          deny_events=deny)
+        clauses[key] = frozenset(_split_top_commas(vals))
+    return name, Property(name=name, states=clauses["states"],
+                          allow_events=clauses["allow-events"],
+                          deny_events=clauses["deny-events"])
 
 
 def load_es(text: str) -> EvidentialStatement:
@@ -893,14 +894,17 @@ def load_es(text: str) -> EvidentialStatement:
     observations: Dict[str, Observation] = {}
     sequences: Dict[str, ObservationSequence] = {}
     statement: Optional[List[str]] = None
+    first: Dict[tuple, int] = {}     # what a line defines -> that line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        kind, _, rest = line.partition(" ")
+        name, _, value = map(str.strip, rest.partition("="))
         try:
-            if line.startswith("observation "):
-                name, _, value = map(
-                    str.strip, line[len("observation "):].partition("="))
+            if kind in ("observation", "sequence"):
+                _once(first, (kind, name), lineno, "es")
+            if kind == "observation":
                 if not name or not value:
                     raise ValidationError(
                         "observation needs `observation NAME = VALUE`: %r"
@@ -911,7 +915,7 @@ def load_es(text: str) -> EvidentialStatement:
                     observations[name] = zero_observation(value[3:-1].strip())
                 elif value.startswith("(") and value.endswith(")"):
                     parts = _split_top_commas(value[1:-1])
-                    if len(parts) < 3:
+                    if not 3 <= len(parts) <= 5:
                         raise ValidationError(
                             "observation tuple needs (PROP, min, max"
                             "[, w[, t]]): %r" % raw, "es")
@@ -930,11 +934,9 @@ def load_es(text: str) -> EvidentialStatement:
                 else:
                     raise ValidationError(
                         "unrecognized observation value %r" % value, "es")
-            elif line.startswith("sequence "):
-                name, _, members = map(
-                    str.strip, line[len("sequence "):].partition("="))
+            elif kind == "sequence":
                 try:
-                    obs = [observations[m] for m in members.split()]
+                    obs = [observations[m] for m in value.split()]
                 except KeyError as missing:
                     raise ValidationError(
                         "sequence %s references unknown observation %s"
@@ -943,10 +945,8 @@ def load_es(text: str) -> EvidentialStatement:
                     raise ValidationError("sequence %s is empty" % name, "es")
                 sequences[name] = ObservationSequence(obs, name=name)
             elif line.partition("=")[0].strip() == "statement":
-                if statement is not None:
-                    raise ValidationError("a second statement line; the first"
-                                          " is line %d" % statement_line, "es")
-                statement, statement_line = line.partition("=")[2].split(), lineno
+                _once(first, ("statement line",), lineno, "es")
+                statement = line.partition("=")[2].split()
             else:
                 raise ValidationError("unrecognized claim line: %r" % raw,
                                       "es")
@@ -959,5 +959,5 @@ def load_es(text: str) -> EvidentialStatement:
     except KeyError as missing:
         raise _at_line(ValidationError(
             "statement references unknown sequence %s" % missing, "es"),
-            statement_line) from None
+            first["statement line",]) from None
     return EvidentialStatement(seqs)

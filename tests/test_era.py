@@ -4,6 +4,7 @@ Exact fixtures come from the two case studies; randomized agreement runs
 against the brute-force oracle in oracles.py.
 """
 
+import itertools
 import os
 import re
 import sys
@@ -476,6 +477,34 @@ def test_witnesses_count_every_window(setup):
 
 
 @given(random_setup())
+@settings(max_examples=80, deadline=None)
+def test_a_higher_cap_only_adds_witnesses(setup):
+    trans, states, events, oss, horizon = setup
+    fsm = build_engine_machine(trans, states, events)
+    es = build_engine_statement(oss)
+    full = check_claim(fsm, es, horizon=horizon, max_backtraces=100000)
+    all_runs = {c for m in full.explanations for c in m.computations}
+    lower = set()
+    for cap in range(6):
+        got = check_claim(fsm, es, horizon=horizon, max_backtraces=cap)
+        runs = {c for m in got.explanations for c in m.computations}
+        assert lower <= runs <= all_runs
+        want = min(cap, got.witnesses)
+        if () in runs:      # an all-zero window's () comes back at any cap
+            want = max(want, 1)
+        assert len(runs) == want
+        assert got.witnesses <= full.witnesses
+        # truncated: runs left out, or lengths left unsearched at the cap
+        if len(runs) < got.witnesses:
+            assert got.truncated
+        if got.truncated:
+            assert len(runs) >= cap
+        else:
+            assert (runs, got.witnesses) == (all_runs, full.witnesses)
+        lower = runs
+
+
+@given(random_setup())
 @settings(max_examples=60, deadline=None)
 def test_psi_inverse_set_prepends_only_fired_steps(setup):
     trans, states, events, _oss, _horizon = setup
@@ -822,6 +851,23 @@ def test_acme_reads_back_witnesses_in_layer_order(acme):
         "9224c9524771c5d2da0b71a2c521aebe8633597bceda3d439a48fedbfad60c6b"]
 
 
+def test_fixture_claims_are_pinned():
+    # every field of each result, backtrace order and nodes included, for
+    # each fixture pair at horizons 1-16; the reprs do not depend on the
+    # hash seed, since backtraces are sorted and an MSPR prints its runs
+    # sorted.  CHANGES.md records each change of this pin and its reason.
+    digest = sha256()
+    for fsm_name in ("acme.fsm", "blackmail.fsm"):
+        fsm = load_fsm(fixture_text(fsm_name))
+        for es_name in CLAIMS[fsm_name]:
+            es = load_es(fixture_text(es_name))
+            for horizon, cap in itertools.product(range(1, 17), (2, 64)):
+                digest.update(repr(check_claim(
+                    fsm, es, horizon=horizon, max_backtraces=cap)).encode())
+    assert digest.hexdigest() == \
+        "4c83c08295569beb1956d4babf284bfa725f5176fec80ab13450c3746a5e81d2"
+
+
 def test_acme_backtraces_are_chained(acme):
     es = load_es(fixture_text("acme.es"))
     result = check_claim(acme, es)
@@ -962,6 +1008,8 @@ def test_load_fsm_names_the_bad_line(bad, message):
     ("observation x =", "`observation NAME = VALUE`: 'observation x ='"),
     ("observation x = (p, 1)", "(PROP, min, max[, w[, t]]): "
      "'observation x = (p, 1)'"),
+    ("observation x = (p, 1, 0, 1, 2, 3)", "(PROP, min, max[, w[, t]]): "
+     "'observation x = (p, 1, 0, 1, 2, 3)'"),
     ("observation x = (p, a, 0)", "w a number: 'observation x = (p, a, 0)'"),
     ("observation x = [p]", "unrecognized observation value '[p]'"),
     ("observation x = (p, -1, 0)", "min must be non-negative"),
@@ -996,6 +1044,32 @@ def test_load_es_rejects_a_second_statement_line():
                        match="^line %d: a second statement line; the first "
                              "is line %d$" % (second, first)):
         load_es(text + "statement = os_final\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a s -> t\nb s -> t\na s -> u\n",
+     "line 3: a second transition for a s; the first is line 1"),
+    ("a s -> t\n\na s -> t\n",
+     "line 3: a second transition for a s; the first is line 1"),
+    ("property p { states: s; }\na s -> t\nproperty p {\n states: t; }\n",
+     "line 3: a second property p; the first is line 1"),
+])
+def test_load_fsm_rejects_a_second_definition(text, message):
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        load_fsm(text)
+
+
+@pytest.mark.parametrize("again, message", [
+    ("observation x = (s, 1, 0)",
+     "line 4: a second observation x; the first is line 1"),
+    ("sequence os = x x",
+     "line 4: a second sequence os; the first is line 2"),
+])
+def test_load_es_rejects_a_second_definition(again, message):
+    text = "observation x = $\nsequence os = x\nstatement = os\n"
+    assert load_es(text)
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        load_es(text + again + "\n")
 
 
 def test_load_fsm_rejects_nameless_property():
